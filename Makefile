@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check vet staticcheck race bench bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check vet staticcheck race determinism bench bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,17 @@ staticcheck:
 	fi
 
 # check is the PR gate: static analysis, the race detector, the
-# metrics-exposition lint, and the perf-regression gate against the
-# committed baseline.
-check: vet staticcheck race metrics-lint perf-gate
+# determinism repeats, the metrics-exposition lint, and the
+# perf-regression gate against the committed baseline.
+check: vet staticcheck race determinism metrics-lint perf-gate
+
+# determinism repeats the bit-identity checks at one and two host CPUs:
+# the golden outputs of GP-metis and mt-metis, the seed-determinism tests
+# of the GP-metis core, and the MPI-backed ParMetis and PT-Scotch runs,
+# whose virtual clocks must not depend on goroutine scheduling.
+determinism:
+	$(GO) test -cpu 1,2 -count=5 -run 'TestGoldenBitIdentity|Determinis|TestBackToBackBarriers' \
+		./internal/core ./internal/parmetis ./internal/ptscotch ./internal/mpi
 
 # metrics-lint asserts every registered series appears on a FRESH
 # /metrics scrape — counters, declared histograms, and the eagerly

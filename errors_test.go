@@ -15,6 +15,9 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	wideWarp := DefaultMachine()
+	wideWarp.GPU.WarpSize = 64
+
 	cases := []struct {
 		name string
 		g    *Graph
@@ -28,6 +31,7 @@ func TestSentinelErrors(t *testing.T) {
 		{"imbalance below one", g, 4, Options{UBFactor: 0.9}, ErrBadImbalance},
 		{"empty graph", &Graph{XAdj: []int{0}}, 1, Options{}, ErrEmptyGraph},
 		{"unknown merge strategy", g, 4, Options{Merge: MergeStrategy(99)}, ErrBadOption},
+		{"warp wider than the simulator", g, 4, Options{Machine: wideWarp}, ErrBadOption},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -302,6 +302,17 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 	// cdegArr doubles as the coarse xadj after the final scan; freed below.
 	defer d.Free(cdegArr)
 
+	// mark is the host-side stand-in for the per-thread hash tables: a
+	// dense coarse-id -> row-slot map holding -1, which mergeRow restores
+	// after each row. Threads run one after another, so one array serves
+	// the whole launch.
+	var mark []int
+	if o.Merge == HashMerge {
+		mark = make([]int, coarseN)
+		for i := range mark {
+			mark[i] = -1
+		}
+	}
 	temp2 := make([]int, T)
 	d.Launch("contract.merge", T, func(c *gpu.Ctx) {
 		pos := temp[c.TID()] // thread's start index from the first scan
@@ -314,7 +325,7 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 			}
 			cv := cmap[v]
 			start := pos + used
-			rowLen, vw := mergeRow(c, dg, o, cmap, v, u, tAdj, tWgt, start, tAdjArr, tWgtArr, hashArr, cmapArr)
+			rowLen, vw := mergeRow(c, dg, o, cmap, mark, v, u, tAdj, tWgt, start, tAdjArr, tWgtArr, hashArr, cmapArr)
 			used += rowLen
 			cvwgt[cv] = vw
 			cdeg[cv] = rowLen
@@ -390,7 +401,9 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 // mergeRow merges the adjacency lists of the pair (v,u) into
 // tAdj/tWgt[start:], translating neighbors through cmap and dropping the
 // internal pair edge. Returns the row length and combined vertex weight.
-func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap []int, v, u int, tAdj, tWgt []int, start int, tAdjArr, tWgtArr, hashArr, cmapArr gpu.Array) (int, int) {
+// The hash merge finds a coarse neighbor's row slot in mark (one entry per
+// coarse vertex, -1 when absent) and leaves mark all -1 again on return.
+func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap, mark []int, v, u int, tAdj, tWgt []int, start int, tAdjArr, tWgtArr, hashArr, cmapArr gpu.Array) (int, int) {
 	g := dg.g
 	cv := cmap[v]
 	members := [2]int{v, u}
@@ -404,7 +417,6 @@ func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap []int, v, u int, tAdj, tW
 	case HashMerge:
 		// Clustered hash table with chaining: probe cost is charged per
 		// insert against the thread's global-memory table region.
-		idx := make(map[int]int, 8)
 		rowLen := 0
 		for mi := 0; mi <= last; mi++ {
 			mv := members[mi]
@@ -422,11 +434,11 @@ func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap []int, v, u int, tAdj, tW
 					continue
 				}
 				c.Load(hashArr, start+rowLen) // probe
-				if j, ok := idx[cu]; ok {
+				if j := mark[cu]; j >= 0 {
 					tWgt[start+j] += wgt[i]
 					c.Store(tWgtArr, start+j)
 				} else {
-					idx[cu] = rowLen
+					mark[cu] = rowLen
 					tAdj[start+rowLen] = cu
 					tWgt[start+rowLen] = wgt[i]
 					c.Store(tAdjArr, start+rowLen)
@@ -436,6 +448,9 @@ func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap []int, v, u int, tAdj, tW
 				}
 				c.Op(3)
 			}
+		}
+		for _, cu := range tAdj[start : start+rowLen] {
+			mark[cu] = -1
 		}
 		return rowLen, vw
 

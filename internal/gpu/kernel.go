@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpmetis/internal/fault"
 	"gpmetis/internal/obs"
@@ -9,11 +10,14 @@ import (
 )
 
 // Kernel is the body executed by every logical GPU thread of a launch.
+// The *Ctx it receives is valid only for that call: Launch reuses one Ctx
+// for every thread of the launch, so a kernel must not retain it.
 type Kernel func(c *Ctx)
 
 // Ctx is one thread's view of the executing kernel. Kernels call its
 // methods to perform *accounted* memory traffic; plain Go slice access in
-// the kernel body does the actual data movement.
+// the kernel body does the actual data movement. A *Ctx is valid only
+// during the Kernel call it is passed to.
 type Ctx struct {
 	tid  int
 	lane int
@@ -69,9 +73,8 @@ func (c *Ctx) LoadN(a Array, i, n int) {
 		return
 	}
 	c.w.accesses += int64(n)
-	segBytes := int64(c.w.segBytes)
-	first := int64(i) * a.elem / segBytes
-	last := (int64(i+n)*a.elem - 1) / segBytes
+	first := c.w.segment(int64(i) * a.elem)
+	last := c.w.segment(int64(i+n)*a.elem - 1)
 	for s := first; s <= last; s++ {
 		slot := c.w.slot(c.seq)
 		c.seq++
@@ -102,7 +105,7 @@ func (c *Ctx) access(a Array, i int) {
 		return
 	}
 	c.w.accesses++
-	seg := a.id<<40 | int64(i)*a.elem/int64(c.w.segBytes)
+	seg := a.id<<40 | c.w.segment(int64(i)*a.elem)
 	s := c.w.slot(c.seq)
 	c.seq++
 	s.addSeg(seg)
@@ -110,17 +113,21 @@ func (c *Ctx) access(a Array, i int) {
 
 // segSlot tracks, for one per-thread access index within one warp, the
 // distinct memory segments touched (for coalescing) and the per-address
-// atomic multiplicities (for serialization). A warp has at most WarpSize
-// lanes, so fixed-size arrays suffice.
+// atomic multiplicities (for serialization). A warp has at most
+// perfmodel.MaxWarpSize lanes (Machine.Validate enforces it), so
+// fixed-size arrays suffice.
 type segSlot struct {
 	n      int
 	atomic bool
-	segs   [32]int64
-	count  [32]int32
+	segs   [perfmodel.MaxWarpSize]int64
+	count  [perfmodel.MaxWarpSize]int32
 }
 
+// addSeg scans newest-first: lanes of a coalesced access add the same
+// segment back to back, so the common case hits on the first compare.
+// Segments in a slot are distinct, so the scan order changes no count.
 func (s *segSlot) addSeg(seg int64) {
-	for i := 0; i < s.n; i++ {
+	for i := s.n - 1; i >= 0; i-- {
 		if s.segs[i] == seg {
 			s.count[i]++
 			return
@@ -151,11 +158,31 @@ func (s *segSlot) maxCount() int64 {
 }
 
 type warpState struct {
-	slots     []segSlot
-	used      int
-	segBytes  int
+	slots    []segSlot
+	used     int
+	segBytes int64
+	// segShift is log2(segBytes) when segBytes is a power of two, else
+	// -1; the shift replaces a 64-bit division on every accounted access.
+	segShift  int
 	accesses  int64
 	atomicOps int64
+}
+
+func newWarpState(segBytes int) *warpState {
+	w := &warpState{segBytes: int64(segBytes), segShift: -1}
+	if segBytes > 0 && segBytes&(segBytes-1) == 0 {
+		w.segShift = bits.TrailingZeros(uint(segBytes))
+	}
+	return w
+}
+
+// segment returns the transaction segment holding byte offset off. Offsets
+// are non-negative, where the shift and the division agree.
+func (w *warpState) segment(off int64) int64 {
+	if w.segShift >= 0 {
+		return off >> w.segShift
+	}
+	return off / w.segBytes
 }
 
 func (w *warpState) slot(seq int) *segSlot {
@@ -194,7 +221,10 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 		d.preflight(fault.SiteKernel, name, perfmodel.LocGPU, d.m.GPU.LaunchSec)
 	}
 	ws := d.m.GPU.WarpSize
-	w := warpState{segBytes: d.m.GPU.TransactionBytes}
+	w := newWarpState(d.m.GPU.TransactionBytes)
+	// One Ctx serves every thread of the launch; a fresh one per thread
+	// would escape to the heap through the kernel closure.
+	c := &Ctx{w: w, acct: d.Accounting}
 	var warpInstr, laneInstr, transactions, atomicSerial, accesses, atomicOps int64
 	var maxWarpInstr int64
 
@@ -202,8 +232,8 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 		w.reset()
 		var warpMaxOps int64
 		for lane := 0; lane < ws && base+lane < nThreads; lane++ {
-			c := Ctx{tid: base + lane, lane: lane, w: &w, acct: d.Accounting}
-			k(&c)
+			c.tid, c.lane, c.ops, c.seq = base+lane, lane, 0, 0
+			k(c)
 			laneInstr += c.ops
 			if c.ops > warpMaxOps {
 				warpMaxOps = c.ops

@@ -7,34 +7,49 @@ import "fmt"
 // subgraph vertex back to its original id. Edges to vertices outside the
 // selection are dropped.
 func InducedSubgraph(g *Graph, vs []int) (*Graph, []int, error) {
-	inv := make(map[int]int, len(vs))
+	// inv maps an original id to its subgraph id, -1 when not selected.
+	inv := make([]int, g.NumVertices())
+	for i := range inv {
+		inv[i] = -1
+	}
+	edges := 0
 	for i, v := range vs {
 		if v < 0 || v >= g.NumVertices() {
 			return nil, nil, fmt.Errorf("graph: InducedSubgraph: vertex %d out of range", v)
 		}
-		if _, dup := inv[v]; dup {
+		if inv[v] >= 0 {
 			return nil, nil, fmt.Errorf("graph: InducedSubgraph: duplicate vertex %d", v)
 		}
 		inv[v] = i
 	}
-	sub := &Graph{
-		XAdj: make([]int, len(vs)+1),
-		VWgt: make([]int, len(vs)),
+	// Counting pass, so the edge arrays are allocated at their exact size.
+	for _, v := range vs {
+		adj, _ := g.Neighbors(v)
+		for _, u := range adj {
+			if inv[u] >= 0 {
+				edges++
+			}
+		}
 	}
-	var adjncy, wgts []int
+	sub := &Graph{
+		XAdj:   make([]int, len(vs)+1),
+		Adjncy: make([]int, edges),
+		AdjWgt: make([]int, edges),
+		VWgt:   make([]int, len(vs)),
+	}
+	e := 0
 	for i, v := range vs {
 		sub.VWgt[i] = g.VWgt[v]
 		adj, wgt := g.Neighbors(v)
 		for j, u := range adj {
-			if iu, ok := inv[u]; ok {
-				adjncy = append(adjncy, iu)
-				wgts = append(wgts, wgt[j])
+			if iu := inv[u]; iu >= 0 {
+				sub.Adjncy[e] = iu
+				sub.AdjWgt[e] = wgt[j]
+				e++
 			}
 		}
-		sub.XAdj[i+1] = len(adjncy)
+		sub.XAdj[i+1] = e
 	}
-	sub.Adjncy = adjncy
-	sub.AdjWgt = wgts
 	orig := make([]int, len(vs))
 	copy(orig, vs)
 	return sub, orig, nil

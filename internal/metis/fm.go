@@ -24,18 +24,25 @@ type gainBuckets struct {
 // newGainBuckets sizes the structure for n vertices with |gain| <= wmax.
 func newGainBuckets(n, wmax int) *gainBuckets {
 	b := &gainBuckets{
-		offset:  wmax,
-		head:    make([]int, 2*wmax+1),
-		next:    make([]int, n),
-		prev:    make([]int, n),
-		gain:    make([]int, n),
-		in:      make([]bool, n),
-		maxGain: -wmax - 1,
+		offset: wmax,
+		head:   make([]int, 2*wmax+1),
+		next:   make([]int, n),
+		prev:   make([]int, n),
+		gain:   make([]int, n),
+		in:     make([]bool, n),
 	}
+	b.Reset()
+	return b
+}
+
+// Reset empties the buckets, keeping their storage.
+func (b *gainBuckets) Reset() {
 	for i := range b.head {
 		b.head[i] = -1
 	}
-	return b
+	clear(b.in)
+	b.maxGain = -b.offset - 1
+	b.size = 0
 }
 
 // Len returns the number of vertices currently in the buckets.
@@ -143,8 +150,13 @@ func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct
 
 	type move struct{ v, gain int }
 	const maxPasses = 6
+	side := [2]*gainBuckets{newGainBuckets(n, wmax), newGainBuckets(n, wmax)}
+	var trail []move
 	for pass := 0; pass < maxPasses; pass++ {
-		side := [2]*gainBuckets{newGainBuckets(n, wmax), newGainBuckets(n, wmax)}
+		if pass > 0 {
+			side[0].Reset()
+			side[1].Reset()
+		}
 		for v := 0; v < n; v++ {
 			adj, wgt := g.Neighbors(v)
 			ed, id := 0, 0
@@ -162,7 +174,7 @@ func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct
 			acct.Rand += float64(len(g.Adjncy))
 		}
 
-		var trail []move
+		trail = trail[:0]
 		sumGain, bestSum, bestLen := 0, 0, 0
 		negRun := 0
 		for side[0].Len()+side[1].Len() > 0 {

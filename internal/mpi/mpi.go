@@ -43,7 +43,12 @@ type Comm struct {
 	barrierCond *sync.Cond
 	barrierN    int
 	barrierGen  int
-	barrierMax  float64
+	barrierMax  float64 // max clock among the ranks arrived at the open barrier
+	// barrierRelease is the clock the last completed barrier released its
+	// ranks at. A waiter reads it, not barrierMax: ranks released before
+	// it wakes may already be raising barrierMax for the next barrier,
+	// which cannot complete without the waiter.
+	barrierRelease float64
 
 	// Abort state: the first failing rank records its error and closes
 	// abortCh; every rank blocked in Send/Recv/Barrier wakes up and
@@ -261,7 +266,8 @@ func (r *Rank) Barrier() {
 	if c.barrierN == c.size {
 		c.barrierN = 0
 		c.barrierGen++
-		c.barrierMax += c.m.Net.LatencySec
+		c.barrierRelease = c.barrierMax + c.m.Net.LatencySec
+		c.barrierMax = 0
 		c.barrierCond.Broadcast()
 	} else {
 		for gen == c.barrierGen && !c.aborted {
@@ -272,7 +278,7 @@ func (r *Rank) Barrier() {
 			panic(abortPanic{})
 		}
 	}
-	r.clock = c.barrierMax
+	r.clock = c.barrierRelease
 	c.barrierMu.Unlock()
 }
 

@@ -98,6 +98,41 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
+// TestBackToBackBarriersReleaseAtTheirOwnMax runs many barriers in a row
+// with skewed work between them. A rank released by one barrier may enter
+// the next before every waiter of the first has woken; the waiters must
+// still leave at the first barrier's release clock.
+func TestBackToBackBarriersReleaseAtTheirOwnMax(t *testing.T) {
+	const P, rounds = 8, 200
+	m := perfmodel.Default()
+	charge := func(id, round int) float64 { return float64((id*7+round)%P) * 1e-3 }
+	clocks := make([][]float64, P)
+	if _, err := Run(m, P, func(r *Rank) {
+		for round := 0; round < rounds; round++ {
+			r.ChargeSeconds(charge(r.ID(), round))
+			r.Barrier()
+			clocks[r.ID()] = append(clocks[r.ID()], r.Clock())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for round := 0; round < rounds; round++ {
+		release := 0.0
+		for p := 0; p < P; p++ {
+			if c := want + charge(p, round); c > release {
+				release = c
+			}
+		}
+		want = release + m.Net.LatencySec
+		for p := 0; p < P; p++ {
+			if clocks[p][round] != want {
+				t.Fatalf("round %d: rank %d left the barrier at %v, want %v", round, p, clocks[p][round], want)
+			}
+		}
+	}
+}
+
 func TestChargeAccumulates(t *testing.T) {
 	run(t, 1, func(r *Rank) {
 		r.Charge(perfmodel.ThreadCost{Ops: 1e9})

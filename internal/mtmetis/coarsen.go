@@ -114,10 +114,16 @@ func contractParallel(g *graph.Graph, match, cmap []int, coarseN, threads int, c
 		rowLen   []int
 	}
 	segs := make([]seg, threads)
+	// marker maps a coarse id to its slot in the current row's segment,
+	// -1 when absent, and is restored after every row. The threads are
+	// emulated one after another, so they share it.
+	marker := make([]int, coarseN)
+	for i := range marker {
+		marker[i] = -1
+	}
 
 	for t := 0; t < threads; t++ {
 		lo, hi := chunk(n, threads, t)
-		marker := make(map[int]int, 64)
 		s := &segs[t]
 		for v := lo; v < hi; v++ {
 			if match[v] < v {
@@ -138,7 +144,7 @@ func contractParallel(g *graph.Graph, match, cmap []int, coarseN, threads int, c
 					if cu == cv {
 						continue
 					}
-					if idx, ok := marker[cu]; ok {
+					if idx := marker[cu]; idx >= 0 {
 						s.wgt[idx] += wgt[i]
 					} else {
 						marker[cu] = len(s.adj)
@@ -151,7 +157,7 @@ func contractParallel(g *graph.Graph, match, cmap []int, coarseN, threads int, c
 				costs[t].Rand += float64(2 * len(adj))
 			}
 			for _, cu := range s.adj[start:] {
-				delete(marker, cu)
+				marker[cu] = -1
 			}
 			s.rows = append(s.rows, cv)
 			s.rowLen = append(s.rowLen, len(s.adj)-start)

@@ -38,11 +38,16 @@ type CPUParams struct {
 	AtomicSec float64
 }
 
+// MaxWarpSize is the widest warp the kernel simulator can account: its
+// per-warp coalescing table holds one segment per lane.
+const MaxWarpSize = 32
+
 // GPUParams models a discrete GPU (paper: NVIDIA GeForce GTX Titan).
 type GPUParams struct {
 	// SMs is the number of streaming multiprocessors.
 	SMs int
-	// WarpSize is the number of lanes that execute in lockstep.
+	// WarpSize is the number of lanes that execute in lockstep, at most
+	// MaxWarpSize.
 	WarpSize int
 	// WarpSlotsPerSM is how many warps an SM can have in flight; together
 	// with SMs it bounds the device's latency-hiding parallelism.
@@ -152,6 +157,8 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("perfmodel: CPU memory parameters must be positive")
 	case m.GPU.SMs <= 0 || m.GPU.WarpSize <= 0 || m.GPU.WarpSlotsPerSM <= 0 || m.GPU.CoresPerSM <= 0:
 		return fmt.Errorf("perfmodel: GPU geometry must be positive")
+	case m.GPU.WarpSize > MaxWarpSize:
+		return fmt.Errorf("perfmodel: GPU.WarpSize %d exceeds the simulator's maximum of %d", m.GPU.WarpSize, MaxWarpSize)
 	case m.GPU.ClockHz <= 0 || m.GPU.MemBytesPerSec <= 0 || m.GPU.TransactionBytes <= 0:
 		return fmt.Errorf("perfmodel: GPU clock/memory parameters must be positive")
 	case m.GPU.GlobalMemBytes <= 0:

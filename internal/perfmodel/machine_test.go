@@ -13,6 +13,27 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestValidateWarpSizeBound: the kernel simulator's coalescing table has
+// one entry per lane, so a wider warp would silently drop segments and
+// undercount transactions. Validate accepts MaxWarpSize and rejects more.
+func TestValidateWarpSizeBound(t *testing.T) {
+	for _, ws := range []int{1, 16, MaxWarpSize} {
+		m := Default()
+		m.GPU.WarpSize = ws
+		if err := m.Validate(); err != nil {
+			t.Errorf("WarpSize %d: Validate() = %v, want nil", ws, err)
+		}
+	}
+	for _, ws := range []int{MaxWarpSize + 1, 64} {
+		m := Default()
+		m.GPU.WarpSize = ws
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "WarpSize") {
+			t.Errorf("WarpSize %d: Validate() = %v, want a WarpSize error", ws, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	cases := []struct {
 		name   string

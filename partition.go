@@ -397,6 +397,9 @@ func Partition(g *Graph, k int, o Options) (*Result, error) {
 	if m == nil {
 		m = DefaultMachine()
 	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: Machine: %v", ErrBadOption, err)
+	}
 	seed := o.Seed
 	if seed == 0 {
 		seed = 1
