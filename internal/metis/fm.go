@@ -153,10 +153,8 @@ func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct
 	side := [2]*gainBuckets{newGainBuckets(n, wmax), newGainBuckets(n, wmax)}
 	var trail []move
 	for pass := 0; pass < maxPasses; pass++ {
-		if pass > 0 {
-			side[0].Reset()
-			side[1].Reset()
-		}
+		side[0].Reset()
+		side[1].Reset()
 		for v := 0; v < n; v++ {
 			adj, wgt := g.Neighbors(v)
 			ed, id := 0, 0
