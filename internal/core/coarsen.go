@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"gpmetis/internal/fault"
@@ -287,17 +286,8 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 		}
 	}
 
-	// The merge's temporary rows hold 32-bit entries, like the device
-	// arrays they stand for, whenever every coarse id and merged weight
-	// fits; that halves the level's largest transient allocation.
-	narrow := narrowRows(g, coarseN)
-	var tAdj32, tWgt32 []int32
-	var tAdj, tWgt []int
-	if narrow {
-		tAdj32, tWgt32 = make([]int32, total), make([]int32, total)
-	} else {
-		tAdj, tWgt = make([]int, total), make([]int, total)
-	}
+	tAdj := make([]int, total)
+	tWgt := make([]int, total)
 	cvwgt := make([]int, coarseN)
 	cdeg := make([]int, coarseN)
 	cvwgtArr, err := d.Malloc(coarseN, 4)
@@ -335,12 +325,7 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 			}
 			cv := cmap[v]
 			start := pos + used
-			var rowLen, vw int
-			if narrow {
-				rowLen, vw = mergeRow(c, dg, o, cmap, mark, v, u, tAdj32, tWgt32, start, tAdjArr, tWgtArr, hashArr, cmapArr)
-			} else {
-				rowLen, vw = mergeRow(c, dg, o, cmap, mark, v, u, tAdj, tWgt, start, tAdjArr, tWgtArr, hashArr, cmapArr)
-			}
+			rowLen, vw := mergeRow(c, dg, o, cmap, mark, v, u, tAdj, tWgt, start, tAdjArr, tWgtArr, hashArr, cmapArr)
 			used += rowLen
 			cvwgt[cv] = vw
 			cdeg[cv] = rowLen
@@ -394,13 +379,8 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 			rl := cdeg[cv]
 			c.LoadN(tAdjArr, src, rl)
 			c.LoadN(tWgtArr, src, rl)
-			if narrow {
-				widen(cadjncy[dst:dst+rl], tAdj32[src:src+rl])
-				widen(cadjwgt[dst:dst+rl], tWgt32[src:src+rl])
-			} else {
-				copy(cadjncy[dst:dst+rl], tAdj[src:src+rl])
-				copy(cadjwgt[dst:dst+rl], tWgt[src:src+rl])
-			}
+			copy(cadjncy[dst:dst+rl], tAdj[src:src+rl])
+			copy(cadjwgt[dst:dst+rl], tWgt[src:src+rl])
 			c.StoreN(cAdjArr, dst, rl)
 			c.StoreN(cWgtArr, dst, rl)
 			src += rl
@@ -418,38 +398,12 @@ func contractKernels(d *gpu.Device, dg devGraph, o Options, match, cmap []int, c
 	return cg, hashFellBack, nil
 }
 
-// narrowRows reports whether contraction rows of g fit 32-bit entries:
-// coarse ids are below coarseN, and a merged weight is a sum of distinct
-// arc weights of g, so the sum of all their magnitudes bounds it.
-func narrowRows(g *graph.Graph, coarseN int) bool {
-	if coarseN > math.MaxInt32 {
-		return false
-	}
-	sum := 0
-	for _, w := range g.AdjWgt {
-		if w < 0 {
-			w = -w
-		}
-		if sum += w; sum > math.MaxInt32 {
-			return false
-		}
-	}
-	return true
-}
-
-// widen copies src into dst, converting each entry to int.
-func widen(dst []int, src []int32) {
-	for i, x := range src {
-		dst[i] = int(x)
-	}
-}
-
 // mergeRow merges the adjacency lists of the pair (v,u) into
 // tAdj/tWgt[start:], translating neighbors through cmap and dropping the
 // internal pair edge. Returns the row length and combined vertex weight.
 // The hash merge finds a coarse neighbor's row slot in mark (one entry per
 // coarse vertex, -1 when absent) and leaves mark all -1 again on return.
-func mergeRow[E int32 | int](c *gpu.Ctx, dg devGraph, o Options, cmap, mark []int, v, u int, tAdj, tWgt []E, start int, tAdjArr, tWgtArr, hashArr, cmapArr gpu.Array) (int, int) {
+func mergeRow(c *gpu.Ctx, dg devGraph, o Options, cmap, mark []int, v, u int, tAdj, tWgt []int, start int, tAdjArr, tWgtArr, hashArr, cmapArr gpu.Array) (int, int) {
 	g := dg.g
 	cv := cmap[v]
 	members := [2]int{v, u}
@@ -481,12 +435,12 @@ func mergeRow[E int32 | int](c *gpu.Ctx, dg devGraph, o Options, cmap, mark []in
 				}
 				c.Load(hashArr, start+rowLen) // probe
 				if j := mark[cu]; j >= 0 {
-					tWgt[start+j] += E(wgt[i])
+					tWgt[start+j] += wgt[i]
 					c.Store(tWgtArr, start+j)
 				} else {
 					mark[cu] = rowLen
-					tAdj[start+rowLen] = E(cu)
-					tWgt[start+rowLen] = E(wgt[i])
+					tAdj[start+rowLen] = cu
+					tWgt[start+rowLen] = wgt[i]
 					c.Store(tAdjArr, start+rowLen)
 					c.Store(tWgtArr, start+rowLen)
 					c.Store(hashArr, start+rowLen)
@@ -544,13 +498,13 @@ func mergeRow[E int32 | int](c *gpu.Ctx, dg devGraph, o Options, cmap, mark []in
 		}
 		rowLen := 0
 		for i := 0; i < len(buf); i++ {
-			if rowLen > 0 && int(tAdj[start+rowLen-1]) == buf[i].id {
-				tWgt[start+rowLen-1] += E(buf[i].w)
+			if rowLen > 0 && tAdj[start+rowLen-1] == buf[i].id {
+				tWgt[start+rowLen-1] += buf[i].w
 				c.Store(tWgtArr, start+rowLen-1)
 				continue
 			}
-			tAdj[start+rowLen] = E(buf[i].id)
-			tWgt[start+rowLen] = E(buf[i].w)
+			tAdj[start+rowLen] = buf[i].id
+			tWgt[start+rowLen] = buf[i].w
 			c.Store(tAdjArr, start+rowLen)
 			c.Store(tWgtArr, start+rowLen)
 			rowLen++

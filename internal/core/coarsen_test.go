@@ -82,78 +82,62 @@ func TestMatchKernelsRespectWeightCap(t *testing.T) {
 }
 
 // The GPU cmap + contraction pipeline must produce exactly the same coarse
-// graph as the serial reference given the same matching. The heavy cases
-// scale every edge weight to 2^30, so merged weights overflow 32 bits and
-// the merge must keep full-width temporary rows.
+// graph as the serial reference given the same matching.
 func TestContractKernelsMatchSerialContraction(t *testing.T) {
 	for _, merge := range []MergeStrategy{HashMerge, SortMerge} {
-		for _, heavy := range []bool{false, true} {
-			merge, heavy := merge, heavy
-			name := merge.String()
-			if heavy {
-				name += "/heavy"
+		merge := merge
+		t.Run(merge.String(), func(t *testing.T) {
+			g, err := gen.Delaunay(2500, 6)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				g, err := gen.Delaunay(2500, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if heavy {
-					for i := range g.AdjWgt {
-						g.AdjWgt[i] <<= 30
-					}
-				}
-				if narrowRows(g, g.NumVertices()) == heavy {
-					t.Fatalf("narrowRows = %v for heavy=%v", !heavy, heavy)
-				}
-				d, dg, matchArr := kernelHarness(t, g)
-				o := DefaultOptions()
-				o.Merge = merge
-				o.MaxThreads = 512 // several vertices per thread
-				match, _, _ := matchKernels(d, dg, o, 0, matchArr)
+			d, dg, matchArr := kernelHarness(t, g)
+			o := DefaultOptions()
+			o.Merge = merge
+			o.MaxThreads = 512 // several vertices per thread
+			match, _, _ := matchKernels(d, dg, o, 0, matchArr)
 
-				cmap, coarseN, err := cmapKernels(d, o, match, matchArr)
-				if err != nil {
-					t.Fatal(err)
+			cmap, coarseN, err := cmapKernels(d, o, match, matchArr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refCmap, refN := metis.BuildCMap(match, nil)
+			if coarseN != refN {
+				t.Fatalf("cmap count %d != serial %d", coarseN, refN)
+			}
+			for v := range cmap {
+				if cmap[v] != refCmap[v] {
+					t.Fatalf("cmap[%d] = %d, serial %d", v, cmap[v], refCmap[v])
 				}
-				refCmap, refN := metis.BuildCMap(match, nil)
-				if coarseN != refN {
-					t.Fatalf("cmap count %d != serial %d", coarseN, refN)
-				}
-				for v := range cmap {
-					if cmap[v] != refCmap[v] {
-						t.Fatalf("cmap[%d] = %d, serial %d", v, cmap[v], refCmap[v])
-					}
-				}
+			}
 
-				cmapArr, err := d.Malloc(len(cmap), 4)
-				if err != nil {
-					t.Fatal(err)
+			cmapArr, err := d.Malloc(len(cmap), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cg, _, err := contractKernels(d, dg, o, match, cmap, coarseN, matchArr, cmapArr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cg.Validate(); err != nil {
+				t.Fatalf("GPU coarse graph invalid: %v", err)
+			}
+			ref := metis.Contract(g, match, refCmap, refN, nil)
+			if cg.NumVertices() != ref.NumVertices() || cg.NumEdges() != ref.NumEdges() {
+				t.Fatalf("size mismatch: GPU %v vs serial %v", cg, ref)
+			}
+			for v := 0; v < ref.NumVertices(); v++ {
+				if cg.VWgt[v] != ref.VWgt[v] {
+					t.Fatalf("vwgt[%d] = %d, serial %d", v, cg.VWgt[v], ref.VWgt[v])
 				}
-				cg, _, err := contractKernels(d, dg, o, match, cmap, coarseN, matchArr, cmapArr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := cg.Validate(); err != nil {
-					t.Fatalf("GPU coarse graph invalid: %v", err)
-				}
-				ref := metis.Contract(g, match, refCmap, refN, nil)
-				if cg.NumVertices() != ref.NumVertices() || cg.NumEdges() != ref.NumEdges() {
-					t.Fatalf("size mismatch: GPU %v vs serial %v", cg, ref)
-				}
-				for v := 0; v < ref.NumVertices(); v++ {
-					if cg.VWgt[v] != ref.VWgt[v] {
-						t.Fatalf("vwgt[%d] = %d, serial %d", v, cg.VWgt[v], ref.VWgt[v])
+				adj, wgt := ref.Neighbors(v)
+				for i, u := range adj {
+					if cg.EdgeWeight(v, u) != wgt[i] {
+						t.Fatalf("edge (%d,%d): GPU %d, serial %d", v, u, cg.EdgeWeight(v, u), wgt[i])
 					}
-					adj, wgt := ref.Neighbors(v)
-					for i, u := range adj {
-						if cg.EdgeWeight(v, u) != wgt[i] {
-							t.Fatalf("edge (%d,%d): GPU %d, serial %d", v, u, cg.EdgeWeight(v, u), wgt[i])
-						}
-					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

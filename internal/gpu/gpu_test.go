@@ -199,6 +199,19 @@ func TestLaunchEmptyAndPanics(t *testing.T) {
 	d.Launch("bad", -1, func(c *Ctx) {})
 }
 
+// A warp wider than the coalescing table would silently drop segments and
+// undercount transactions, so Launch refuses it whatever built the device.
+func TestLaunchRejectsWideWarp(t *testing.T) {
+	d, _ := newTestDevice()
+	d.m.GPU.WarpSize = perfmodel.MaxWarpSize + 1
+	defer func() {
+		if recover() == nil {
+			t.Error("a warp wider than perfmodel.MaxWarpSize should panic")
+		}
+	}()
+	d.Launch("wide", 1, func(c *Ctx) {})
+}
+
 func TestMoreWorkTakesLonger(t *testing.T) {
 	d, _ := newTestDevice()
 	a, _ := d.Malloc(1<<20, 4)

@@ -114,8 +114,8 @@ func (c *Ctx) access(a Array, i int) {
 // segSlot tracks, for one per-thread access index within one warp, the
 // distinct memory segments touched (for coalescing) and the per-address
 // atomic multiplicities (for serialization). A warp has at most
-// perfmodel.MaxWarpSize lanes (Machine.Validate enforces it), so
-// fixed-size arrays suffice.
+// perfmodel.MaxWarpSize lanes (Launch enforces it), so fixed-size arrays
+// suffice.
 type segSlot struct {
 	n      int
 	atomic bool
@@ -215,6 +215,9 @@ func (w *warpState) reset() {
 func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 	if nThreads < 0 {
 		panic(fmt.Sprintf("gpu: Launch(%q, %d): negative thread count", name, nThreads))
+	}
+	if ws := d.m.GPU.WarpSize; ws > perfmodel.MaxWarpSize {
+		panic(fmt.Sprintf("gpu: Launch(%q): WarpSize %d exceeds the %d lanes a warp's coalescing table holds", name, ws, perfmodel.MaxWarpSize))
 	}
 	if d.inj != nil {
 		// A failed launch wastes one launch overhead before the retry.

@@ -888,11 +888,9 @@ func (s *Server) watchQueued(j *Job) {
 			wait := now.Sub(j.queuedAt).Seconds()
 			s.reg.Observe("job.queue_seconds", wait)
 			j.addLifeSpan(lifeQueueWait, j.queuedAt, now, map[string]any{"expired": true})
-			// Record the expiry before finishing the job: a waiter woken
-			// by Done must already find the event.
+			s.pool.finishDead(j, j.ctx.Err())
 			s.event(obs.EvQueueExpired, j, -1, fmt.Sprintf("after %.3fs queued", wait))
 			s.jlog(j).Info("queued job expired eagerly", "wait_seconds", wait)
-			s.pool.finishDead(j, j.ctx.Err())
 		}
 	}()
 }
