@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check vet staticcheck race determinism bench bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check vet staticcheck race determinism bench bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,11 @@ fuzz:
 
 bench:
 	$(GO) run ./cmd/bench
+
+# bench-hot times the pipeline-ldoor call (ldoor 1/40, k=64, seed 1) with
+# the Go benchmark harness and reports its bytes and allocations per call.
+bench-hot:
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkGPMetisLdoor40$$' -benchmem -count 5
 
 # bench-snapshot regenerates the committed perf trajectory record. The
 # modeled clock is deterministic, so a diff in BENCH_baseline.json means

@@ -86,3 +86,27 @@ func BenchmarkMatchingKernels(b *testing.B) {
 		matchKernels(d, dg, o, 0, matchArr)
 	}
 }
+
+// BenchmarkGPMetisLdoor40 runs the pipeline-ldoor call of perfbench: the
+// ldoor stand-in at 1/40 scale (the perf baseline's input) partitioned
+// into 64 parts with DefaultOptions at seed 1. `make bench-hot` runs it
+// with -benchmem, so per-call allocation figures come from this command.
+func BenchmarkGPMetisLdoor40(b *testing.B) {
+	g, err := gen.TableI(gen.ClassLDoor, 40, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := perfmodel.Default()
+	o := DefaultOptions()
+	var modeled float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Partition(g, 64, o, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		modeled = r.ModeledSeconds()
+	}
+	b.ReportMetric(modeled, "modeled-s")
+}

@@ -105,3 +105,108 @@ func TestNonPowerOfTwoTransactionBytes(t *testing.T) {
 		}
 	}
 }
+
+// refSlot is the plain coalescing table: a linear scan over the distinct
+// segments in insertion order, with no filter.
+type refSlot struct {
+	segs   []int64
+	count  []int32
+	atomic bool
+}
+
+func (r *refSlot) add(seg int64) {
+	for i, s := range r.segs {
+		if s == seg {
+			r.count[i]++
+			return
+		}
+	}
+	r.segs = append(r.segs, seg)
+	r.count = append(r.count, 1)
+}
+
+func (r *refSlot) maxCount() int64 {
+	var m int32
+	for _, c := range r.count {
+		m = max(m, c)
+	}
+	return int64(m)
+}
+
+// collidingKey returns a key other than key with the same filter bit.
+func collidingKey(rng *rand.Rand, key int64) int64 {
+	for {
+		c := rng.Int63n(1 << 48)
+		if c != key && filterHash(c) == filterHash(key) {
+			return c
+		}
+	}
+}
+
+// checkSlot compares a filtered slot with the reference scan.
+func checkSlot(t *testing.T, round int, s *segSlot, ref *refSlot) {
+	t.Helper()
+	if s.n != len(ref.segs) || s.atomic != ref.atomic {
+		t.Fatalf("round %d: n=%d atomic=%v, reference n=%d atomic=%v", round, s.n, s.atomic, len(ref.segs), ref.atomic)
+	}
+	for i := range ref.segs {
+		if s.segs[i] != ref.segs[i] || s.count[i] != ref.count[i] {
+			t.Fatalf("round %d entry %d: seg %d count %d, reference seg %d count %d",
+				round, i, s.segs[i], s.count[i], ref.segs[i], ref.count[i])
+		}
+	}
+	if got, want := s.maxCount(), ref.maxCount(); got != want {
+		t.Fatalf("round %d: maxCount %d, reference %d", round, got, want)
+	}
+}
+
+// TestSegSlotMatchesReferenceScan feeds random keys through the filtered
+// addSeg/addAddr: repeats of keys already present, fresh keys that share
+// a filter bit with a present one, and fresh random keys. Every slot must
+// hold the same segments, counts and maxCount as the reference scan, and
+// a slot reused after warpState.reset must hold nothing from before.
+func TestSegSlotMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	w := newWarpState(128)
+	const slots = 4
+	for round := 0; round < 500; round++ {
+		w.reset()
+		refs := make([]refSlot, slots)
+		for seq := 0; seq < slots; seq++ {
+			s, ref := w.slot(seq), &refs[seq]
+			if s.n != 0 || s.atomic || s.filter != 0 {
+				t.Fatalf("round %d slot %d after reset: n=%d atomic=%v filter=%#x", round, seq, s.n, s.atomic, s.filter)
+			}
+			atomic := rng.Intn(2) == 0
+			// A warp's lanes add at most MaxWarpSize keys to one slot.
+			for lane := 0; lane < perfmodel.MaxWarpSize; lane++ {
+				var key int64
+				switch r := rng.Intn(3); {
+				case r == 0 && len(ref.segs) > 0:
+					key = ref.segs[rng.Intn(len(ref.segs))]
+				case r == 1 && len(ref.segs) > 0:
+					key = collidingKey(rng, ref.segs[rng.Intn(len(ref.segs))])
+				default:
+					key = rng.Int63n(1 << 48)
+				}
+				if atomic {
+					s.addAddr(key)
+					ref.atomic = true
+				} else {
+					s.addSeg(key)
+				}
+				ref.add(key)
+			}
+			checkSlot(t, round, s, ref)
+		}
+	}
+	// Re-adding a key held before the reset must start a new entry.
+	w.reset()
+	s := w.slot(0)
+	s.addSeg(42)
+	s.addSeg(42)
+	w.reset()
+	s = w.slot(0)
+	s.addSeg(42)
+	checkSlot(t, -1, s, &refSlot{segs: []int64{42}, count: []int32{1}})
+}

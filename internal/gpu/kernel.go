@@ -115,25 +115,49 @@ func (c *Ctx) access(a Array, i int) {
 // distinct memory segments touched (for coalescing) and the per-address
 // atomic multiplicities (for serialization). A warp has at most
 // perfmodel.MaxWarpSize lanes (Launch enforces it), so fixed-size arrays
-// suffice.
+// suffice. Only segs[:n] and count[:n] are live: a reused slot resets n,
+// atomic and filter and leaves the arrays' stale tails in place.
 type segSlot struct {
 	n      int
 	atomic bool
+	// filter has bit filterHash(seg) set for every seg in segs[:n]; a
+	// clear bit proves the segment absent, so it is appended without a
+	// scan. For a set bit h, last[h] is the index of the newest segment
+	// hashing to h; entries for clear bits are stale.
+	filter uint64
+	last   [64]uint8
 	segs   [perfmodel.MaxWarpSize]int64
 	count  [perfmodel.MaxWarpSize]int32
 }
 
-// addSeg scans newest-first: lanes of a coalesced access add the same
-// segment back to back, so the common case hits on the first compare.
-// Segments in a slot are distinct, so the scan order changes no count.
+// filterHash maps a segment to one of the filter's 64 bits by Fibonacci
+// hashing, which spreads consecutive and strided segments alike.
+func filterHash(seg int64) uint64 {
+	return uint64(seg) * 0x9E3779B97F4A7C15 >> 58
+}
+
+// addSeg scans only on a filter collision: a clear bit means seg is
+// absent, and a set bit is first checked against the newest segment with
+// that bit. When that is another segment, it scans newest-first. Segments
+// in a slot are distinct, so the lookup order changes no count.
 func (s *segSlot) addSeg(seg int64) {
-	for i := s.n - 1; i >= 0; i-- {
-		if s.segs[i] == seg {
+	h := filterHash(seg)
+	bit := uint64(1) << h
+	if s.filter&bit != 0 {
+		if i := s.last[h]; s.segs[i] == seg {
 			s.count[i]++
 			return
 		}
+		for i := s.n - 1; i >= 0; i-- {
+			if s.segs[i] == seg {
+				s.count[i]++
+				return
+			}
+		}
 	}
 	if s.n < len(s.segs) {
+		s.filter |= bit
+		s.last[h] = uint8(s.n)
 		s.segs[s.n] = seg
 		s.count[s.n] = 1
 		s.n++
@@ -190,7 +214,11 @@ func (w *warpState) slot(seq int) *segSlot {
 		if w.used == len(w.slots) {
 			w.slots = append(w.slots, segSlot{})
 		} else {
-			w.slots[w.used] = segSlot{}
+			// Reset only n, atomic and filter, which mark what of the
+			// arrays is live; zeroing the arrays would cost more than
+			// the accesses they count.
+			s := &w.slots[w.used]
+			s.n, s.atomic, s.filter = 0, false, 0
 		}
 		w.used++
 	}

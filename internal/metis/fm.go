@@ -21,18 +21,24 @@ type gainBuckets struct {
 	size    int
 }
 
-// newGainBuckets sizes the structure for n vertices with |gain| <= wmax.
-func newGainBuckets(n, wmax int) *gainBuckets {
-	b := &gainBuckets{
-		offset: wmax,
-		head:   make([]int, 2*wmax+1),
-		next:   make([]int, n),
-		prev:   make([]int, n),
-		gain:   make([]int, n),
-		in:     make([]bool, n),
+// init sizes b for n vertices with |gain| <= wmax, reusing b's storage
+// when it is large enough. The caller must Reset b before use.
+func (b *gainBuckets) init(n, wmax int) {
+	b.offset = wmax
+	b.head = resize(b.head, 2*wmax+1)
+	b.next = resize(b.next, n)
+	b.prev = resize(b.prev, n)
+	b.gain = resize(b.gain, n)
+	b.in = resize(b.in, n)
+}
+
+// resize returns s with length n, reusing its storage when the capacity
+// suffices. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b.Reset()
-	return b
+	return s[:n]
 }
 
 // Reset empties the buckets, keeping their storage.
@@ -113,6 +119,16 @@ func (b *gainBuckets) PeekMax() int {
 	return -1
 }
 
+// fmMove is one committed move of an FM pass, kept for the rollback.
+type fmMove struct{ v, gain int }
+
+// fmWork is the storage of RefineBisectionFM, reused across the calls of
+// one recursive bisection.
+type fmWork struct {
+	side  [2]gainBuckets
+	trail []fmMove
+}
+
 // RefineBisectionFM improves a 2-way partition with the full
 // Fiduccia-Mattheyses pass: every unlocked vertex sits in its side's gain
 // buckets; each step moves the best balance-feasible vertex from either
@@ -120,6 +136,11 @@ func (b *gainBuckets) PeekMax() int {
 // rolls back to the best prefix. Compared to RefineBisection's linear
 // rescan this is the textbook O(|E|)-per-pass structure.
 func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct *perfmodel.ThreadCost) {
+	var w fmWork
+	w.refine(g, part, frac0, ubfactor, acct)
+}
+
+func (w *fmWork) refine(g *graph.Graph, part []int, frac0, ubfactor float64, acct *perfmodel.ThreadCost) {
 	n := g.NumVertices()
 	if n == 0 {
 		return
@@ -148,10 +169,15 @@ func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct
 		}
 	}
 
-	type move struct{ v, gain int }
 	const maxPasses = 6
-	side := [2]*gainBuckets{newGainBuckets(n, wmax), newGainBuckets(n, wmax)}
-	var trail []move
+	side := [2]*gainBuckets{&w.side[0], &w.side[1]}
+	side[0].init(n, wmax)
+	side[1].init(n, wmax)
+	// A pass moves each vertex at most once.
+	if cap(w.trail) < n {
+		w.trail = make([]fmMove, 0, n)
+	}
+	trail := w.trail
 	for pass := 0; pass < maxPasses; pass++ {
 		side[0].Reset()
 		side[1].Reset()
@@ -224,7 +250,7 @@ func RefineBisectionFM(g *graph.Graph, part []int, frac0, ubfactor float64, acct
 					acct.Rand += float64(2 * len(adj))
 				}
 				sumGain += gain
-				trail = append(trail, move{v, gain})
+				trail = append(trail, fmMove{v, gain})
 				if sumGain > bestSum {
 					bestSum, bestLen = sumGain, len(trail)
 				}

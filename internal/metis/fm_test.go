@@ -9,6 +9,14 @@ import (
 	"gpmetis/internal/graph/gen"
 )
 
+// newGainBuckets returns empty buckets for n vertices with |gain| <= wmax.
+func newGainBuckets(n, wmax int) *gainBuckets {
+	b := &gainBuckets{}
+	b.init(n, wmax)
+	b.Reset()
+	return b
+}
+
 func TestGainBucketsBasicOps(t *testing.T) {
 	b := newGainBuckets(10, 5)
 	if b.Len() != 0 || b.PeekMax() != -1 {

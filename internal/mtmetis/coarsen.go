@@ -99,92 +99,102 @@ func MatchTwoRound(g *graph.Graph, threads, maxVWgt int, rng *rand.Rand, costs [
 
 // contractParallel builds the coarse graph with the pair rows distributed
 // over threads: thread t assembles the rows of all coarse vertices whose
-// representative (smaller endpoint) lies in t's chunk, then the
-// per-thread segments are concatenated (modeled as the prefix-sum +
-// copy-out that mt-metis does).
+// representative (smaller endpoint) lies in t's chunk, and the threads'
+// row blocks are concatenated (modeled as the prefix-sum + copy-out that
+// mt-metis does).
+//
+// Coarse ids were assigned in representative order, so visiting the
+// threads' rows in (thread, row) order visits the coarse vertices in
+// increasing id order. The host therefore writes each row straight into
+// its final place: a counting pass sizes every row, a prefix sum turns the
+// sizes into XAdj, and a filling pass writes Adjncy/AdjWgt at their exact
+// size.
 func contractParallel(g *graph.Graph, match, cmap []int, coarseN, threads int, costs []perfmodel.ThreadCost) *graph.Graph {
 	n := g.NumVertices()
 	cg := &graph.Graph{
 		XAdj: make([]int, coarseN+1),
 		VWgt: make([]int, coarseN),
 	}
-	type seg struct {
-		adj, wgt []int
-		rows     []int // coarse vertex ids in order
-		rowLen   []int
-	}
-	segs := make([]seg, threads)
-	// marker maps a coarse id to its slot in the current row's segment,
-	// -1 when absent, and is restored after every row. The threads are
-	// emulated one after another, so they share it.
+	// marker is shared by the emulated threads, which run one after
+	// another. In the counting pass marker[cu] == cv marks cu as already
+	// counted in cv's row; in the filling pass it holds cu's position in
+	// Adjncy, which lies in the current row exactly when it is at least
+	// the row's start, since rows are written in increasing position.
 	marker := make([]int, coarseN)
+	for i := range marker {
+		marker[i] = -1
+	}
+	for v := 0; v < n; v++ {
+		if match[v] < v {
+			continue // the pair's representative owns the row
+		}
+		cv := cmap[v]
+		deg := 0
+		for _, mv := range pairOf(v, match) {
+			adj, _ := g.Neighbors(mv)
+			for _, u := range adj {
+				if cu := cmap[u]; cu != cv && marker[cu] != cv {
+					marker[cu] = cv
+					deg++
+				}
+			}
+		}
+		cg.XAdj[cv+1] = deg
+	}
+	for cv := 0; cv < coarseN; cv++ {
+		cg.XAdj[cv+1] += cg.XAdj[cv]
+	}
+	total := cg.XAdj[coarseN]
+	cg.Adjncy = make([]int, total)
+	cg.AdjWgt = make([]int, total)
 	for i := range marker {
 		marker[i] = -1
 	}
 
 	for t := 0; t < threads; t++ {
 		lo, hi := chunk(n, threads, t)
-		s := &segs[t]
+		entries := 0 // written by thread t
 		for v := lo; v < hi; v++ {
 			if match[v] < v {
-				continue // the pair's representative owns the row
+				continue
 			}
 			cv := cmap[v]
-			members := [2]int{v, match[v]}
-			cnt := 1
-			if match[v] == v {
-				cnt = 0
-			}
-			start := len(s.adj)
-			for mi := 0; mi <= cnt; mi++ {
-				mv := members[mi]
+			start := cg.XAdj[cv]
+			end := start
+			for _, mv := range pairOf(v, match) {
 				adj, wgt := g.Neighbors(mv)
 				for i, u := range adj {
 					cu := cmap[u]
 					if cu == cv {
 						continue
 					}
-					if idx := marker[cu]; idx >= 0 {
-						s.wgt[idx] += wgt[i]
+					if idx := marker[cu]; idx >= start {
+						cg.AdjWgt[idx] += wgt[i]
 					} else {
-						marker[cu] = len(s.adj)
-						s.adj = append(s.adj, cu)
-						s.wgt = append(s.wgt, wgt[i])
+						marker[cu] = end
+						cg.Adjncy[end] = cu
+						cg.AdjWgt[end] = wgt[i]
+						end++
 					}
 				}
 				cg.VWgt[cv] += g.VWgt[mv]
 				costs[t].Ops += float64(2 * len(adj))
 				costs[t].Rand += float64(2 * len(adj))
 			}
-			for _, cu := range s.adj[start:] {
-				marker[cu] = -1
-			}
-			s.rows = append(s.rows, cv)
-			s.rowLen = append(s.rowLen, len(s.adj)-start)
+			entries += end - start
 		}
-	}
-
-	// Concatenate segments: coarse ids were assigned in representative
-	// order, so appending the threads' rows in (thread, row) order keeps
-	// the ids increasing.
-	total := 0
-	for t := range segs {
-		total += len(segs[t].adj)
-	}
-	cg.Adjncy = make([]int, 0, total)
-	cg.AdjWgt = make([]int, 0, total)
-	for t := range segs {
-		s := &segs[t]
-		off := 0
-		for i, cv := range s.rows {
-			cg.XAdj[cv+1] = len(cg.Adjncy) + off + s.rowLen[i]
-			off += s.rowLen[i]
-		}
-		cg.Adjncy = append(cg.Adjncy, s.adj...)
-		cg.AdjWgt = append(cg.AdjWgt, s.wgt...)
-		costs[t].SeqBytes += float64(8 * len(s.adj))
+		costs[t].SeqBytes += float64(8 * entries)
 	}
 	return cg
+}
+
+// pairOf returns the fine vertices that contract into representative v's
+// coarse vertex: v, then its partner when v is matched.
+func pairOf(v int, match []int) []int {
+	if match[v] == v {
+		return []int{v}
+	}
+	return []int{v, match[v]}
 }
 
 // Coarsen runs parallel two-round matching and contraction levels until

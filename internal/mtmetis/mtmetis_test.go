@@ -83,6 +83,82 @@ func TestContractParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestContractParallelExactRows checks contractParallel against a
+// map-based contraction built here: every coarse row holds each coarse
+// neighbor once with the summed weight, vertex weights add up, the edge
+// arrays are allocated at their exact size, and the per-thread charges
+// cover every fine arc and every coarse entry.
+func TestContractParallelExactRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		threads int
+		build   func() (*graph.Graph, error)
+	}{
+		{"delaunay", 8, func() (*graph.Graph, error) { return gen.Delaunay(2000, 5) }},
+		{"ldoor", 3, func() (*graph.Graph, error) { return gen.TableI(gen.ClassLDoor, 1000, 1) }},
+		{"grid", 1, func() (*graph.Graph, error) { return gen.Grid2D(17, 23) }},
+	} {
+		g, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := make([]perfmodel.ThreadCost, tc.threads)
+		match, _, _ := MatchTwoRound(g, tc.threads, 0, rand.New(rand.NewSource(3)), costs)
+		cmap, cn := metis.BuildCMap(match, nil)
+		costs = make([]perfmodel.ThreadCost, tc.threads)
+		cg := contractParallel(g, match, cmap, cn, tc.threads, costs)
+
+		if len(cg.Adjncy) != cap(cg.Adjncy) || len(cg.AdjWgt) != cap(cg.AdjWgt) {
+			t.Errorf("%s: Adjncy len %d cap %d, AdjWgt len %d cap %d; want exact size",
+				tc.name, len(cg.Adjncy), cap(cg.Adjncy), len(cg.AdjWgt), cap(cg.AdjWgt))
+		}
+		ref := make([]map[int]int, cn)
+		vwgt := make([]int, cn)
+		for i := range ref {
+			ref[i] = map[int]int{}
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			cv := cmap[v]
+			vwgt[cv] += g.VWgt[v]
+			adj, wgt := g.Neighbors(v)
+			for i, u := range adj {
+				if cu := cmap[u]; cu != cv {
+					ref[cv][cu] += wgt[i]
+				}
+			}
+		}
+		if cg.NumVertices() != cn {
+			t.Fatalf("%s: %d coarse vertices, want %d", tc.name, cg.NumVertices(), cn)
+		}
+		for cv := 0; cv < cn; cv++ {
+			if cg.VWgt[cv] != vwgt[cv] {
+				t.Fatalf("%s: coarse vertex %d weight %d, reference %d", tc.name, cv, cg.VWgt[cv], vwgt[cv])
+			}
+			adj, wgt := cg.Neighbors(cv)
+			if len(adj) != len(ref[cv]) {
+				t.Fatalf("%s: coarse row %d has %d entries, reference %d", tc.name, cv, len(adj), len(ref[cv]))
+			}
+			seen := map[int]bool{}
+			for i, cu := range adj {
+				if seen[cu] || ref[cv][cu] != wgt[i] {
+					t.Fatalf("%s: coarse row %d entry (%d, %d): duplicate %v, reference weight %d",
+						tc.name, cv, cu, wgt[i], seen[cu], ref[cv][cu])
+				}
+				seen[cu] = true
+			}
+		}
+		var ops, seq float64
+		for _, c := range costs {
+			ops += c.Ops
+			seq += c.SeqBytes
+		}
+		if ops != float64(2*len(g.Adjncy)) || seq != float64(8*len(cg.Adjncy)) {
+			t.Errorf("%s: charged %v ops and %v sequential bytes, want %d and %d",
+				tc.name, ops, seq, 2*len(g.Adjncy), 8*len(cg.Adjncy))
+		}
+	}
+}
+
 func TestPartitionEndToEnd(t *testing.T) {
 	g, err := gen.Grid2D(40, 40)
 	if err != nil {

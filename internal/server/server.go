@@ -888,9 +888,11 @@ func (s *Server) watchQueued(j *Job) {
 			wait := now.Sub(j.queuedAt).Seconds()
 			s.reg.Observe("job.queue_seconds", wait)
 			j.addLifeSpan(lifeQueueWait, j.queuedAt, now, map[string]any{"expired": true})
-			s.pool.finishDead(j, j.ctx.Err())
+			// Record the expiry before finishDead closes Done, so a
+			// waiter woken by Done always finds the event.
 			s.event(obs.EvQueueExpired, j, -1, fmt.Sprintf("after %.3fs queued", wait))
 			s.jlog(j).Info("queued job expired eagerly", "wait_seconds", wait)
+			s.pool.finishDead(j, j.ctx.Err())
 		}
 	}()
 }
