@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check vet staticcheck race determinism bench bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check fmt-check vet staticcheck race determinism bench bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,15 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing them.
+fmt-check:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then \
+		echo "gofmt: these files need formatting (gofmt -w):"; \
+		echo "$$files"; \
+		exit 1; \
+	fi
 
 # race runs the race detector over every internal package and command: the
 # tracer, the simulated multi-GPU fleet, the MPI abort path, and the
@@ -30,10 +39,10 @@ staticcheck:
 		echo "staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# check is the PR gate: static analysis, the race detector, the
-# determinism repeats, the metrics-exposition lint, and the
+# check is the PR gate: formatting, static analysis, the race detector,
+# the determinism repeats, the metrics-exposition lint, and the
 # perf-regression gate against the committed baseline.
-check: vet staticcheck race determinism metrics-lint perf-gate
+check: fmt-check vet staticcheck race determinism metrics-lint perf-gate
 
 # determinism repeats the bit-identity checks at one and two host CPUs:
 # the golden outputs of GP-metis and mt-metis, the seed-determinism tests

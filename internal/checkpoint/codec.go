@@ -96,11 +96,11 @@ func (e *enc) u64(v uint64) {
 	putU64(b[:], v)
 	e.b = append(e.b, b[:]...)
 }
-func (e *enc) i(v int)        { e.u64(uint64(int64(v))) }
-func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *enc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *enc) u8(v uint8)     { e.b = append(e.b, v) }
-func (e *enc) str(s string)   { e.i(len(s)); e.b = append(e.b, s...) }
+func (e *enc) i(v int)       { e.u64(uint64(int64(v))) }
+func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
+func (e *enc) str(s string)  { e.i(len(s)); e.b = append(e.b, s...) }
 func (e *enc) ints(s []int) {
 	e.i(len(s))
 	for _, v := range s {

@@ -24,6 +24,14 @@ type goldenCase struct {
 	// threshold overrides GPUThreshold when non-zero, so a small input
 	// still runs GPU levels.
 	threshold int
+	// maxThreads overrides MaxThreads when non-zero, so each thread owns
+	// several vertices and the kernels run several converged iterations.
+	maxThreads int
+	// hub, when non-zero, prepends one vertex adjacent to hub evenly
+	// spaced vertices of the generated graph: its refine scan overflows
+	// a converged iteration's access budget and shifts the accesses of
+	// every later iteration of its thread.
+	hub int
 
 	partSHA     string // SHA-256 of Part as little-endian int64s
 	cut         int
@@ -61,6 +69,45 @@ var goldenCases = []goldenCase{
 		timelineSHA: "d0635a8b1e9e01d28370e8f418b8910a33fbec5f3bc8378049876c3fb3e1dfd4",
 		// mt-metis launches no kernels: its device counters stay zero.
 	},
+	{
+		name: "gp/delaunay-hub", class: gen.ClassDelaunay, algo: "gp",
+		threshold: 1024, maxThreads: 256, hub: 300,
+		partSHA:     "8ea906fd584e3bcdb52f3feb1f75733df524a42efb80efb9760a6cc6af0856e1",
+		cut:         1757,
+		modeledBits: 0x3f95ce50a9b5c31f,
+		timelineSHA: "6cc58724b277c1435069e42c1b9f8b73b744bdc48d883150ea32ca0c9378f19e",
+		stats: gpu.Stats{Kernels: 68, Threads: 9599, WarpInstructions: 59414,
+			LaneInstructions: 1090426, Transactions: 252912, Accesses: 750891,
+			AtomicOps: 65, AtomicSerial: 98, BytesToDevice: 156812, BytesToHost: 95292},
+	},
+}
+
+// withHub returns g with one vertex prepended: vertex 0 is adjacent, with
+// weight 1, to deg evenly spaced vertices of g, whose vertex v becomes
+// v+1. As vertex 0 it falls in the first iteration of thread 0, so its
+// overflow shifts that thread's later iterations.
+func withHub(g *graph.Graph, deg int) (*graph.Graph, error) {
+	n := g.NumVertices()
+	b := graph.NewBuilder(n + 1)
+	for v := 0; v < n; v++ {
+		if err := b.SetVertexWeight(v+1, g.VWgt[v]); err != nil {
+			return nil, err
+		}
+		adj, wgt := g.Neighbors(v)
+		for i, u := range adj {
+			if v < u {
+				if err := b.AddEdge(v+1, u+1, wgt[i]); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for i := 0; i < deg; i++ {
+		if err := b.AddEdge(0, 1+i*n/deg, 1); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build()
 }
 
 func hashPart(part []int) string {
@@ -97,6 +144,11 @@ func TestGoldenBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.hub != 0 {
+				if g, err = withHub(g, tc.hub); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var (
 				part    []int
 				cut     int
@@ -110,6 +162,9 @@ func TestGoldenBitIdentity(t *testing.T) {
 				o.Seed = seed
 				if tc.threshold != 0 {
 					o.GPUThreshold = tc.threshold
+				}
+				if tc.maxThreads != 0 {
+					o.MaxThreads = tc.maxThreads
 				}
 				res, err := Partition(g, k, o, perfmodel.Default())
 				if err != nil {

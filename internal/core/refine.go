@@ -93,6 +93,11 @@ func refineKernels(d *gpu.Device, dg devGraph, part []int, k int, o Options, par
 	conn := make([]int, k)
 	var touched []int
 	sink := d.TraceSink()
+	// Every scan of the level reads the same labels, CSR entries and
+	// neighbor labels; only a request's atomic and store depend on the
+	// labels' values. The first scan records those fixed accesses' charges
+	// and the others replay them.
+	scanPrint := gpu.NewFootprint(2)
 
 	for pass := 0; pass < o.RefineIters; pass++ {
 		committed := 0
@@ -104,18 +109,18 @@ func refineKernels(d *gpu.Device, dg devGraph, part []int, k int, o Options, par
 			slots := 0
 			dirBoundary := 0
 
-			d.Launch(fmt.Sprintf("refine.scan.d%d", dir), T, func(c *gpu.Ctx) {
+			d.LaunchFootprint(fmt.Sprintf("refine.scan.d%d", dir), T, scanPrint, func(c *gpu.Ctx) {
 				forOwned(o.Distribution, n, T, c, func(v int) {
-					c.Load(partArr, v)
+					c.LoadFixed(partArr, v)
 					pv := part[v]
-					c.Load(dg.xadj, v)
-					c.Load(dg.xadj, v+1)
+					c.LoadFixed(dg.xadj, v)
+					c.LoadFixed(dg.xadj, v+1)
 					adj, wgt := g.Neighbors(v)
-					c.LoadN(dg.adjncy, g.XAdj[v], len(adj))
-					c.LoadN(dg.adjwgt, g.XAdj[v], len(adj))
+					c.LoadNFixed(dg.adjncy, g.XAdj[v], len(adj))
+					c.LoadNFixed(dg.adjwgt, g.XAdj[v], len(adj))
 					boundary := false
 					for i, u := range adj {
-						c.Load(partArr, u) // scattered partition reads
+						c.LoadFixed(partArr, u) // scattered partition reads
 						pu := part[u]
 						if pu != pv {
 							boundary = true

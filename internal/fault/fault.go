@@ -24,13 +24,13 @@ type Site string
 // pseudo-site: it is not evaluated per-call but arms an artificial
 // device-memory cap via Rule.Cap.
 const (
-	SiteGPUAlloc     Site = "gpu.alloc"     // gpu.Malloc fails outright
-	SiteGPUMemCap    Site = "gpu.memcap"    // artificial device-memory pressure (Rule.Cap)
-	SiteKernel       Site = "gpu.kernel"    // transient kernel-launch error
-	SiteTransfer     Site = "pcie.transfer" // transient PCIe transfer error
+	SiteGPUAlloc     Site = "gpu.alloc"       // gpu.Malloc fails outright
+	SiteGPUMemCap    Site = "gpu.memcap"      // artificial device-memory pressure (Rule.Cap)
+	SiteKernel       Site = "gpu.kernel"      // transient kernel-launch error
+	SiteTransfer     Site = "pcie.transfer"   // transient PCIe transfer error
 	SiteDevice       Site = "multigpu.device" // a device in PartitionMulti dies
-	SiteMPIRank      Site = "mpi.rank"      // an MPI rank fails at startup
-	SiteHashOverflow Site = "contract.hash" // hash-table contraction overflow
+	SiteMPIRank      Site = "mpi.rank"        // an MPI rank fails at startup
+	SiteHashOverflow Site = "contract.hash"   // hash-table contraction overflow
 )
 
 // Sites lists every known fault site, for iterating metrics exports.

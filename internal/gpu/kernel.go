@@ -25,6 +25,22 @@ type Ctx struct {
 	seq  int
 	w    *warpState
 	acct bool
+
+	// fp is the launch's footprint, nil unless the launch has one and
+	// accounting is on. record is set while it is being recorded; replay
+	// is set in a safe warp of a later launch, whose fixed accesses skip
+	// the coalescing table. skip is replay until the iteration's first
+	// dynamic access, after which a fixed access breaks the contract.
+	fp                   *Footprint
+	record, replay, skip bool
+	// converged is set once the thread has called Converge; dyn counts the
+	// dynamic accesses since then (or since the thread started), and
+	// fixedEnd is the access index just past the current iteration's
+	// last fixed access.
+	converged     bool
+	dyn, fixedEnd int
+	// fixedAcc counts the warp's fixed accesses.
+	fixedAcc int64
 }
 
 // TID returns the global thread index in [0, nThreads).
@@ -50,24 +66,134 @@ const convergeStride = 192
 // hardware.
 func (c *Ctx) Converge(iter int) {
 	base := iter * convergeStride
+	if c.fp != nil {
+		c.endIteration(base)
+	}
 	if base > c.seq {
 		c.seq = base
 	}
+	c.fixedEnd = c.seq
+}
+
+// endIteration closes a footprint launch's iteration at Converge. The
+// next iteration starts at base only if the closing one, with its dynamic
+// accesses at their declared bound, ends by base; a recorded warp where
+// some thread's iteration does not is unsafe to replay. Before a thread's
+// first Converge there is no bound, so a dynamic access there could shift
+// every later access and is refused.
+func (c *Ctx) endIteration(base int) {
+	if !c.converged {
+		if c.dyn > 0 {
+			panic("gpu: footprint launch: dynamic access before the first Converge")
+		}
+		c.converged = true
+	} else if c.record && c.fixedEnd+c.fp.dynPerIter > base {
+		c.w.unsafe = true
+	}
+	c.dyn, c.skip = 0, c.replay
 }
 
 // Load charges one global-memory read of element i of array a. Reads by
 // other lanes of the same warp at the same per-thread access index that
 // hit the same 128-byte segment coalesce into one transaction.
-func (c *Ctx) Load(a Array, i int) { c.access(a, i) }
+func (c *Ctx) Load(a Array, i int) {
+	c.access(a, i)
+	if c.fp != nil {
+		c.dynamic(a, 1)
+	}
+}
 
 // Store charges one global-memory write, with the same coalescing rule.
-func (c *Ctx) Store(a Array, i int) { c.access(a, i) }
+func (c *Ctx) Store(a Array, i int) { c.Load(a, i) }
 
 // LoadN charges n consecutive reads starting at element i (a thread-local
 // sequential scan of a[i:i+n]); consecutive elements within one 128-byte
 // segment share a transaction even for a single lane, so the charge is one
 // access per spanned segment.
 func (c *Ctx) LoadN(a Array, i, n int) {
+	seq := c.seq
+	c.loadN(a, i, n)
+	if c.fp != nil {
+		c.dynamic(a, c.seq-seq)
+	}
+}
+
+// LoadFixed is Load for an access whose address depends only on the
+// launch's shape and on data the launches sharing its footprint never
+// change. Under LaunchFootprint it is accounted in full once, when the
+// footprint is recorded, and replayed from the record afterwards; in any
+// other launch it is Load.
+func (c *Ctx) LoadFixed(a Array, i int) {
+	if c.skip {
+		// The record holds the charge; only the counts advance.
+		c.ops++
+		c.seq++
+		c.fixedAcc++
+		return
+	}
+	c.loadFixed(a, i)
+}
+
+func (c *Ctx) loadFixed(a Array, i int) {
+	if c.fp == nil {
+		c.access(a, i)
+		return
+	}
+	c.fixed(a)
+	c.fixedAcc++
+	if c.replay {
+		c.ops++
+		c.seq++
+		return
+	}
+	c.access(a, i)
+	c.fixedEnd = c.seq
+}
+
+// LoadNFixed is LoadN for a fixed-address scan, as LoadFixed is for Load.
+func (c *Ctx) LoadNFixed(a Array, i, n int) {
+	if c.fp == nil {
+		c.loadN(a, i, n)
+		return
+	}
+	c.fixed(a)
+	if n <= 0 {
+		c.ops += int64(n)
+		return
+	}
+	c.fixedAcc += int64(n)
+	if c.replay {
+		c.ops += int64(n)
+		c.seq += int(c.w.segment(int64(i+n)*a.elem-1)-c.w.segment(int64(i)*a.elem)) + 1
+		return
+	}
+	c.loadN(a, i, n)
+	c.fixedEnd = c.seq
+}
+
+// fixed checks a fixed access of a footprint launch against the contract:
+// within an iteration fixed accesses precede dynamic ones, and no array
+// takes both kinds.
+func (c *Ctx) fixed(a Array) {
+	if c.dyn > 0 {
+		panic("gpu: footprint launch: fixed access after a dynamic one in the same iteration")
+	}
+	if c.record {
+		c.fp.noteFixed(a.id)
+	}
+}
+
+// dynamic counts n dynamic access indices of a footprint launch against
+// the declared per-iteration bound.
+func (c *Ctx) dynamic(a Array, n int) {
+	c.dyn, c.skip = c.dyn+n, false
+	if c.converged && c.dyn > c.fp.dynPerIter {
+		panic(fmt.Sprintf("gpu: footprint launch: %d dynamic accesses in one iteration, declared at most %d", c.dyn, c.fp.dynPerIter))
+	}
+	c.fp.noteDynamic(a.id)
+}
+
+func (c *Ctx) loadN(a Array, i, n int) {
 	c.ops += int64(n)
 	if !c.acct || n <= 0 {
 		return
@@ -97,6 +223,9 @@ func (c *Ctx) Atomic(a Array, i int) {
 	s := c.w.slot(c.seq)
 	c.seq++
 	s.addAddr(addr)
+	if c.fp != nil {
+		c.dynamic(a, 1)
+	}
 }
 
 func (c *Ctx) access(a Array, i int) {
@@ -190,6 +319,8 @@ type warpState struct {
 	segShift  int
 	accesses  int64
 	atomicOps int64
+	// unsafe marks a recorded warp that must be accounted in full.
+	unsafe bool
 }
 
 func newWarpState(segBytes int) *warpState {
@@ -229,6 +360,119 @@ func (w *warpState) reset() {
 	w.used = 0
 	w.accesses = 0
 	w.atomicOps = 0
+	w.unsafe = false
+}
+
+// Footprint is the recorded accounting of the fixed-address accesses
+// (Ctx.LoadFixed, Ctx.LoadNFixed) of a kernel launched repeatedly over the
+// same threads, for example one scan per refinement pass over one graph
+// level. The first LaunchFootprint that uses it accounts every access as
+// Launch does and records, per warp, the fixed accesses' transactions,
+// their access count, and for each access index the largest number of
+// lanes sharing one fixed segment. Later launches skip the coalescing
+// table for fixed accesses and add the record at the end of each warp;
+// their dynamic accesses (every other Load, Store or Atomic) are accounted
+// as usual. Fixed and dynamic accesses use disjoint arrays, so their
+// transactions add, and an atomic's serialization depth at an access index
+// is the larger of the two kinds' multiplicities, as in one shared table.
+//
+// The contract, checked with panics: in each Converge iteration the fixed
+// accesses precede the dynamic ones and at most the declared number of
+// dynamic access indices follow them; there are no dynamic accesses before
+// a thread's first Converge; no array takes both kinds; and a replay has
+// the recording's thread count and, per warp, its fixed access count.
+//
+// Replay is exact only where every fixed access keeps its access index.
+// An index moves only when an iteration overflows convergeStride and
+// pushes the next one, so the recording marks a warp safe only if, in
+// every thread and iteration, the fixed accesses plus the dynamic bound
+// fit before the next iteration's start. Other warps are accounted in full
+// on every launch.
+//
+// A Footprint is owned by its caller and belongs to one device and one
+// set of arrays; with Device.Accounting off it is not used.
+type Footprint struct {
+	dynPerIter int
+	recorded   bool
+	nThreads   int
+	// fixedIDs and dynIDs are the arrays of the fixed and the dynamic
+	// accesses.
+	fixedIDs, dynIDs []int64
+	warps            []warpPrint
+	// maxCount holds, for each safe warp, one byte per access index: the
+	// most lanes sharing a fixed segment there (at most MaxWarpSize).
+	maxCount []uint8
+}
+
+// warpPrint is one warp's record in a Footprint.
+type warpPrint struct {
+	safe                   bool
+	transactions, accesses int64
+	// maxCount[off:off+n] are the warp's per-index multiplicities; indices
+	// past n hold no fixed access.
+	off, n int
+}
+
+// NewFootprint returns an empty footprint for a kernel that makes at most
+// dynPerIter dynamic access indices per Converge iteration.
+func NewFootprint(dynPerIter int) *Footprint {
+	if dynPerIter < 0 {
+		panic(fmt.Sprintf("gpu: NewFootprint(%d): negative dynamic bound", dynPerIter))
+	}
+	return &Footprint{dynPerIter: dynPerIter}
+}
+
+func (f *Footprint) noteFixed(id int64) {
+	if hasID(f.dynIDs, id) {
+		panic("gpu: footprint launch: an array takes both fixed and dynamic accesses")
+	}
+	if !hasID(f.fixedIDs, id) {
+		f.fixedIDs = append(f.fixedIDs, id)
+	}
+}
+
+func (f *Footprint) noteDynamic(id int64) {
+	if hasID(f.fixedIDs, id) {
+		panic("gpu: footprint launch: an array takes both fixed and dynamic accesses")
+	}
+	if !f.recorded && !hasID(f.dynIDs, id) {
+		f.dynIDs = append(f.dynIDs, id)
+	}
+}
+
+func hasID(ids []int64, id int64) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
+// recordWarp appends the fixed accesses of the warp just accounted in w.
+// Keys carry their array id above bit 40, which tells fixed from dynamic.
+func (f *Footprint) recordWarp(w *warpState, fixedAcc int64) {
+	p := warpPrint{safe: !w.unsafe}
+	if p.safe {
+		p.accesses = fixedAcc
+		p.off = len(f.maxCount)
+		for i := 0; i < w.used; i++ {
+			s := &w.slots[i]
+			var mc int32
+			for j := 0; j < s.n; j++ {
+				if hasID(f.fixedIDs, s.segs[j]>>40) {
+					p.transactions++
+					mc = max(mc, s.count[j])
+				}
+			}
+			f.maxCount = append(f.maxCount, uint8(mc))
+			if mc > 0 {
+				p.n = i + 1
+			}
+		}
+		f.maxCount = f.maxCount[:p.off+p.n]
+	}
+	f.warps = append(f.warps, p)
 }
 
 // Launch executes kernel k for nThreads logical threads, charges the
@@ -241,6 +485,18 @@ func (w *warpState) reset() {
 // conflicts the paper's second "resolve" kernel exists for still occur
 // because they are inherent to the algorithm, not to timing.
 func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
+	return d.launch(name, nThreads, nil, k)
+}
+
+// LaunchFootprint is Launch with the fixed-address accesses of k recorded
+// in fp on its first use and replayed from it afterwards (see Footprint).
+// Every later launch sharing fp must run the same number of threads with
+// the same fixed accesses. The charges equal Launch's exactly.
+func (d *Device) LaunchFootprint(name string, nThreads int, fp *Footprint, k Kernel) float64 {
+	return d.launch(name, nThreads, fp, k)
+}
+
+func (d *Device) launch(name string, nThreads int, fp *Footprint, k Kernel) float64 {
 	if nThreads < 0 {
 		panic(fmt.Sprintf("gpu: Launch(%q, %d): negative thread count", name, nThreads))
 	}
@@ -256,14 +512,36 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 	// One Ctx serves every thread of the launch; a fresh one per thread
 	// would escape to the heap through the kernel closure.
 	c := &Ctx{w: w, acct: d.Accounting}
+	if fp != nil && d.Accounting {
+		c.fp, c.record = fp, !fp.recorded
+		if c.record {
+			fp.fixedIDs, fp.dynIDs = fp.fixedIDs[:0], fp.dynIDs[:0]
+			fp.warps, fp.maxCount = fp.warps[:0], fp.maxCount[:0]
+		} else if fp.nThreads != nThreads {
+			panic(fmt.Sprintf("gpu: LaunchFootprint(%q, %d): footprint recorded for %d threads", name, nThreads, fp.nThreads))
+		}
+	}
 	var warpInstr, laneInstr, transactions, atomicSerial, accesses, atomicOps int64
 	var maxWarpInstr int64
 
 	for base := 0; base < nThreads; base += ws {
 		w.reset()
+		c.fixedAcc = 0
+		// A safe warp of a replay adds its record; fixedMax is its
+		// per-index fixed multiplicities.
+		var rec *warpPrint
+		var fixedMax []uint8
+		if c.fp != nil && !c.record {
+			rec = &fp.warps[base/ws]
+			c.replay = rec.safe
+			if c.replay {
+				fixedMax = fp.maxCount[rec.off : rec.off+rec.n]
+			}
+		}
 		var warpMaxOps int64
 		for lane := 0; lane < ws && base+lane < nThreads; lane++ {
 			c.tid, c.lane, c.ops, c.seq = base+lane, lane, 0, 0
+			c.converged, c.dyn, c.fixedEnd, c.skip = false, 0, 0, c.replay
 			k(c)
 			laneInstr += c.ops
 			if c.ops > warpMaxOps {
@@ -274,19 +552,36 @@ func (d *Device) Launch(name string, nThreads int, k Kernel) float64 {
 		if warpMaxOps > maxWarpInstr {
 			maxWarpInstr = warpMaxOps
 		}
+		if c.replay {
+			if c.fixedAcc != rec.accesses {
+				panic(fmt.Sprintf("gpu: LaunchFootprint(%q): warp %d made %d fixed accesses, recorded %d", name, base/ws, c.fixedAcc, rec.accesses))
+			}
+			transactions += rec.transactions
+			accesses += rec.accesses
+		}
 		for i := 0; i < w.used; i++ {
 			s := &w.slots[i]
 			transactions += int64(s.n)
 			// Only atomics serialize on address conflicts; coalesced
 			// loads sharing a segment are the fast path.
 			if s.atomic {
-				if mc := s.maxCount(); mc > 1 {
+				mc := s.maxCount()
+				if i < len(fixedMax) {
+					mc = max(mc, int64(fixedMax[i]))
+				}
+				if mc > 1 {
 					atomicSerial += mc
 				}
 			}
 		}
 		accesses += w.accesses
 		atomicOps += w.atomicOps
+		if c.record {
+			fp.recordWarp(w, c.fixedAcc)
+		}
+	}
+	if c.record {
+		fp.recorded, fp.nThreads = true, nThreads
 	}
 
 	sec := d.kernelSeconds(nThreads, warpInstr, maxWarpInstr, transactions, atomicSerial)

@@ -233,15 +233,15 @@ func (w *fmWork) refine(g *graph.Graph, part []int, frac0, ubfactor float64, acc
 				}
 				adj, wgt := g.Neighbors(v)
 				for i, u := range adj {
-					// Unlocked neighbors shift by ±2w.
-					for s := 0; s < 2; s++ {
-						if side[s].Contains(u) {
-							delta := 2 * wgt[i]
-							if part[u] == part[v] {
-								side[s].Update(u, side[s].Gain(u)-delta)
-							} else {
-								side[s].Update(u, side[s].Gain(u)+delta)
-							}
+					// Unlocked neighbors shift by ±2w. An unlocked
+					// vertex sits in its own side's buckets only.
+					b := side[part[u]]
+					if b.Contains(u) {
+						delta := 2 * wgt[i]
+						if part[u] == part[v] {
+							b.Update(u, b.Gain(u)-delta)
+						} else {
+							b.Update(u, b.Gain(u)+delta)
 						}
 					}
 				}

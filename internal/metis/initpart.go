@@ -21,6 +21,7 @@ const gggpTries = 4
 // pass (RefineBisectionFM).
 func Bisect(g *graph.Graph, frac0, ubfactor float64, rng *rand.Rand, acct *perfmodel.ThreadCost) []int {
 	var w bisectWork
+	w.parallel = w.hasParallelArcs(g)
 	return w.bisect(g, frac0, ubfactor, rng, acct)
 }
 
@@ -28,9 +29,19 @@ func Bisect(g *graph.Graph, frac0, ubfactor float64, rng *rand.Rand, acct *perfm
 // every bisection down its recursion. Subgraphs only shrink, so arrays
 // sized by the first bisection serve all later ones.
 type bisectWork struct {
-	part, bestPart, gain, frontier []int
-	inFrontier                     []bool
-	fm                             fmWork
+	part, bestPart []int
+	// wdeg is each vertex's weighted degree.
+	wdeg []int
+	// parallel is set when some vertex lists a neighbor twice; subgraphs
+	// inherit it.
+	parallel bool
+	// frontier is GGGP's max-heap of the side-1 vertices adjacent to the
+	// region; pos[v] is v's index in it, or -1. entries counts the
+	// vertices that have entered it during the current try.
+	frontier []frontierEntry
+	pos      []int
+	entries  int
+	fm       fmWork
 	// w0 and cut are the side-0 weight and the edge cut of the region
 	// the current GGGP try has grown.
 	w0, cut int
@@ -42,6 +53,27 @@ type bisectWork struct {
 	top   int
 	// subs holds the two subgraphs of each recursion depth.
 	subs [][2]graph.Graph
+}
+
+// hasParallelArcs reports whether some vertex of g lists a neighbor more
+// than once, marking each vertex's neighbors in w.local.
+func (w *bisectWork) hasParallelArcs(g *graph.Graph) bool {
+	n := g.NumVertices()
+	w.local = resize(w.local, n)
+	mark := w.local
+	for i := range mark {
+		mark[i] = -1
+	}
+	for v := 0; v < n; v++ {
+		adj, _ := g.Neighbors(v)
+		for _, u := range adj {
+			if mark[u] == v {
+				return true
+			}
+			mark[u] = v
+		}
+	}
+	return false
 }
 
 // bisect is Bisect on w's storage. The returned labels alias w and stay
@@ -64,7 +96,7 @@ func (w *bisectWork) bisect(g *graph.Graph, frac0, ubfactor float64, rng *rand.R
 
 	bestPart := w.bestPart
 	bestCut := -1
-	w.prepare(n)
+	w.prepare(g)
 	for try := 0; try < gggpTries; try++ {
 		w.growRegion(g, rng.Intn(n), target0, acct)
 		// The host tracks the cut while growing; the modeled bisection
@@ -83,52 +115,55 @@ func (w *bisectWork) bisect(g *graph.Graph, frac0, ubfactor float64, rng *rand.R
 	return bestPart
 }
 
-// prepare sizes the GGGP arrays for a graph of n vertices.
-func (w *bisectWork) prepare(n int) {
+// prepare sizes the GGGP arrays for g and computes its weighted degrees.
+func (w *bisectWork) prepare(g *graph.Graph) {
+	n := g.NumVertices()
 	w.part = resize(w.part, n)
-	w.gain = resize(w.gain, n)
-	w.inFrontier = resize(w.inFrontier, n)
+	w.pos = resize(w.pos, n)
 	if cap(w.frontier) < n {
-		w.frontier = make([]int, 0, n)
+		w.frontier = make([]frontierEntry, 0, n)
+	}
+	w.wdeg = resize(w.wdeg, n)
+	for v := range w.wdeg {
+		d := 0
+		for _, x := range g.AdjWgt[g.XAdj[v]:g.XAdj[v+1]] {
+			d += x
+		}
+		w.wdeg[v] = d
 	}
 }
 
 // growRegion is one GGGP try: starting with every vertex on side 1, it
 // grows side 0 from seed until it weighs at least target0, leaving the
-// labels in w.part and their edge cut in w.cut.
+// labels in w.part and their edge cut in w.cut. Each step absorbs the
+// frontier vertex of largest gain, the earliest to enter on ties, and is
+// charged for a scan of the frontier.
 func (w *bisectWork) growRegion(g *graph.Graph, seed, target0 int, acct *perfmodel.ThreadCost) {
-	part, inFrontier := w.part, w.inFrontier
+	part, pos := w.part, w.pos
 	for i := range part {
 		part[i] = 1
-		inFrontier[i] = false
+		pos[i] = -1
 	}
 	w.frontier = w.frontier[:0]
+	w.entries = 0
 	w.w0, w.cut = 0, 0
+	// Vertices only leave side 1, so the lowest one left never moves
+	// back: rest is where the next fallback search starts.
+	rest := 0
 
 	w.grow(g, seed, acct)
 	for w.w0 < target0 {
-		// Pick the frontier vertex with max gain (compact dead slots).
-		bi, bg := -1, 0
-		out := w.frontier[:0]
-		for _, u := range w.frontier {
-			if part[u] == 0 {
-				inFrontier[u] = false
-				continue
-			}
-			out = append(out, u)
-			if bi == -1 || w.gain[u] > bg {
-				bi, bg = u, w.gain[u]
-			}
-		}
-		w.frontier = out
 		if acct != nil {
 			acct.Ops += float64(len(w.frontier))
 		}
-		if bi == -1 {
-			// Disconnected remainder: absorb any side-1 vertex.
-			for v := range part {
-				if part[v] == 1 {
-					bi = v
+		bi := -1
+		if len(w.frontier) > 0 {
+			bi = w.popMax()
+		} else {
+			// Disconnected remainder: absorb the lowest side-1 vertex.
+			for ; rest < len(part); rest++ {
+				if part[rest] == 1 {
+					bi = rest
 					break
 				}
 			}
@@ -136,7 +171,6 @@ func (w *bisectWork) growRegion(g *graph.Graph, seed, target0 int, acct *perfmod
 				break
 			}
 		}
-		inFrontier[bi] = false
 		w.grow(g, bi, acct)
 	}
 }
@@ -145,7 +179,7 @@ func (w *bisectWork) growRegion(g *graph.Graph, seed, target0 int, acct *perfmod
 // v's side-1 neighbors to the frontier with their gains (the cut decrease
 // of moving them), and raises the gains of those already there.
 func (w *bisectWork) grow(g *graph.Graph, v int, acct *perfmodel.ThreadCost) {
-	part, gain := w.part, w.gain
+	part := w.part
 	part[v] = 0
 	w.w0 += g.VWgt[v]
 	adj, wgt := g.Neighbors(v)
@@ -155,26 +189,34 @@ func (w *bisectWork) grow(g *graph.Graph, v int, acct *perfmodel.ThreadCost) {
 			continue
 		}
 		w.cut += wgt[i]
-		if !w.inFrontier[u] {
-			w.inFrontier[u] = true
-			gain[u] = 0
-			w.frontier = append(w.frontier, u)
+		if at := w.pos[u]; at >= 0 {
+			// v moved to side 0: u's gain rises by 2*w(u,v).
+			w.frontier[at].gain += 2 * wgt[i]
+			w.siftUp(at)
+			continue
+		}
+		// u had no side-0 neighbor before v: without parallel arcs its
+		// gain is w(u,v) minus its other arcs' weight.
+		deg := g.Degree(u)
+		var gain int
+		if w.parallel {
 			uadj, uwgt := g.Neighbors(u)
 			for j, x := range uadj {
 				if part[x] == 0 {
-					gain[u] += uwgt[j]
+					gain += uwgt[j]
 				} else {
-					gain[u] -= uwgt[j]
+					gain -= uwgt[j]
 				}
 			}
-			if acct != nil {
-				acct.Ops += float64(len(uadj))
-				acct.Rand += float64(len(uadj))
-			}
 		} else {
-			// v moved to side 0: u's gain rises by 2*w(u,v).
-			gain[u] += 2 * wgt[i]
+			gain = 2*wgt[i] - w.wdeg[u]
 		}
+		// The modeled bisection still scans u's arcs.
+		if acct != nil {
+			acct.Ops += float64(deg)
+			acct.Rand += float64(deg)
+		}
+		w.push(u, gain)
 	}
 	if acct != nil {
 		acct.Ops += float64(len(adj))
@@ -182,26 +224,118 @@ func (w *bisectWork) grow(g *graph.Graph, v int, acct *perfmodel.ThreadCost) {
 	}
 }
 
+// frontierEntry is a frontier vertex with its heap key: its gain, and its
+// order of entry into the frontier for ties.
+type frontierEntry struct {
+	gain, entry, v int
+}
+
+// before reports whether a outranks b: a larger gain, or an equal gain
+// and an earlier entry, which is the first of the largest gains in entry
+// order.
+func (a frontierEntry) before(b frontierEntry) bool {
+	return a.gain > b.gain || a.gain == b.gain && a.entry < b.entry
+}
+
+// push adds u with the given gain to the frontier heap.
+func (w *bisectWork) push(u, gain int) {
+	w.frontier = append(w.frontier, frontierEntry{gain: gain, entry: w.entries, v: u})
+	w.entries++
+	w.siftUp(len(w.frontier) - 1)
+}
+
+// siftUp restores the heap above index i after its gain rose. Gains in
+// the frontier only rise, so no update needs a sift-down.
+func (w *bisectWork) siftUp(i int) {
+	h := w.frontier
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		w.pos[h[i].v] = i
+		i = p
+	}
+	h[i] = e
+	w.pos[e.v] = i
+}
+
+// popMax removes and returns the frontier's first vertex.
+func (w *bisectWork) popMax() int {
+	h := w.frontier
+	top := h[0].v
+	w.pos[top] = -1
+	last := len(h) - 1
+	e := h[last]
+	h = h[:last]
+	w.frontier = h
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		w.pos[h[i].v] = i
+		i = c
+	}
+	h[i] = e
+	w.pos[e.v] = i
+	return top
+}
+
 // RecursiveBisect partitions g into k parts by recursive bisection,
 // splitting k as evenly as possible at each level (Section II.A.2). The
 // returned labels are in [0,k).
 func RecursiveBisect(g *graph.Graph, k int, ubfactor float64, rng *rand.Rand, acct *perfmodel.ThreadCost) []int {
+	part := make([]int, g.NumVertices())
+	var b Bisector
+	b.RecursiveBisect(g, k, ubfactor, rng, acct, part)
+	return part
+}
+
+// Bisector runs RecursiveBisect on one workspace kept across calls, for
+// callers that partition the same graph several times (mt-metis's
+// initial partitioning tries). The zero Bisector is ready to use; it is
+// not safe for concurrent use.
+type Bisector struct {
+	w bisectWork
+}
+
+// RecursiveBisect is the package function RecursiveBisect writing its
+// labels into part, which must have one entry per vertex of g.
+func (b *Bisector) RecursiveBisect(g *graph.Graph, k int, ubfactor float64, rng *rand.Rand, acct *perfmodel.ThreadCost, part []int) {
 	n := g.NumVertices()
-	part := make([]int, n)
+	clear(part)
 	if k <= 1 || n == 0 {
-		return part
+		return
 	}
+	w := &b.w
 	// A balanced recursion path holds about two copies of g in the arena.
-	w := &bisectWork{
-		arena: make([]int, 2*(3*n+2*len(g.Adjncy))),
-		subs:  make([][2]graph.Graph, bits.Len(uint(k))),
+	if size := 2 * (3*n + 2*len(g.Adjncy)); len(w.arena) < size {
+		w.arena = make([]int, size)
 	}
+	w.top = 0
+	if depth := bits.Len(uint(k)); len(w.subs) < depth {
+		w.subs = make([][2]graph.Graph, depth)
+	}
+	w.parallel = w.hasParallelArcs(g)
 	ids := w.alloc(n)
 	for v := range ids {
 		ids[v] = v
 	}
 	w.recurse(g, ids, k, 0, 0, ubfactor, rng, acct, part)
-	return part
 }
 
 // alloc returns n ints from the top of the arena. When the arena is too

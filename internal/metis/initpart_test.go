@@ -65,7 +65,7 @@ func TestGrowRegionTracksCut(t *testing.T) {
 	} {
 		var w bisectWork
 		n := g.NumVertices()
-		w.prepare(n)
+		w.prepare(g)
 		total := g.TotalVertexWeight()
 		for seed := 0; seed < n; seed++ {
 			for _, target := range []int{1, total / 5, total / 2, total - 1, total} {
@@ -82,13 +82,20 @@ func TestGrowRegionTracksCut(t *testing.T) {
 // workspace: a fresh Bisect per node, graph.InducedSubgraph for the sides,
 // and a new label slice per level.
 func refRecursiveBisect(g *graph.Graph, k int, ubfactor float64, rng *rand.Rand, acct *perfmodel.ThreadCost) []int {
+	return refRecursiveBisectWith(Bisect, g, k, ubfactor, rng, acct)
+}
+
+// refRecursiveBisectWith is refRecursiveBisect with bisect in place of
+// Bisect.
+func refRecursiveBisectWith(bisect func(*graph.Graph, float64, float64, *rand.Rand, *perfmodel.ThreadCost) []int,
+	g *graph.Graph, k int, ubfactor float64, rng *rand.Rand, acct *perfmodel.ThreadCost) []int {
 	part := make([]int, g.NumVertices())
 	if k <= 1 {
 		return part
 	}
 	k1 := (k + 1) / 2
 	ub := 1 + (ubfactor-1)*0.75
-	bis := Bisect(g, float64(k1)/float64(k), ub, rng, acct)
+	bis := bisect(g, float64(k1)/float64(k), ub, rng, acct)
 	var side0, side1 []int
 	for v, s := range bis {
 		if s == 0 {
@@ -120,8 +127,8 @@ func refRecursiveBisect(g *graph.Graph, k int, ubfactor float64, rng *rand.Rand,
 		acct.Ops += float64(len(g.Adjncy))
 		acct.Rand += float64(len(g.Adjncy))
 	}
-	p0 := refRecursiveBisect(sub0, k1, ubfactor, rng, acct)
-	p1 := refRecursiveBisect(sub1, k-k1, ubfactor, rng, acct)
+	p0 := refRecursiveBisectWith(bisect, sub0, k1, ubfactor, rng, acct)
+	p1 := refRecursiveBisectWith(bisect, sub1, k-k1, ubfactor, rng, acct)
 	for i, v := range orig0 {
 		part[v] = p0[i]
 	}
@@ -181,7 +188,7 @@ func TestRecursiveBisectMatchesReference(t *testing.T) {
 // TestRecursiveBisectAllocsBounded guards the per-call workspace: one
 // RecursiveBisect at k=64 makes 63 bisections, yet allocates a fixed
 // handful of times (the result, the workspace and its arrays), not a few
-// per bisection.
+// per bisection; a reused Bisector allocates nothing.
 func TestRecursiveBisectAllocsBounded(t *testing.T) {
 	g, err := gen.TableI(gen.ClassLDoor, 400, 1)
 	if err != nil {
@@ -193,5 +200,13 @@ func TestRecursiveBisectAllocsBounded(t *testing.T) {
 	})
 	if allocs > 30 {
 		t.Errorf("RecursiveBisect at k=64 allocated %v times per call, want at most 30", allocs)
+	}
+	// A Bisector keeps its workspace across calls: once it has seen the
+	// graph, further recursive bisections of it allocate nothing.
+	var b Bisector
+	part := make([]int, g.NumVertices())
+	rng := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(3, func() { b.RecursiveBisect(g, 64, 1.03, rng, &acct, part) }); allocs > 0 {
+		t.Errorf("a reused Bisector allocated %v times per call, want none", allocs)
 	}
 }

@@ -175,17 +175,20 @@ func Partition(g *graph.Graph, k int, o Options, m *perfmodel.Machine) (*Result,
 
 // initialPartition runs Threads independent recursive bisections with
 // distinct seeds and keeps the best cut; the phase costs the maximum
-// single try (they run concurrently).
+// single try (they run concurrently). The tries share one bisection
+// workspace and two label buffers, the current try's and the best one's.
 func initialPartition(g *graph.Graph, k int, o Options, m *perfmodel.Machine, tl *perfmodel.Timeline) []int {
 	costs := make([]perfmodel.ThreadCost, o.Threads)
+	n := g.NumVertices()
+	part, bestPart := make([]int, n), make([]int, n)
 	best := -1
-	var bestPart []int
+	var b metis.Bisector
 	for t := 0; t < o.Threads; t++ {
 		rng := rand.New(rand.NewSource(o.Seed + int64(t)*7919))
-		part := metis.RecursiveBisect(g, k, o.UBFactor, rng, &costs[t])
+		b.RecursiveBisect(g, k, o.UBFactor, rng, &costs[t], part)
 		if cut := graph.EdgeCut(g, part); best == -1 || cut < best {
 			best = cut
-			bestPart = part
+			part, bestPart = bestPart, part
 		}
 	}
 	tl.Append("initpart", perfmodel.LocCPU, m.CPUPhaseSeconds(costs))

@@ -1,7 +1,8 @@
 package mtmetis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gpmetis/internal/graph"
 	"gpmetis/internal/perfmodel"
@@ -35,15 +36,23 @@ func Refine(g *graph.Graph, part []int, k int, o Options, m *perfmodel.Machine, 
 		maxPW = 1
 	}
 
+	// Per-direction scratch, reset rather than reallocated.
+	costs := make([]perfmodel.ThreadCost, o.Threads)
+	exploreCosts := make([]perfmodel.ThreadCost, o.Threads)
+	buffers := make([][]moveReq, k)
+	conn := make([]int, k)
+	var touched []int
+
 	for pass := 0; pass < o.RefineIters; pass++ {
 		committed := 0
 		for dir := 0; dir < 2; dir++ {
-			costs := make([]perfmodel.ThreadCost, o.Threads)
-			buffers := make([][]moveReq, k)
+			clear(costs)
+			clear(exploreCosts)
+			for p := range buffers {
+				buffers[p] = buffers[p][:0]
+			}
 
 			// Scan step: threads propose direction-constrained moves.
-			conn := make([]int, k)
-			var touched []int
 			for t := 0; t < o.Threads; t++ {
 				lo, hi := chunk(n, o.Threads, t)
 				for v := lo; v < hi; v++ {
@@ -96,11 +105,10 @@ func Refine(g *graph.Graph, part []int, k int, o Options, m *perfmodel.Machine, 
 			// best gain first, committing what the balance bound allows.
 			// With k partitions but only Threads cores, each core serves
 			// k/Threads buffers in turn, which the cost model reflects.
-			exploreCosts := make([]perfmodel.ThreadCost, o.Threads)
 			for p := 0; p < k; p++ {
 				ec := &exploreCosts[p%o.Threads]
 				buf := buffers[p]
-				sort.Slice(buf, func(i, j int) bool { return buf[i].gain > buf[j].gain })
+				sortByGain(buf)
 				ec.Ops += float64(len(buf)) * 8 // sort + scan
 				for _, req := range buf {
 					if part[req.v] != req.from {
@@ -124,4 +132,11 @@ func Refine(g *graph.Graph, part []int, k int, o Options, m *perfmodel.Machine, 
 			break
 		}
 	}
+}
+
+// sortByGain orders a buffer by decreasing gain. The sort is not stable:
+// requests of equal gain end in the order pdqsort leaves them, which the
+// committed moves depend on.
+func sortByGain(buf []moveReq) {
+	slices.SortFunc(buf, func(a, b moveReq) int { return cmp.Compare(b.gain, a.gain) })
 }

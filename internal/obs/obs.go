@@ -33,12 +33,12 @@ const (
 
 // Attr is one typed key-value attribute on a span.
 type Attr struct {
-	Key   string
-	Kind  Kind
-	IntV  int64
+	Key    string
+	Kind   Kind
+	IntV   int64
 	FloatV float64
-	StrV  string
-	BoolV bool
+	StrV   string
+	BoolV  bool
 }
 
 // Int builds an integer attribute.

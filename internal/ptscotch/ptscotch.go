@@ -26,8 +26,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"gpmetis/internal/graph"
 	"gpmetis/internal/fault"
+	"gpmetis/internal/graph"
 	"gpmetis/internal/metis"
 	"gpmetis/internal/mpi"
 	"gpmetis/internal/perfmodel"
