@@ -1,11 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -350,18 +351,24 @@ func relistenChaos(addr string) net.Listener {
 	}
 }
 
-// ringCounterValue reads one counter from a node's /metrics.json.
+// ringCounterValue reads one unlabeled registry series from a node's
+// /metrics scrape: "modeled.seconds" reads gpmetisd_modeled_seconds, and
+// an absent series reads 0.
 func ringCounterValue(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return 0, err
 	}
-	return out.Counters[name], nil
+	prefix := "gpmetisd_" + strings.ReplaceAll(name, ".", "_") + " "
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			return strconv.ParseFloat(v, 64)
+		}
+	}
+	return 0, nil
 }

@@ -40,7 +40,6 @@
 //	GET    /metrics         Prometheus text exposition: queue depth, wait
 //	                        and latency histograms, cache hit rate, jobs
 //	                        by outcome, per-slot utilization, build info
-//	GET    /metrics.json    the same counters as flat JSON
 //	GET    /healthz         liveness, occupancy, SLO posture, build info
 //	GET    /slo             SLO evaluation: burn rates over both windows
 //	GET    /admin/status    live ops view (self-refreshing HTML); the
@@ -117,12 +116,12 @@
 // POST /admin/rejoin re-announces and re-runs catch-up on demand.
 // SIGHUP reloads -peers, applying membership changes without a restart.
 //
-// Cluster observability (DESIGN.md §16): every internode RPC carries an
-// X-Gpmetis-Trace context header, so a job submitted to a non-owner
-// node keeps one trace id end to end — GET /jobs/{id}/trace on the
-// entry node returns a single Chrome trace document with one pid per
-// node, the owner's spans parented under the entry node's
-// cluster-forward span. GET /admin/cluster/status (.json for data)
+// Cluster observability (DESIGN.md §16): a ring forward carries the
+// entry node's trace context in its submission body, so a job
+// submitted to a non-owner node keeps one trace id end to end —
+// GET /jobs/{id}/trace on the entry node returns a single Chrome trace
+// document with one pid per node, the owner's spans parented under
+// the entry node's cluster-forward span. GET /admin/cluster/status (.json for data)
 // fans out to every live peer and renders the whole fleet on one page
 // (gpmetis -top -cluster is the terminal flavor), and per-peer RPC
 // latency/error histograms appear as gpmetisd_cluster_rpc_* on

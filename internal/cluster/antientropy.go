@@ -132,7 +132,7 @@ func (n *Node) syncWith(p Peer) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	t0 := time.Now()
-	resp, err := n.doRPC(n.client, p, rpcSummary, obs.TraceContext{TraceID: trace}, req)
+	resp, err := n.doRPC(n.client, p, rpcSummary, req)
 	n.recordRoundSpan(trace, "anti-entropy-summary", t0, time.Now(),
 		spanAttrs(p, "ranges", len(sums), "ok", err == nil))
 	if err != nil {
@@ -178,7 +178,7 @@ func (n *Node) repairRanges(ring *Ring, p Peer, local map[int][]string, mismatch
 			if localHas[d] || !n.replicaSetHas(ring, d, n.self.ID) {
 				continue
 			}
-			res, found, err := n.peekRemote(p, d, trace)
+			res, found, err := n.peekRemote(p, d)
 			if err != nil {
 				n.strikePeer(p, "repair pull: "+err.Error())
 				return
@@ -196,7 +196,7 @@ func (n *Node) repairRanges(ring *Ring, p Peer, local map[int][]string, mismatch
 			if !ok {
 				continue // evicted since the summary was built
 			}
-			if err := n.pushEntry(p, d, res, obs.TraceContext{TraceID: trace}, rpcRepairPut); err != nil {
+			if err := n.pushEntry(p, d, res, rpcRepairPut); err != nil {
 				n.strikePeer(p, "repair push: "+err.Error())
 				return
 			}

@@ -398,9 +398,10 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The distributed trace starts here, at the entry node: peeks and the
-	// forward carry this id, and the owner's job adopts it, so the whole
-	// routed submission is one trace regardless of where it lands. (A
+	// The distributed trace starts here, at the entry node: the forward
+	// carries this id in its body and the owner's job adopts it, so the
+	// whole routed submission is one trace regardless of where it lands;
+	// peek hits and forwards record it in the flight recorder. (A
 	// submission served locally mints its own id at registration and this
 	// one is simply unused.)
 	traceID := obs.NewTraceID()
@@ -430,7 +431,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if h := n.peerHealth(p.ID); h != nil && h.down() {
 			continue
 		}
-		res, found, peekErr := n.peekRemote(p, key, traceID)
+		res, found, peekErr := n.peekRemote(p, key)
 		if peekErr != nil {
 			n.strikePeer(p, "peek: "+peekErr.Error())
 			continue
@@ -507,15 +508,14 @@ func (n *Node) patchStatusBody(status int, out []byte) []byte {
 
 // peekRemote asks peer whether it already caches digest. Both legs of
 // the probe are charged against the modeled network; the real wall cost
-// lands in the per-peer rpc histograms, and the routed submission's
-// trace id rides the header.
-func (n *Node) peekRemote(p Peer, digest, traceID string) (*server.JobResult, bool, error) {
+// lands in the per-peer rpc histograms.
+func (n *Node) peekRemote(p Peer, digest string) (*server.JobResult, bool, error) {
 	n.net.Charge(len(digest))
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/internal/cache/"+digest, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := n.doRPC(n.client, p, rpcPeek, obs.TraceContext{TraceID: traceID}, req)
+	resp, err := n.doRPC(n.client, p, rpcPeek, req)
 	if err != nil {
 		return nil, false, err
 	}
@@ -541,10 +541,11 @@ func (n *Node) peekRemote(p Peer, digest, traceID string) (*server.JobResult, bo
 // forward ships the submission to peer with the forwarding envelope set:
 // ForwardedBy pins the job there, ForwardNetSeconds carries the request
 // leg's modeled cost into the job's lifecycle trace, and the trace
-// fields (mirrored in the X-Gpmetis-Trace header) make the remote job
-// adopt this entry node's trace id and parent its spans under the
-// forward span minted here. The returned fwdInfo is what the stitcher
-// needs later: the owner, the trace context, and the measured RTT.
+// fields make the remote job adopt this entry node's trace id and
+// parent its spans under the forward span minted here. This body is the
+// only carrier of trace context between nodes. The returned fwdInfo is
+// what the stitcher needs later: the owner, the trace context, and the
+// measured RTT.
 func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (int, []byte, fwdInfo, error) {
 	fi := fwdInfo{
 		peer:    p,
@@ -555,7 +556,6 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	req.ForwardedBy = n.self.Addr
 	req.ForwardTraceID = traceID
 	req.ForwardSpanID = fi.spanID
-	req.ForwardWallUnixNano = fi.sentAt.UnixNano()
 	payload, err := json.Marshal(&req)
 	if err != nil {
 		return 0, nil, fi, err
@@ -573,12 +573,11 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 		return 0, nil, fi, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	tc := obs.TraceContext{TraceID: traceID, SpanID: fi.spanID, WallUnixNano: fi.sentAt.UnixNano()}
-	resp, err := n.doRPC(n.client, p, rpcForward, tc, hreq)
+	resp, err := n.doRPC(n.client, p, rpcForward, hreq)
 	if err != nil {
 		return 0, nil, fi, err
 	}
-	fi.rtt = time.Since(fi.sentAt).Seconds()
+	fi.rtt = time.Since(fi.sentAt)
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -621,7 +620,7 @@ func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 			server.ErrorResponse{Error: err.Error(), Code: server.CodeBadRequest})
 		return
 	}
-	resp, err := n.doRPC(n.client, p, rpcProxy, obs.TraceContext{TraceID: fi.traceID, SpanID: fi.spanID}, req2)
+	resp, err := n.doRPC(n.client, p, rpcProxy, req2)
 	if err != nil {
 		n.strikePeer(p, "proxy: "+err.Error())
 		writeJSON(w, http.StatusBadGateway, server.ErrorResponse{
@@ -708,9 +707,7 @@ func (n *Node) probePeer(p Peer) {
 	var resp *http.Response
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/healthz", nil)
 	if err == nil {
-		// Each probe is its own (tiny) trace: health checking is traffic
-		// too, and a probe storm should be attributable in peer logs.
-		resp, err = n.doRPC(n.probe, p, rpcProbe, obs.TraceContext{TraceID: obs.NewTraceID()}, req)
+		resp, err = n.doRPC(n.probe, p, rpcProbe, req)
 	}
 	ok := err == nil && resp.StatusCode == http.StatusOK
 	if resp != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -146,27 +147,29 @@ func clusterPoll(t *testing.T, base, id string) server.JobStatus {
 	}
 }
 
-func clusterCounters(t *testing.T, base string) map[string]float64 {
+// clusterCounter reads one unlabeled registry series from a node's
+// /metrics scrape: "jobs.completed" reads gpmetisd_jobs_completed, and
+// an absent series reads 0.
+func clusterCounter(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	prefix := "gpmetisd_" + strings.ReplaceAll(name, ".", "_") + " "
+	for _, line := range strings.Split(scrapeMetrics(t, base), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
+			}
+			return f
+		}
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Counters
+	return 0
 }
 
 func sumCounter(t *testing.T, nodes []*ringNode, name string) float64 {
 	t.Helper()
 	total := 0.0
 	for _, rn := range nodes {
-		total += clusterCounters(t, rn.base())[name]
+		total += clusterCounter(t, rn.base(), name)
 	}
 	return total
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"gpmetis/internal/obs"
 	"gpmetis/internal/server"
 )
 
@@ -81,7 +80,7 @@ func (n *Node) fetchPeerStatus(p Peer) (*server.StatusResponse, float64, error) 
 		return nil, 0, err
 	}
 	t0 := time.Now()
-	resp, err := n.doRPC(n.client, p, rpcStatus, obs.TraceContext{TraceID: obs.NewTraceID()}, req)
+	resp, err := n.doRPC(n.client, p, rpcStatus, req)
 	rtt := time.Since(t0).Seconds()
 	if err != nil {
 		return nil, rtt, err

@@ -316,7 +316,7 @@ func (n *Node) drainPeerOnce(p Peer) (remaining int, err error) {
 		if !ok {
 			continue // evicted locally; nothing left to hand off
 		}
-		if pushErr := n.pushEntry(p, key, res, obs.TraceContext{TraceID: trace}, rpcHandoffPut); pushErr != nil {
+		if pushErr := n.pushEntry(p, key, res, rpcHandoffPut); pushErr != nil {
 			n.strikePeer(p, "hint drain: "+pushErr.Error())
 			n.hints.requeue(p.ID, keys[i:])
 			n.recordRoundSpan(trace, "handoff-drain", t0, time.Now(),

@@ -202,9 +202,8 @@ func decodeRingChange(w http.ResponseWriter, r *http.Request) (int, bool) {
 }
 
 // announce posts a leave/join announcement about node id to a peer,
-// charged to the modeled network like any other inter-node message and
-// carrying the caller's round trace.
-func (n *Node) announce(p Peer, path string, id int, tc obs.TraceContext) error {
+// charged to the modeled network like any other inter-node message.
+func (n *Node) announce(p Peer, path string, id int) error {
 	payload, err := json.Marshal(ringChange{Node: id})
 	if err != nil {
 		return err
@@ -216,7 +215,7 @@ func (n *Node) announce(p Peer, path string, id int, tc obs.TraceContext) error 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.doRPC(n.client, p, rpcAnnounce, tc, req)
+	resp, err := n.doRPC(n.client, p, rpcAnnounce, req)
 	if err != nil {
 		return err
 	}
@@ -296,7 +295,7 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 			if n.peerIsDown(q) {
 				continue
 			}
-			if err := n.pushEntry(q, key, res, obs.TraceContext{TraceID: trace}, rpcReplicaPut); err != nil {
+			if err := n.pushEntry(q, key, res, rpcReplicaPut); err != nil {
 				n.strikePeer(q, "decommission push: "+err.Error())
 				continue
 			}
@@ -307,7 +306,7 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 
 	notified := 0
 	for _, p := range survivors {
-		if err := n.announce(p, "/internal/ring/leave", n.self.ID, obs.TraceContext{TraceID: trace}); err != nil {
+		if err := n.announce(p, "/internal/ring/leave", n.self.ID); err != nil {
 			n.log.Warn("decommission announce failed", "peer", p.ID, "error", err.Error())
 			continue
 		}
@@ -353,9 +352,8 @@ func (n *Node) Rejoin() int64 {
 		}
 	}
 	n.ringMu.Unlock()
-	trace := obs.NewTraceID()
 	for _, p := range n.otherPeers() {
-		if err := n.announce(p, "/internal/ring/join", n.self.ID, obs.TraceContext{TraceID: trace}); err != nil {
+		if err := n.announce(p, "/internal/ring/join", n.self.ID); err != nil {
 			n.log.Info("rejoin announce failed", "peer", p.ID, "error", err.Error())
 		}
 	}

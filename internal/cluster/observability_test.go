@@ -216,8 +216,22 @@ func TestClusterTraceFetchEndpoint(t *testing.T) {
 	if len(nt.Spans) == 0 {
 		t.Error("owner returned no lifecycle spans for the routed job")
 	}
-	if nt.AnchorUnixNano == 0 {
+	if nt.Anchor.IsZero() {
 		t.Error("NodeTrace has no clock anchor; the stitcher cannot align clocks")
+	}
+	// The forward's trace context names the entry node's forward span
+	// as the parent of the owner's cluster-forward record.
+	forwardRecords := 0
+	for _, sp := range nt.Spans {
+		if sp.Name == "cluster-forward" {
+			forwardRecords++
+			if sp.Parent == 0 {
+				t.Error("owner's cluster-forward record has no Parent; the forward span id was lost")
+			}
+		}
+	}
+	if forwardRecords != 1 {
+		t.Errorf("owner served %d cluster-forward records, want 1", forwardRecords)
 	}
 
 	resp2, err := http.Get("http://" + owner.Addr + "/internal/trace/no-such-trace")
@@ -380,7 +394,7 @@ func TestClusterBackgroundTraces(t *testing.T) {
 	for _, sp := range nt.Spans {
 		if sp.Name == "replicate-push" {
 			found = true
-			if sp.EndUnixNano < sp.StartUnixNano {
+			if sp.End.Before(sp.Start) {
 				t.Error("replicate-push span ends before it starts")
 			}
 		}

@@ -63,7 +63,7 @@ func (n *Node) replicateKey(key string, res *server.JobResult) {
 			continue
 		}
 		t0 := time.Now()
-		err := n.pushEntry(p, key, res, obs.TraceContext{TraceID: trace}, rpcReplicaPut)
+		err := n.pushEntry(p, key, res, rpcReplicaPut)
 		n.recordRoundSpan(trace, "replicate-push", t0, time.Now(),
 			spanAttrs(p, "digest", fmt.Sprintf("%.12s", key), "ok", err == nil))
 		if err != nil {
@@ -114,10 +114,10 @@ func (n *Node) replicaSetHas(ring *Ring, key string, id int) bool {
 // pushEntry PUTs one cached result to a peer — the shared transport of
 // replication, hinted-handoff drains, decommission pushes, and
 // anti-entropy repair. Both legs are charged to the modeled network;
-// the caller says which purpose (rpc label) and round trace the wire
-// call belongs to, which is what keeps the three background subsystems
-// separable in the gpmetisd_cluster_rpc_* series.
-func (n *Node) pushEntry(p Peer, key string, res *server.JobResult, tc obs.TraceContext, rpc string) error {
+// the caller says which purpose (rpc label) the wire call serves, which
+// is what keeps the three background subsystems separable in the
+// gpmetisd_cluster_rpc_* series.
+func (n *Node) pushEntry(p Peer, key string, res *server.JobResult, rpc string) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return err
@@ -129,7 +129,7 @@ func (n *Node) pushEntry(p Peer, key string, res *server.JobResult, tc obs.Trace
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.doRPC(n.client, p, rpc, tc, req)
+	resp, err := n.doRPC(n.client, p, rpc, req)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func (n *Node) consultReplicas(key string, succs []Peer, i int) (*server.JobResu
 		if h := n.peerHealth(q.ID); h != nil && h.down() {
 			continue
 		}
-		res, found, err := n.peekRemote(q, key, trace)
+		res, found, err := n.peekRemote(q, key)
 		if err != nil {
 			n.strikePeer(q, "replica peek: "+err.Error())
 			continue

@@ -24,7 +24,7 @@ type fwdInfo struct {
 	traceID    string
 	spanID     int64
 	sentAt     time.Time
-	rtt        float64
+	rtt        time.Duration
 	netSeconds float64
 }
 
@@ -61,8 +61,7 @@ func (n *Node) fetchRemoteTrace(fi fwdInfo) (*server.NodeTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc := obs.TraceContext{TraceID: fi.traceID, SpanID: fi.spanID}
-	resp, err := n.doRPC(n.client, fi.peer, rpcTraceFetch, tc, req)
+	resp, err := n.doRPC(n.client, fi.peer, rpcTraceFetch, req)
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +86,16 @@ func (n *Node) fetchRemoteTrace(fi fwdInfo) (*server.NodeTrace, error) {
 //
 //	pid 1  this entry node — the cluster-forward span (start = the
 //	       forward's send instant, duration = its measured RTT)
-//	pid 2  the owning node's service lifecycle spans
+//	pid 2  the owning node's service lifecycle spans, each parented
+//	       under the forward span by the trace context the forward
+//	       carried
 //	pid 3  the owning node's modeled partition sub-trace (if it ran)
 //
-// Clock alignment: the two nodes' wall clocks need not agree, so
-// remote timestamps are re-anchored via the RPC envelope — the owner's
-// local trace origin (its job-submission instant) is placed at
+// Clock alignment: the two nodes' wall clocks need not agree, so the
+// owner's local trace origin (its job-submission instant) is placed at
 // sentAt + rtt/2 on the entry node's clock, the midpoint estimate of
-// when the forward arrived. Remote lifecycle spans that carry no
-// parent of their own are parented under the entry node's forward
-// span, which is what makes the document one tree. Returns false
-// (nothing written) when the remote fetch fails, so the caller can
-// fall back to a plain proxy.
+// when the forward arrived. Returns false (nothing written) when the
+// remote fetch fails, so the caller can fall back to a plain proxy.
 func (n *Node) stitchForwardedTrace(w http.ResponseWriter, fi fwdInfo) bool {
 	nt, err := n.fetchRemoteTrace(fi)
 	if err != nil {
@@ -108,67 +105,27 @@ func (n *Node) stitchForwardedTrace(w http.ResponseWriter, fi fwdInfo) bool {
 	}
 	n.clearStrikes(fi.peer)
 
-	events := []obs.ChromeEvent{
-		obs.ProcessNameEvent(1, fmt.Sprintf("node %d (%s)", n.self.ID, n.self.Addr)),
-		obs.ThreadNameEvent(1, 0, "cluster"),
-		{
-			Name: "cluster-forward",
-			Cat:  "cluster",
-			Ph:   "X",
-			Ts:   0,
-			Dur:  fi.rtt * 1e6,
-			Pid:  1,
-			Tid:  0,
-			Args: map[string]any{
-				"span": fi.spanID, "trace_id": fi.traceID, "job_id": nt.JobID,
-				"to": fi.peer.ID, "to_addr": fi.peer.Addr,
-				"rtt_seconds": fi.rtt, "net_modeled_seconds": fi.netSeconds,
-				"node": strconv.Itoa(n.self.ID),
-			},
+	forward := obs.SpanRecord{
+		Span:  fi.spanID,
+		Name:  "cluster-forward",
+		Start: fi.sentAt,
+		End:   fi.sentAt.Add(fi.rtt),
+		Attrs: map[string]any{
+			"to": fi.peer.ID, "to_addr": fi.peer.Addr,
+			"rtt_seconds": fi.rtt.Seconds(), "net_modeled_seconds": fi.netSeconds,
 		},
 	}
-
-	// The owner's local origin lands at the forward's RTT midpoint on
-	// this node's clock; everything remote shifts by the same offset.
-	alignUS := fi.rtt / 2 * 1e6
-	events = append(events,
-		obs.ProcessNameEvent(2, fmt.Sprintf("node %s (%s)", nt.NodeID, nt.Addr)),
-		obs.ThreadNameEvent(2, 0, "lifecycle"),
-	)
-	for _, sp := range nt.Spans {
-		args := map[string]any{
-			"span": sp.Span, "trace_id": fi.traceID, "job_id": nt.JobID, "node": nt.NodeID,
-		}
-		for k, v := range sp.Attrs {
-			args[k] = v
-		}
-		if _, ok := args["parent"]; !ok {
-			args["parent"] = fi.spanID
-		}
-		startUS := float64(sp.StartUnixNano-nt.AnchorUnixNano) / 1e3
-		events = append(events, obs.ChromeEvent{
-			Name: sp.Name,
-			Cat:  "service",
-			Ph:   "X",
-			Ts:   alignUS + startUS,
-			Dur:  float64(sp.EndUnixNano-sp.StartUnixNano) / 1e3,
-			Pid:  2,
-			Tid:  0,
-			Args: args,
-		})
-	}
-
-	if len(nt.Modeled) > 0 {
-		events = append(events, obs.ProcessNameEvent(3,
-			fmt.Sprintf("node %s partition (modeled clock)", nt.NodeID)))
-		for _, ev := range nt.Modeled {
-			ev.Pid = 3
-			if ev.Ph == "X" {
-				ev.Ts += alignUS
-			}
-			events = append(events, ev)
-		}
-	}
+	events := append([]obs.ChromeEvent{
+		obs.ProcessNameEvent(1, fmt.Sprintf("node %d (%s)", n.self.ID, n.self.Addr)),
+		obs.ThreadNameEvent(1, 0, "cluster"),
+	}, obs.WallEvents([]obs.SpanRecord{forward}, 1, "cluster", fi.sentAt, map[string]any{
+		"trace_id": fi.traceID, "job_id": nt.JobID, "node": strconv.Itoa(n.self.ID),
+	})...)
+	origin := nt.Anchor.Add(-fi.rtt / 2)
+	events = append(events, nt.ChromeEvents(2,
+		fmt.Sprintf("node %s (%s)", nt.NodeID, nt.Addr),
+		fmt.Sprintf("node %s partition (modeled clock)", nt.NodeID),
+		origin, map[string]any{"node": nt.NodeID})...)
 
 	w.Header().Set("Content-Type", "application/json")
 	obs.WriteChromeJSON(w, events)

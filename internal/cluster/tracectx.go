@@ -174,18 +174,11 @@ func (n *Node) nextSpanID() int64 {
 }
 
 // doRPC is the single door every internode HTTP call goes through: it
-// stamps the X-Gpmetis-Trace header from tc (filling the send-time wall
-// stamp if unset), tracks the in-flight gauge, times the call with the
-// real wall clock, and folds the outcome into the per-peer × per-RPC
-// histograms. Transport errors and 5xx answers count as errors; 4xx
-// answers (a peek miss's 404, say) are successful RPCs.
-func (n *Node) doRPC(client *http.Client, p Peer, rpc string, tc obs.TraceContext, req *http.Request) (*http.Response, error) {
-	if tc.TraceID != "" {
-		if tc.WallUnixNano == 0 {
-			tc.WallUnixNano = time.Now().UnixNano()
-		}
-		req.Header.Set(obs.TraceHeader, obs.EncodeTraceContext(tc))
-	}
+// tracks the in-flight gauge, times the call with the real wall clock,
+// and folds the outcome into the per-peer × per-RPC histograms.
+// Transport errors and 5xx answers count as errors; 4xx answers (a peek
+// miss's 404, say) are successful RPCs.
+func (n *Node) doRPC(client *http.Client, p Peer, rpc string, req *http.Request) (*http.Response, error) {
 	n.rpc.inflight.Add(1)
 	t0 := time.Now()
 	resp, err := client.Do(req)
@@ -211,10 +204,10 @@ func spanAttrs(p Peer, kvs ...any) map[string]any {
 // round.
 func (n *Node) recordRoundSpan(traceID, name string, start, end time.Time, attrs map[string]any) {
 	n.spans.Append(traceID, obs.SpanRecord{
-		Span:          n.nextSpanID(),
-		Name:          name,
-		StartUnixNano: start.UnixNano(),
-		EndUnixNano:   end.UnixNano(),
-		Attrs:         attrs,
+		Span:  n.nextSpanID(),
+		Name:  name,
+		Start: start,
+		End:   end,
+		Attrs: attrs,
 	})
 }

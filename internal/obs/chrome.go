@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"time"
 )
 
 // ChromeEvent is one entry of the Chrome trace_event format (the JSON
@@ -44,6 +45,44 @@ func WriteChromeJSON(w io.Writer, events []ChromeEvent) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeTrace{DisplayTimeUnit: "ms", TraceEvents: events})
+}
+
+// WallEvents renders wall-clock span records as complete ("X") events
+// on one pid row (tid 0), timestamps in microseconds after origin. Each
+// event's args are the span id, its parent when set, then args (the
+// correlation ids every span on the row shares), then the span's own
+// attrs. It is the only renderer of wall spans: a job's local trace and
+// the ring's stitched trace both go through it.
+func WallEvents(spans []SpanRecord, pid int, cat string, origin time.Time, args map[string]any) []ChromeEvent {
+	events := make([]ChromeEvent, 0, len(spans))
+	for _, sp := range spans {
+		a := map[string]any{"span": sp.Span}
+		if sp.Parent != 0 {
+			a["parent"] = sp.Parent
+		}
+		for k, v := range args {
+			a[k] = v
+		}
+		for k, v := range sp.Attrs {
+			a[k] = v
+		}
+		events = append(events, ChromeEvent{
+			Name: sp.Name,
+			Cat:  cat,
+			Ph:   "X",
+			Ts:   WallUS(origin, sp.Start),
+			Dur:  WallUS(sp.Start, sp.End),
+			Pid:  pid,
+			Args: a,
+		})
+	}
+	return events
+}
+
+// WallUS converts a wall instant to microseconds after origin, the
+// Chrome trace clock of wall-span rows.
+func WallUS(origin, t time.Time) float64 {
+	return float64(t.Sub(origin)) / float64(time.Microsecond)
 }
 
 // TraceEvents renders the tracer's spans as complete ("X") events under

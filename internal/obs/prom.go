@@ -46,18 +46,12 @@ type PromHistogram struct {
 
 // WritePrometheus renders the registry — every counter as an untimestamped
 // gauge, every histogram in cumulative le-bucket form — plus the extra
-// samples, in the Prometheus text exposition format (version 0.0.4).
-// Metric names get the ns prefix ("gpmetisd_") and are sanitized to the
-// legal charset; output order is deterministic: counters sorted by name,
-// then histograms sorted by name, then extras in the given order.
-func WritePrometheus(w io.Writer, r *Registry, ns string, extra []PromSample) error {
-	return WritePrometheusFull(w, r, ns, extra, nil)
-}
-
-// WritePrometheusFull is WritePrometheus plus extra labeled histograms,
-// rendered after the registry's own histograms and before the extra
-// samples.
-func WritePrometheusFull(w io.Writer, r *Registry, ns string, extra []PromSample, hists []PromHistogram) error {
+// labeled histograms and samples, in the Prometheus text exposition
+// format (version 0.0.4). Metric names get the ns prefix ("gpmetisd_")
+// and are sanitized to the legal charset; output order is deterministic:
+// counters sorted by name, then the registry's histograms sorted by
+// name, then hists, then extra, each in the given order.
+func WritePrometheus(w io.Writer, r *Registry, ns string, extra []PromSample, hists []PromHistogram) error {
 	var b strings.Builder
 	for _, name := range r.Names() {
 		mn := sanitizeMetricName(ns + name)

@@ -71,7 +71,7 @@ func TestNilRegistryHistogramsSafe(t *testing.T) {
 func scrape(t *testing.T, r *Registry, extra []PromSample) string {
 	t.Helper()
 	var b strings.Builder
-	if err := WritePrometheus(&b, r, "test_", extra); err != nil {
+	if err := WritePrometheus(&b, r, "test_", extra, nil); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

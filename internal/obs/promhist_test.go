@@ -10,7 +10,7 @@ import (
 func scrapeFull(t *testing.T, r *Registry, extra []PromSample, hists []PromHistogram) string {
 	t.Helper()
 	var b strings.Builder
-	if err := WritePrometheusFull(&b, r, "test_", extra, hists); err != nil {
+	if err := WritePrometheus(&b, r, "test_", extra, hists); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

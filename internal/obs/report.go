@@ -69,26 +69,6 @@ func WriteMetricsJSON(w io.Writer, t *Tracer, extra map[string]any) error {
 	return enc.Encode(BuildMetricsReport(t, extra))
 }
 
-// WriteRegistryJSON writes a bare Registry snapshot — counters plus
-// caller-provided gauges, merged with the counters winning no conflicts
-// (extra overrides) — as indented JSON. Long-lived processes (the
-// partition-serving daemon) use it for metrics endpoints that outlive any
-// single run's tracer.
-func WriteRegistryJSON(w io.Writer, r *Registry, extra map[string]float64) error {
-	out := r.Snapshot()
-	if out == nil {
-		out = map[string]float64{}
-	}
-	for k, v := range extra {
-		out[k] = v
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(struct {
-		Counters map[string]float64 `json:"counters"`
-	}{out})
-}
-
 // Level-span naming convention shared by the pipeline instrumentation and
 // the per-level report.
 const (

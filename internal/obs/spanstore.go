@@ -5,17 +5,21 @@ import (
 	"time"
 )
 
-// SpanRecord is one wall-clock span as stored and shipped between
-// nodes: a span id unique within its trace, a name, start/end stamps
-// in Unix nanoseconds (the owning node's clock — the stitcher aligns
-// clocks, the store does not), and free-form attributes.
+// SpanRecord is one closed wall-clock span: a job's lifecycle stage, a
+// background round's per-peer transfer, or a ring forward. It is the
+// one wall-span form the service and cluster tiers store, ship between
+// nodes at GET /internal/trace/{trace_id}, and render with WallEvents.
+// Span is unique within its trace; Parent, when nonzero, is the span
+// that caused this one, possibly on another node. Start and End are on
+// the recording node's clock — the stitcher aligns clocks, the record
+// does not.
 type SpanRecord struct {
-	Span          int64          `json:"span"`
-	Parent        int64          `json:"parent,omitempty"`
-	Name          string         `json:"name"`
-	StartUnixNano int64          `json:"start_unix_nano"`
-	EndUnixNano   int64          `json:"end_unix_nano"`
-	Attrs         map[string]any `json:"attrs,omitempty"`
+	Span   int64          `json:"span"`
+	Parent int64          `json:"parent,omitempty"`
+	Name   string         `json:"name"`
+	Start  time.Time      `json:"start"`
+	End    time.Time      `json:"end"`
+	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
 // StoredTrace is the per-trace unit of the span store: every span a
@@ -24,7 +28,6 @@ type SpanRecord struct {
 type StoredTrace struct {
 	TraceID string       `json:"trace_id"`
 	Spans   []SpanRecord `json:"spans"`
-	stored  time.Time
 }
 
 // SpanStore is a bounded per-node store of background-traffic traces,
@@ -69,7 +72,7 @@ func (s *SpanStore) Append(traceID string, spans ...SpanRecord) {
 			s.order = s.order[1:]
 			delete(s.traces, oldest)
 		}
-		t = &StoredTrace{TraceID: traceID, stored: time.Now()}
+		t = &StoredTrace{TraceID: traceID}
 		s.traces[traceID] = t
 		s.order = append(s.order, traceID)
 	}

@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"strings"
 	"time"
 )
 
@@ -23,82 +21,4 @@ func NewTraceID() string {
 		binary.BigEndian.PutUint64(b[8:], now^0x9e3779b97f4a7c15)
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// TraceHeader is the internode trace-context header, the ring's
-// equivalent of W3C traceparent. Every RPC a node makes to a peer —
-// job forward, cache peek, replica PUT, hint drain, anti-entropy
-// summary, health probe, membership announce, status fan-out — carries
-// it, so cross-node causality is reconstructible from either side.
-const TraceHeader = "X-Gpmetis-Trace"
-
-// TraceContext is the decoded form of the header: which trace the RPC
-// belongs to, the caller-side span that issued it (0 = no span), and
-// the caller's wall clock at send time. The wall stamp is what lets
-// the receiver — and later the stitcher — align two nodes' clocks
-// without assuming they agree.
-type TraceContext struct {
-	TraceID      string
-	SpanID       int64
-	WallUnixNano int64
-}
-
-// EncodeTraceContext renders the context in the traceparent idiom:
-//
-//	00-<trace_id>-<span_id:hex16>-<wall_unix_nano:hex16>
-//
-// The leading 00 is a version byte for forward compatibility. TraceID
-// is carried verbatim (ours are 32-hex, but recovered- prefixed ids
-// survive too: the format is dash-delimited from the right).
-func EncodeTraceContext(tc TraceContext) string {
-	return fmt.Sprintf("00-%s-%016x-%016x", tc.TraceID, uint64(tc.SpanID), uint64(tc.WallUnixNano))
-}
-
-// ParseTraceContext decodes a header value. It is tolerant: the trace
-// id may itself contain dashes (recovered- ids do), so the span and
-// wall fields are taken from the right. A malformed value returns
-// ok=false rather than an error — tracing is best-effort and must
-// never fail an RPC.
-func ParseTraceContext(s string) (TraceContext, bool) {
-	parts := strings.Split(s, "-")
-	if len(parts) < 4 || parts[0] != "00" {
-		return TraceContext{}, false
-	}
-	wallHex := parts[len(parts)-1]
-	spanHex := parts[len(parts)-2]
-	traceID := strings.Join(parts[1:len(parts)-2], "-")
-	if traceID == "" {
-		return TraceContext{}, false
-	}
-	span, err := parseHex64(spanHex)
-	if err != nil {
-		return TraceContext{}, false
-	}
-	wall, err := parseHex64(wallHex)
-	if err != nil {
-		return TraceContext{}, false
-	}
-	return TraceContext{TraceID: traceID, SpanID: span, WallUnixNano: wall}, true
-}
-
-func parseHex64(s string) (int64, error) {
-	if len(s) == 0 || len(s) > 16 {
-		return 0, fmt.Errorf("obs: bad hex64 %q", s)
-	}
-	var v uint64
-	for _, c := range s {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("obs: bad hex64 %q", s)
-		}
-		v = v<<4 | d
-	}
-	return int64(v), nil
 }

@@ -22,39 +22,6 @@ func TestNewTraceIDShapeAndUniqueness(t *testing.T) {
 	}
 }
 
-func TestTraceContextRoundTrip(t *testing.T) {
-	tc := TraceContext{TraceID: NewTraceID(), SpanID: 2_000_042, WallUnixNano: 1754640000123456789}
-	got, ok := ParseTraceContext(EncodeTraceContext(tc))
-	if !ok {
-		t.Fatalf("round trip failed to parse %q", EncodeTraceContext(tc))
-	}
-	if got != tc {
-		t.Errorf("round trip: got %+v, want %+v", got, tc)
-	}
-}
-
-// Recovered jobs carry a "recovered-" prefix with a dash inside the
-// trace id; the parser anchors on the right so such ids survive.
-func TestTraceContextDashedTraceID(t *testing.T) {
-	tc := TraceContext{TraceID: "recovered-" + NewTraceID(), SpanID: 7, WallUnixNano: 99}
-	got, ok := ParseTraceContext(EncodeTraceContext(tc))
-	if !ok || got.TraceID != tc.TraceID {
-		t.Fatalf("dashed trace id did not survive the header: ok=%v got=%q want=%q",
-			ok, got.TraceID, tc.TraceID)
-	}
-}
-
-func TestParseTraceContextRejectsGarbage(t *testing.T) {
-	for _, s := range []string{
-		"", "00", "00-abc", "01-abc-0000000000000001-0000000000000002",
-		"00-abc-zzzz-0000000000000002", "junk",
-	} {
-		if _, ok := ParseTraceContext(s); ok {
-			t.Errorf("ParseTraceContext(%q) accepted garbage", s)
-		}
-	}
-}
-
 func TestSpanStoreBoundsAndEviction(t *testing.T) {
 	s := NewSpanStore(3)
 	for i, id := range []string{"a", "b", "c", "d"} {

@@ -1,0 +1,77 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"testing"
+
+	"gpmetis/internal/graph/gio"
+)
+
+// FuzzSubmitRequest runs arbitrary POST /jobs bodies through the
+// handler's path before Submit: JSON decode, then resolveRequest. It
+// must never panic, and every rejection must be a *requestError, the
+// class handleSubmit answers with 400. Accepted requests must describe
+// a runnable job.
+func FuzzSubmitRequest(f *testing.F) {
+	// The graph readers allocate by header count before any adjacency
+	// line is read; lower the caps, as the reader fuzz targets do, so a
+	// mutated header cannot allocate gigabytes on the fuzzing host.
+	oldV, oldE := gio.MaxVertices, gio.MaxEdges
+	gio.MaxVertices, gio.MaxEdges = 1<<12, 1<<14
+	f.Cleanup(func() { gio.MaxVertices, gio.MaxEdges = oldV, oldE })
+
+	const tri = `3 3\n2 3\n1 3\n1 2\n`
+	for _, seed := range []string{
+		`{"graph":"` + tri + `","k":2}`,
+		`{"graph":"` + tri + `","k":3,"algo":"mt","seed":7,"ub":1.1,"merge":"sort","threads":2}`,
+		`{"graph":"p sp 2 1\na 1 2 4\na 2 1 4\n","format":"gr","k":2,"no_cache":true}`,
+		`{"graph":"` + tri + `","k":2,"faults":"gpu.memcap:cap=300K","fault_seed":3,"degrade":true}`,
+		`{"graph":"` + tri + `","k":2,"forwarded_by":"127.0.0.1:1","forward_trace_id":"ab","forward_span_id":2000001}`,
+		`{"graph":"` + tri + `","k":2,"tenant":"t","deadline_ms":5,"profile":true,"verify":true}`,
+		// Known-rejected shapes, to seed the error paths.
+		`{}`,
+		`{"graph":"` + tri + `","k":0}`,
+		`{"graph":"` + tri + `","k":4}`,
+		`{"graph":"` + tri + `","k":2,"algo":"kahip"}`,
+		`{"graph":"` + tri + `","k":2,"format":"xml"}`,
+		`{"graph":"` + tri + `","k":2,"ub":0.5}`,
+		`{"graph":"` + tri + `","k":2,"merge":"zip"}`,
+		`{"graph":"` + tri + `","k":2,"faults":"nosuch.site:p=2"}`,
+		`{"graph":"2 1\n3\n1\n","k":1}`,
+		`{"graph":"999999999 0\n","k":1}`,
+		`{"graph":"` + tri + `","k":-9223372036854775808}`,
+		`[1,2]`,
+		`"graph"`,
+		`{"k":1e400}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 64<<10 {
+			return
+		}
+		var req SubmitRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			return // handleSubmit answers "bad JSON" with 400
+		}
+		j, err := resolveRequest(&req)
+		if err != nil {
+			var re *requestError
+			if !errors.As(err, &re) {
+				t.Fatalf("rejection %T (%v) is not a request error; handleSubmit would not answer it as a 400 bad_request", err, err)
+			}
+			return
+		}
+		if n := j.g.NumVertices(); j.k < 1 || j.k > n {
+			t.Fatalf("accepted k=%d for a %d-vertex graph", j.k, n)
+		}
+		if verr := j.g.Validate(); verr != nil {
+			t.Fatalf("accepted an invalid graph: %v", verr)
+		}
+		if (j.key == "") != req.NoCache {
+			t.Fatalf("cache key %q does not match no_cache=%v", j.key, req.NoCache)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"gpmetis"
 	"gpmetis/internal/graph"
 	"gpmetis/internal/graph/gio"
+	"gpmetis/internal/obs"
 )
 
 // Job is one accepted partition request moving through the queue and the
@@ -64,10 +65,13 @@ type Job struct {
 	// traceID correlates logs, lifecycle events, and the merged trace;
 	// submittedAt anchors the wall clock of the job's lifecycle spans,
 	// runStartAt the modeled sub-trace's position within them.
+	// forwardSpan, set on a ring-forwarded job, is the entry node's
+	// cluster-forward span, the parent of every lifecycle span.
 	traceID     string
 	submittedAt time.Time
 	runStartAt  time.Time
-	lifeSpans   []LifeSpan
+	forwardSpan int64
+	lifeSpans   []obs.SpanRecord
 
 	done chan struct{} // closed on any terminal state
 }
@@ -221,12 +225,12 @@ func (j *Job) TraceID() string {
 	return j.traceID
 }
 
-// LifeSpans exposes the job's lifecycle spans and clock anchors to the
-// cluster tier, which serializes them at GET /internal/trace/{trace_id}
-// so an entry node can stitch this node's view of a forwarded job into
-// one distributed trace.
-func (j *Job) LifeSpans() (spans []LifeSpan, submitted, runStart time.Time) {
-	return j.lifeSnapshot()
+// LifeSpans copies the job's lifecycle spans and its two clock
+// anchors: the submission instant and the run's start.
+func (j *Job) LifeSpans() (spans []obs.SpanRecord, submitted, runStart time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return append([]obs.SpanRecord(nil), j.lifeSpans...), j.submittedAt, j.runStartAt
 }
 
 // Tracer returns the job's tracer (the original run's tracer for cache

@@ -32,28 +32,20 @@ const (
 	lifeClusterForward = "cluster-forward"
 )
 
-// LifeSpan is one wall-clock span of a job's service lifecycle, the
-// service-tier counterpart of the modeled-clock obs.Span. Spans are
-// recorded closed (start and end known) and serialized into the merged
-// Chrome trace at GET /jobs/{id}/trace.
-type LifeSpan struct {
-	Name       string
-	Start, End time.Time
-	Attrs      map[string]any
-}
-
-// addLifeSpan appends one closed lifecycle span to the job.
+// addLifeSpan appends one closed lifecycle span to the job. Spans are
+// numbered from lifeSpanIDBase in recording order; a ring-forwarded
+// job's spans parent under the entry node's cluster-forward span.
 func (j *Job) addLifeSpan(name string, start, end time.Time, attrs map[string]any) {
 	j.mu.Lock()
-	j.lifeSpans = append(j.lifeSpans, LifeSpan{Name: name, Start: start, End: end, Attrs: attrs})
+	j.lifeSpans = append(j.lifeSpans, obs.SpanRecord{
+		Span:   lifeSpanIDBase + int64(len(j.lifeSpans)),
+		Parent: j.forwardSpan,
+		Name:   name,
+		Start:  start,
+		End:    end,
+		Attrs:  attrs,
+	})
 	j.mu.Unlock()
-}
-
-// lifeSnapshot copies the job's lifecycle spans and clock anchors.
-func (j *Job) lifeSnapshot() (spans []LifeSpan, submitted, runStart time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]LifeSpan(nil), j.lifeSpans...), j.submittedAt, j.runStartAt
 }
 
 // markRunStart stamps the wall-clock instant the partition run began,
@@ -117,7 +109,7 @@ func (s *Server) tracedEvent(typ, trace, detail string) {
 func (s *Server) observeTerminal(j *Job) {
 	st := j.Status()
 	now := time.Now()
-	_, submitted, _ := j.lifeSnapshot()
+	_, submitted, _ := j.LifeSpans()
 	var total float64
 	if !submitted.IsZero() {
 		total = now.Sub(submitted).Seconds()
@@ -224,127 +216,82 @@ func (s *Server) finishDrain(drained, aborted int) {
 // daemon's SIGQUIT post-mortem artifact.
 func (s *Server) DumpEvents(w io.Writer) error { return s.events.Dump(w) }
 
-// wallUS converts a wall instant to microseconds after base, the merged
-// trace's clock.
-func wallUS(base, t time.Time) float64 { return float64(t.Sub(base)) / float64(time.Microsecond) }
-
 // lifeSpanIDBase keeps service span IDs disjoint from the modeled
 // tracer's span IDs inside one merged document.
 const lifeSpanIDBase = 1_000_000
 
-// NodeTraceForJob renders this node's view of a job as a NodeTrace —
-// the unit a peer fetches at GET /internal/trace/{trace_id} to stitch
-// a forwarded job's remote half into the entry node's document. Span
-// ids match writeJobTrace's (lifeSpanIDBase+i) and the modeled Chrome
-// events are pre-rendered with service_parent pointing at this node's
-// run span; timestamps stay on this node's clock, the stitcher aligns.
-func (s *Server) NodeTraceForJob(j *Job) NodeTrace {
-	spans, submitted, runStart := j.lifeSnapshot()
-	st := j.Status()
-	nt := NodeTrace{NodeID: s.nodeID(), TraceID: st.TraceID, JobID: st.ID}
-	base := submitted
-	if base.IsZero() && len(spans) > 0 {
-		base = spans[0].Start
-	}
-	if !base.IsZero() {
-		nt.AnchorUnixNano = base.UnixNano()
-	}
-	parentID := int64(0)
-	for i, sp := range spans {
-		id := int64(lifeSpanIDBase + i)
-		switch sp.Name {
-		case lifeRun:
-			parentID = id
-		case lifeCacheLook:
-			if parentID == 0 {
-				parentID = id
-			}
+// serviceParent is the lifecycle span the modeled sub-trace hangs
+// under: the run span, or the cache-lookup span on a cache hit (whose
+// modeled spans are the original run's). Zero when neither exists yet.
+func serviceParent(spans []obs.SpanRecord) int64 {
+	var id int64
+	for _, sp := range spans {
+		switch {
+		case sp.Name == lifeRun:
+			return sp.Span
+		case sp.Name == lifeCacheLook && id == 0:
+			id = sp.Span
 		}
-		nt.Spans = append(nt.Spans, obs.SpanRecord{
-			Span:          id,
-			Name:          sp.Name,
-			StartUnixNano: sp.Start.UnixNano(),
-			EndUnixNano:   sp.End.UnixNano(),
-			Attrs:         sp.Attrs,
-		})
+	}
+	return id
+}
+
+// NodeTraceForJob renders this node's view of a job as a NodeTrace: its
+// lifecycle spans, the clock anchor (job submission), and the modeled
+// Chrome events pre-rendered with service_parent pointing at this
+// node's run span. It is both the source of the job's own trace
+// document and the unit a peer fetches at GET /internal/trace/{trace_id}
+// to stitch a forwarded job's remote half; timestamps stay on this
+// node's clock, the stitcher aligns.
+func (s *Server) NodeTraceForJob(j *Job) NodeTrace {
+	spans, submitted, runStart := j.LifeSpans()
+	st := j.Status()
+	nt := NodeTrace{NodeID: s.nodeID(), TraceID: st.TraceID, JobID: st.ID, Anchor: submitted, Spans: spans}
+	if nt.Anchor.IsZero() && len(spans) > 0 {
+		nt.Anchor = spans[0].Start
 	}
 	if t := j.Tracer(); t != nil {
 		offset := 0.0
-		if !runStart.IsZero() && !base.IsZero() {
-			offset = wallUS(base, runStart)
+		if !runStart.IsZero() && !nt.Anchor.IsZero() {
+			offset = obs.WallUS(nt.Anchor, runStart)
 		}
 		rootArgs := map[string]any{"job_id": st.ID, "trace_id": st.TraceID}
-		if parentID != 0 {
-			rootArgs["service_parent"] = parentID
+		if p := serviceParent(spans); p != 0 {
+			rootArgs["service_parent"] = p
 		}
 		nt.Modeled = obs.TraceEvents(t, 2, offset, rootArgs)
 	}
 	return nt
 }
 
-// writeJobTrace serializes the job's merged timeline as one Chrome
-// trace_event document with two process rows:
-//
-//	pid 1 "service (wall clock)"     — the lifecycle spans, microseconds
-//	                                   since admission
-//	pid 2 "partition (modeled clock)" — the run's modeled span tree,
-//	                                   shifted to start at the run span's
-//	                                   wall offset
-//
-// Every modeled root span's args carry service_parent — the ID of the
-// lifecycle span that caused it (the run span, or the cache-lookup span
-// for cache hits, whose trace is the original run's) — so one document
-// shows HTTP-to-kernel causality.
-func writeJobTrace(w io.Writer, j *Job) error {
-	spans, submitted, runStart := j.lifeSnapshot()
-	st := j.Status()
-
-	events := []obs.ChromeEvent{
-		obs.ProcessNameEvent(1, "service (wall clock)"),
-		obs.ThreadNameEvent(1, 0, "lifecycle"),
+// ChromeEvents renders the node trace on two process rows: the
+// lifecycle spans on pid (named name, one "lifecycle" thread) and, when
+// the job has a modeled sub-trace, that sub-trace on pid+1 (named
+// modeledName). Timestamps are microseconds after origin on this node's
+// clock: the job's own document passes the anchor, the stitcher the
+// instant that lands the anchor at the forward's RTT midpoint on the
+// entry node's clock. Every lifecycle span's args carry the job and
+// trace ids, plus args.
+func (nt *NodeTrace) ChromeEvents(pid int, name, modeledName string, origin time.Time, args map[string]any) []obs.ChromeEvent {
+	common := map[string]any{"job_id": nt.JobID, "trace_id": nt.TraceID}
+	for k, v := range args {
+		common[k] = v
 	}
-	base := submitted
-	if base.IsZero() && len(spans) > 0 {
-		base = spans[0].Start
+	events := append([]obs.ChromeEvent{
+		obs.ProcessNameEvent(pid, name),
+		obs.ThreadNameEvent(pid, 0, "lifecycle"),
+	}, obs.WallEvents(nt.Spans, pid, "service", origin, common)...)
+	if len(nt.Modeled) == 0 {
+		return events
 	}
-	parentID := int64(0)
-	for i, sp := range spans {
-		id := int64(lifeSpanIDBase + i)
-		switch sp.Name {
-		case lifeRun:
-			parentID = id
-		case lifeCacheLook:
-			if parentID == 0 {
-				parentID = id
-			}
+	shift := obs.WallUS(origin, nt.Anchor)
+	events = append(events, obs.ProcessNameEvent(pid+1, modeledName))
+	for _, ev := range nt.Modeled {
+		ev.Pid = pid + 1
+		if ev.Ph == "X" {
+			ev.Ts += shift
 		}
-		args := map[string]any{"span": id, "job_id": st.ID, "trace_id": st.TraceID}
-		for k, v := range sp.Attrs {
-			args[k] = v
-		}
-		events = append(events, obs.ChromeEvent{
-			Name: sp.Name,
-			Cat:  "service",
-			Ph:   "X",
-			Ts:   wallUS(base, sp.Start),
-			Dur:  wallUS(sp.Start, sp.End),
-			Pid:  1,
-			Tid:  0,
-			Args: args,
-		})
+		events = append(events, ev)
 	}
-
-	if t := j.Tracer(); t != nil {
-		offset := 0.0
-		if !runStart.IsZero() {
-			offset = wallUS(base, runStart)
-		}
-		rootArgs := map[string]any{"job_id": st.ID, "trace_id": st.TraceID}
-		if parentID != 0 {
-			rootArgs["service_parent"] = parentID
-		}
-		events = append(events, obs.ProcessNameEvent(2, "partition (modeled clock)"))
-		events = append(events, obs.TraceEvents(t, 2, offset, rootArgs)...)
-	}
-	return obs.WriteChromeJSON(w, events)
+	return events
 }

@@ -436,17 +436,6 @@ func TestOpsEndpoints(t *testing.T) {
 		t.Errorf("healthz observability fields = %+v", health)
 	}
 
-	// /metrics.json must be JSON-typed (it long served text/plain).
-	resp, err = http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("/metrics.json Content-Type = %q, want application/json", ct)
-	}
-
 	// /metrics: the SLO series and the lifecycle histogram are exposed.
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {

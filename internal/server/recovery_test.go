@@ -209,19 +209,19 @@ func TestRestartRecovery(t *testing.T) {
 	check("j000097", exp97, false) // mismatched snapshot dropped, rerun
 
 	m := httpMetrics(t, ts2.URL)
-	if m["jobs.readmitted"] != 3 {
-		t.Errorf("jobs.readmitted = %v, want 3", m["jobs.readmitted"])
+	if m("jobs.readmitted") != 3 {
+		t.Errorf("jobs.readmitted = %v, want 3", m("jobs.readmitted"))
 	}
-	if m["jobs.resumed"] != 2 {
+	if m("jobs.resumed") != 2 {
 		// j000097's snapshot parses (it is a valid file for the wrong
 		// graph), so it counts as resumed until the run rejects it.
-		t.Errorf("jobs.resumed = %v, want 2", m["jobs.resumed"])
+		t.Errorf("jobs.resumed = %v, want 2", m("jobs.resumed"))
 	}
-	if m["checkpoint.rejected"] != 1 {
-		t.Errorf("checkpoint.rejected = %v, want 1", m["checkpoint.rejected"])
+	if m("checkpoint.rejected") != 1 {
+		t.Errorf("checkpoint.rejected = %v, want 1", m("checkpoint.rejected"))
 	}
-	if m["jobs.recovered_results"] != 1 {
-		t.Errorf("jobs.recovered_results = %v, want 1", m["jobs.recovered_results"])
+	if m("jobs.recovered_results") != 1 {
+		t.Errorf("jobs.recovered_results = %v, want 1", m("jobs.recovered_results"))
 	}
 	// Terminal checkpoints must not linger.
 	for _, id := range []string{"j000097", "j000098", "j000099"} {
@@ -479,12 +479,12 @@ func TestQuarantine(t *testing.T) {
 			t.Fatalf("devices after strikes = %+v, want slot 0 quarantined", devs)
 		}
 		m := httpMetrics(t, ts.URL)
-		if m["devices.quarantined"] != 1 || m["quarantine.entered"] != 1 {
+		if m("devices.quarantined") != 1 || m("quarantine.entered") != 1 {
 			t.Errorf("quarantine metrics = quarantined %v entered %v, want 1/1",
-				m["devices.quarantined"], m["quarantine.entered"])
+				m("devices.quarantined"), m("quarantine.entered"))
 		}
-		if m["devices.faults"] < 2 {
-			t.Errorf("devices.faults = %v, want >= 2", m["devices.faults"])
+		if m("devices.faults") < 2 {
+			t.Errorf("devices.faults = %v, want >= 2", m("devices.faults"))
 		}
 
 		resp, err := http.Post(ts.URL+"/admin/devices/0/reinstate", "application/json", nil)
@@ -498,8 +498,8 @@ func TestQuarantine(t *testing.T) {
 		if dev.State != DeviceHealthy {
 			t.Fatalf("after reinstate: %+v", dev)
 		}
-		if m := httpMetrics(t, ts.URL); m["devices.quarantined"] != 0 {
-			t.Errorf("devices.quarantined = %v after reinstate, want 0", m["devices.quarantined"])
+		if m := httpMetrics(t, ts.URL); m("devices.quarantined") != 0 {
+			t.Errorf("devices.quarantined = %v after reinstate, want 0", m("devices.quarantined"))
 		}
 		st, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: smallText, K: 4})
 		if apiErr != nil {
@@ -526,9 +526,9 @@ func TestQuarantine(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		m := httpMetrics(t, ts.URL)
-		if m["quarantine.reinstated"] < 1 || m["quarantine.probes"] < 1 {
+		if m("quarantine.reinstated") < 1 || m("quarantine.probes") < 1 {
 			t.Errorf("probe metrics = reinstated %v probes %v, want >= 1 each",
-				m["quarantine.reinstated"], m["quarantine.probes"])
+				m("quarantine.reinstated"), m("quarantine.probes"))
 		}
 		st, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: smallText, K: 4})
 		if apiErr != nil {
@@ -565,9 +565,9 @@ func TestJournalDegradation(t *testing.T) {
 		t.Fatalf("job on degraded server: state %s (%s)", final.State, final.Error)
 	}
 	m := httpMetrics(t, ts.URL)
-	if m["journal.degraded"] != 1 || m["journal.errors"] < 1 {
+	if m("journal.degraded") != 1 || m("journal.errors") < 1 {
 		t.Errorf("degradation metrics = degraded %v errors %v, want 1 / >=1",
-			m["journal.degraded"], m["journal.errors"])
+			m("journal.degraded"), m("journal.errors"))
 	}
 }
 

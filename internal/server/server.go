@@ -639,17 +639,14 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 		// the network hop. The entry node's trace context rides the
 		// forward, so this job joins the caller's trace instead of
 		// minting its own, and its spans parent under the caller's
-		// cluster-forward span when the entry node stitches.
-		attrs := map[string]any{
-			"from": req.ForwardedBy, "net_modeled_seconds": req.ForwardNetSeconds,
-		}
+		// cluster-forward span.
 		if req.ForwardTraceID != "" {
 			job.traceID = req.ForwardTraceID
-			if req.ForwardSpanID != 0 {
-				attrs["parent"] = req.ForwardSpanID
-			}
+			job.forwardSpan = req.ForwardSpanID
 		}
-		job.addLifeSpan(lifeClusterForward, t0, t0, attrs)
+		job.addLifeSpan(lifeClusterForward, t0, t0, map[string]any{
+			"from": req.ForwardedBy, "net_modeled_seconds": req.ForwardNetSeconds,
+		})
 	}
 	job.tenant = s.tenants.state(req.Tenant)
 	job.autoDegraded = autoDegraded
@@ -1092,7 +1089,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 //	GET    /jobs/{id}/trace Chrome trace_event JSON of the job's run
 //	GET    /jobs/{id}/profile kernel-level roofline profile (profiled jobs)
 //	GET    /metrics         Prometheus text exposition
-//	GET    /metrics.json    counter registry snapshot as flat JSON
 //	GET    /healthz         liveness + occupancy + SLO posture + build info
 //	GET    /slo             full SLO evaluation (burn rates, windows)
 //	GET    /admin/status    live ops view (self-refreshing HTML)
@@ -1109,7 +1105,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /jobs/{id}/profile", s.handleProfile)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /slo", s.handleSLO)
 	mux.HandleFunc("GET /admin/status", s.handleStatusHTML)
@@ -1149,16 +1144,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return
-	}
-	// A forwarded submission carries its trace context both in the body
-	// and in the X-Gpmetis-Trace header; the header wins a tie-break
-	// only when the body fields are absent (an older forwarder).
-	if req.ForwardedBy != "" && req.ForwardTraceID == "" {
-		if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
-			req.ForwardTraceID = tc.TraceID
-			req.ForwardSpanID = tc.SpanID
-			req.ForwardWallUnixNano = tc.WallUnixNano
-		}
 	}
 	job, err := s.Submit(&req)
 	var oe *overloadError
@@ -1220,46 +1205,37 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
-// handleTrace serves the job's merged timeline: wall-clock service
-// lifecycle spans plus, once the run started, the modeled-clock
-// partition trace parented under the run span. A queued job already has
-// a trace (its admission spans); the document grows as the job moves.
+// handleTrace serves the job's merged timeline as one Chrome
+// trace_event document with two process rows:
+//
+//	pid 1 "service (wall clock)"      — the lifecycle spans, microseconds
+//	                                    since admission
+//	pid 2 "partition (modeled clock)" — the run's modeled span tree,
+//	                                    shifted to start at the run
+//	                                    span's wall offset
+//
+// Every modeled root span's args carry service_parent — the ID of the
+// lifecycle span that caused it (the run span, or the cache-lookup span
+// for cache hits, whose trace is the original run's) — so one document
+// shows HTTP-to-kernel causality. A queued job already has a trace (its
+// admission spans); the document grows as the job moves.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
 		return
 	}
+	nt := s.NodeTraceForJob(j)
 	w.Header().Set("Content-Type", "application/json")
-	if err := writeJobTrace(w, j); err != nil {
-		// Headers are gone; the truncated body is the best signal left.
-		return
-	}
-}
-
-// cacheExtra derives the cache-layer metric values merged into both
-// metrics expositions.
-func (s *Server) cacheExtra() map[string]float64 {
-	hits, misses, evicted := s.cache.Stats()
-	extra := map[string]float64{
-		"cache.hits":     float64(hits),
-		"cache.misses":   float64(misses),
-		"cache.evicted":  float64(evicted),
-		"cache.entries":  float64(s.cache.Len()),
-		"uptime.seconds": time.Since(s.start).Seconds(),
-	}
-	var rate float64
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	extra["cache.hit_rate"] = rate
-	return extra
+	// A write error leaves a truncated body, the only signal left once
+	// the header is out.
+	obs.WriteChromeJSON(w, nt.ChromeEvents(1, "service (wall clock)", "partition (modeled clock)", nt.Anchor, nil))
 }
 
 // handleMetrics serves the Prometheus text exposition: every registry
 // counter and histogram under the gpmetisd_ prefix, plus build info,
 // cache and uptime gauges, and the per-slot utilization/quarantine
-// series. The JSON form lives at /metrics.json.
+// series.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var extra []obs.PromSample
 	buildLabels := []obs.Label{
@@ -1277,13 +1253,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Value:  1,
 		Help:   "Build metadata; the value is always 1.",
 	})
-	ce := s.cacheExtra()
-	for _, name := range []string{
-		"cache.hits", "cache.misses", "cache.evicted", "cache.entries",
-		"cache.hit_rate", "uptime.seconds",
-	} {
-		extra = append(extra, obs.PromSample{Name: name, Value: ce[name]})
+	hits, misses, evicted := s.cache.Stats()
+	var hitRate float64
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
 	}
+	extra = append(extra,
+		obs.PromSample{Name: "cache.hits", Value: float64(hits)},
+		obs.PromSample{Name: "cache.misses", Value: float64(misses)},
+		obs.PromSample{Name: "cache.evicted", Value: float64(evicted)},
+		obs.PromSample{Name: "cache.entries", Value: float64(s.cache.Len())},
+		obs.PromSample{Name: "cache.hit_rate", Value: hitRate},
+		obs.PromSample{Name: "uptime.seconds", Value: time.Since(s.start).Seconds()},
+	)
 	slo := s.slo.Snapshot()
 	extra = append(extra,
 		obs.PromSample{Name: "slo.latency_threshold_seconds", Value: slo.LatencyThresholdSeconds,
@@ -1332,7 +1314,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	hookSamples, hookHists := s.promExtra()
 	extra = append(extra, hookSamples...)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WritePrometheusFull(w, s.reg, "gpmetisd_", extra, hookHists)
+	obs.WritePrometheus(w, s.reg, "gpmetisd_", extra, hookHists)
 }
 
 // clusterSamples renders the gpmetisd_cluster_* series from the ring
@@ -1433,13 +1415,6 @@ func (s *Server) tenantSamples() []obs.PromSample {
 		}
 	}
 	return out
-}
-
-// handleMetricsJSON serves the flat JSON registry snapshot that /metrics
-// carried before the Prometheus exposition took that path over.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteRegistryJSON(w, s.reg, s.cacheExtra())
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {

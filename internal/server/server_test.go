@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,20 +67,15 @@ func httpPoll(t *testing.T, base, id string) JobStatus {
 	}
 }
 
-func httpMetrics(t *testing.T, base string) map[string]float64 {
+// httpMetrics scrapes /metrics and returns a reader of its unlabeled
+// series by registry name: "jobs.completed" reads
+// gpmetisd_jobs_completed, and an absent series reads 0.
+func httpMetrics(t *testing.T, base string) func(name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	samples := scrapeProm(t, base)
+	return func(name string) float64 {
+		return samples["gpmetisd_"+strings.ReplaceAll(name, ".", "_")]
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Counters map[string]float64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Counters
 }
 
 // TestServeEndToEnd is the acceptance scenario: 8 concurrent jobs over
@@ -180,10 +176,10 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Both devices must have been exercised by 8 jobs over 2 slots.
 	m := httpMetrics(t, ts.URL)
-	if m["jobs.completed"] != n {
-		t.Errorf("jobs.completed = %v, want %d", m["jobs.completed"], n)
+	if m("jobs.completed") != n {
+		t.Errorf("jobs.completed = %v, want %d", m("jobs.completed"), n)
 	}
-	modeledBefore := m["modeled.seconds"]
+	modeledBefore := m("modeled.seconds")
 	if modeledBefore <= 0 {
 		t.Fatal("modeled.seconds must accumulate over real runs")
 	}
@@ -203,11 +199,11 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 	m = httpMetrics(t, ts.URL)
-	if m["modeled.seconds"] != modeledBefore {
-		t.Errorf("cache hits charged modeled time: %.9f -> %.9f", modeledBefore, m["modeled.seconds"])
+	if m("modeled.seconds") != modeledBefore {
+		t.Errorf("cache hits charged modeled time: %.9f -> %.9f", modeledBefore, m("modeled.seconds"))
 	}
-	if m["cache.hits"] != n {
-		t.Errorf("cache.hits = %v, want %d", m["cache.hits"], n)
+	if m("cache.hits") != n {
+		t.Errorf("cache.hits = %v, want %d", m("cache.hits"), n)
 	}
 
 	// The hit job still serves the original run's trace.
@@ -282,8 +278,8 @@ func TestQueueFullRejection(t *testing.T) {
 		}
 	}
 	m := httpMetrics(t, ts.URL)
-	if m["jobs.rejected"] != 2 {
-		t.Errorf("jobs.rejected = %v, want 2", m["jobs.rejected"])
+	if m("jobs.rejected") != 2 {
+		t.Errorf("jobs.rejected = %v, want 2", m("jobs.rejected"))
 	}
 }
 
@@ -345,8 +341,8 @@ func TestCancelFreesDeviceSlot(t *testing.T) {
 	if st := httpPoll(t, ts.URL, second.ID); st.State != StateDone {
 		t.Fatalf("post-cancel job state %s (%s), want done — device slot leaked", st.State, st.Error)
 	}
-	if m := httpMetrics(t, ts.URL); m["jobs.canceled"] != 1 {
-		t.Errorf("jobs.canceled = %v, want 1", m["jobs.canceled"])
+	if m := httpMetrics(t, ts.URL); m("jobs.canceled") != 1 {
+		t.Errorf("jobs.canceled = %v, want 1", m("jobs.canceled"))
 	}
 }
 
@@ -441,8 +437,8 @@ func TestJobFaultScenario(t *testing.T) {
 	if !final.Result.Degraded || final.Result.DegradedReason == "" {
 		t.Errorf("degradation must surface in the job result: %+v", final.Result)
 	}
-	if m := httpMetrics(t, ts.URL); m["jobs.degraded"] != 1 {
-		t.Errorf("jobs.degraded = %v, want 1", m["jobs.degraded"])
+	if m := httpMetrics(t, ts.URL); m("jobs.degraded") != 1 {
+		t.Errorf("jobs.degraded = %v, want 1", m("jobs.degraded"))
 	}
 }
 

@@ -23,6 +23,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"gpmetis/internal/obs"
 )
@@ -74,15 +75,13 @@ type SubmitRequest struct {
 	// node — forwarded jobs are never re-forwarded.
 	ForwardedBy       string  `json:"forwarded_by,omitempty"`
 	ForwardNetSeconds float64 `json:"forward_net_seconds,omitempty"`
-	// ForwardTraceID/ForwardSpanID/ForwardWallUnixNano carry the entry
-	// node's trace context on a ring forward (mirroring the
-	// X-Gpmetis-Trace header): the job keeps the entry node's trace id,
-	// its spans parent under the entry node's cluster-forward span, and
-	// the wall stamp lets the stitcher align the two nodes' clocks. Like
-	// ForwardedBy, none of these participate in the cache key.
-	ForwardTraceID      string `json:"forward_trace_id,omitempty"`
-	ForwardSpanID       int64  `json:"forward_span_id,omitempty"`
-	ForwardWallUnixNano int64  `json:"forward_wall_unix_nano,omitempty"`
+	// ForwardTraceID and ForwardSpanID carry the entry node's trace
+	// context on a ring forward: the job keeps the entry node's trace id
+	// and its lifecycle spans parent under the entry node's
+	// cluster-forward span. Like ForwardedBy, neither participates in the
+	// cache key.
+	ForwardTraceID string `json:"forward_trace_id,omitempty"`
+	ForwardSpanID  int64  `json:"forward_span_id,omitempty"`
 }
 
 // Job states. A job moves queued -> running -> done/failed, or to
@@ -390,21 +389,19 @@ type StatusResponse struct {
 }
 
 // NodeTrace is the wire form of GET /internal/trace/{trace_id}: one
-// node's spans under a trace, shipped to the entry node for stitching.
-// Spans are wall-clock SpanRecords on this node's own clock (the
-// stitcher aligns clocks via the RPC envelope); Modeled carries the
-// run's modeled-clock Chrome events, pre-rendered with service_parent
-// pointing at this node's run span, for job traces only.
+// node's spans under a trace, on that node's own clock. Anchor is the
+// trace's local origin (job submission); Modeled carries a job's
+// modeled-clock Chrome events, microseconds after Anchor, pre-rendered
+// with service_parent pointing at this node's run span. A job's own
+// trace document renders the same value (see ChromeEvents).
 type NodeTrace struct {
-	NodeID  string `json:"node_id"`
-	Addr    string `json:"addr"`
-	TraceID string `json:"trace_id"`
-	JobID   string `json:"job_id,omitempty"`
-	// AnchorUnixNano is this node's clock at the trace's local origin
-	// (job submission); Modeled timestamps are microseconds after it.
-	AnchorUnixNano int64             `json:"anchor_unix_nano,omitempty"`
-	Spans          []obs.SpanRecord  `json:"spans"`
-	Modeled        []obs.ChromeEvent `json:"modeled,omitempty"`
+	NodeID  string            `json:"node_id"`
+	Addr    string            `json:"addr"`
+	TraceID string            `json:"trace_id"`
+	JobID   string            `json:"job_id,omitempty"`
+	Anchor  time.Time         `json:"anchor"`
+	Spans   []obs.SpanRecord  `json:"spans"`
+	Modeled []obs.ChromeEvent `json:"modeled,omitempty"`
 }
 
 // FleetNode is one node's row in the federated fleet view: reachability

@@ -96,11 +96,10 @@ done
 grep -q '"resumed":true' "$workdir/slow_status.json" || { cat "$workdir/slow_status.json"; echo "restart-smoke: FAIL job completed but was not resumed from its checkpoint"; exit 1; }
 grep -q '"edge_cut"' "$workdir/slow_status.json" || { cat "$workdir/slow_status.json"; echo "restart-smoke: FAIL resumed job carries no result"; exit 1; }
 
-# The daemon's own recovery counters must agree. (The JSON snapshot
-# moved to /metrics.json when /metrics became Prometheus exposition.)
-curl -sf "$base/metrics.json" >"$workdir/metrics.json"
-grep -q '"jobs.readmitted": 1' "$workdir/metrics.json" || { cat "$workdir/metrics.json"; echo "restart-smoke: FAIL expected jobs.readmitted = 1"; exit 1; }
-grep -q '"jobs.resumed": 1' "$workdir/metrics.json" || { cat "$workdir/metrics.json"; echo "restart-smoke: FAIL expected jobs.resumed = 1"; exit 1; }
+# The daemon's own recovery counters must agree.
+curl -sf "$base/metrics" >"$workdir/metrics.prom"
+grep -q '^gpmetisd_jobs_readmitted 1$' "$workdir/metrics.prom" || { cat "$workdir/metrics.prom"; echo "restart-smoke: FAIL expected gpmetisd_jobs_readmitted 1"; exit 1; }
+grep -q '^gpmetisd_jobs_resumed 1$' "$workdir/metrics.prom" || { cat "$workdir/metrics.prom"; echo "restart-smoke: FAIL expected gpmetisd_jobs_resumed 1"; exit 1; }
 
 kill "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
