@@ -41,9 +41,9 @@
 //	        kill storm (one node at a time, process and cache both)
 //	        must lose no replicated entry — survivors serve every
 //	        digest bit-identically at zero partition cost, pushes to
-//	        the dead node become hints, and after restart the hint
-//	        backlog drains to zero and rejoin catch-up restores the
-//	        node's full replica duty.
+//	        the dead node are skipped, and after restart rejoin
+//	        catch-up restores the node's full replica duty, including
+//	        the digests completed while it was dead.
 package main
 
 import (

@@ -22,13 +22,14 @@ import (
 //   - with any one node dead (up to R−1), every digest that finished
 //     replicating is still served — bit-identical and at zero modeled
 //     partition cost — by the survivors;
-//   - a completion whose replica target is down becomes a handoff hint,
-//     and hints_outstanding drains to zero once the peer is back;
+//   - a completion whose replica target is down skips the push, and the
+//     restarted target holds that digest once catch-up has run;
 //   - a killed node loses its process AND its cache; after restart,
-//     rejoin catch-up plus hint drains restore its full replica duty,
-//     so the next kill of a different node still loses nothing;
-//   - all replica, handoff, and repair traffic lands in the ring's
-//     modeled network accounting.
+//     rejoin catch-up and the survivors' reinstatement syncs restore its
+//     full replica duty, so the next kill of a different node still
+//     loses nothing;
+//   - all replica and repair traffic lands in the ring's modeled network
+//     accounting.
 func chaosReplication(rng *rand.Rand) error {
 	const nNodes = 4
 	lns := make([]net.Listener, nNodes)
@@ -102,13 +103,6 @@ func chaosReplication(rng *rand.Rand) error {
 			}
 		}
 		return true
-	}
-	hintsOutstanding := func() int64 {
-		var total int64
-		for _, m := range members {
-			total += m.node.HintsOutstanding()
-		}
-		return total
 	}
 	liveModeledSeconds := func() (float64, error) {
 		total := 0.0
@@ -235,11 +229,11 @@ func chaosReplication(rng *rand.Rand) error {
 				round, modeledAfter-modeledBefore)
 		}
 
-		// A completion whose replica set includes the dead node leaves a
-		// hint on the surviving set member.
-		var hintReq server.SubmitRequest
-		var hintKey string
-		var hinter *ringMember
+		// A completion whose replica set includes the dead node lands only
+		// on the surviving set member; the push to the dead one is skipped.
+		var missedReq server.SubmitRequest
+		var missedKey string
+		var survivor *ringMember
 		for seed := int64(1000 * (round + 1)); ; seed++ {
 			req := server.SubmitRequest{Graph: texts[0], K: 3, Seed: seed}
 			keyReq := req
@@ -249,38 +243,34 @@ func chaosReplication(rng *rand.Rand) error {
 			}
 			set := replicaSet(key)
 			if set[0] == victim {
-				hintReq, hintKey, hinter = req, key, set[1]
+				missedReq, missedKey, survivor = req, key, set[1]
 				break
 			}
 			if set[1] == victim {
-				hintReq, hintKey, hinter = req, key, set[0]
+				missedReq, missedKey, survivor = req, key, set[0]
 				break
 			}
 		}
-		st, code, err := ringSubmit(hinter.base(), hintReq)
+		st, code, err := ringSubmit(survivor.base(), missedReq)
 		if err != nil || code >= 400 {
-			return fmt.Errorf("round %d: hint-bait submit: code=%d err=%v", round, code, err)
+			return fmt.Errorf("round %d: submit while node %d is dead: code=%d err=%v",
+				round, victim.peer.ID, code, err)
 		}
 		if st.status.State != server.StateDone {
-			if _, err := ringAwait(hinter.base(), st.status.ID); err != nil {
-				return fmt.Errorf("round %d: hint-bait job: %w", round, err)
+			if _, err := ringAwait(survivor.base(), st.status.ID); err != nil {
+				return fmt.Errorf("round %d: job submitted while node %d is dead: %w",
+					round, victim.peer.ID, err)
 			}
 		}
-		if err := waitChaos(10*time.Second, func() bool {
-			return hinter.node.HintsOutstanding() >= 1
-		}); err != nil {
-			return fmt.Errorf("round %d: push to the dead node %d never became a hint on node %d: %w",
-				round, victim.peer.ID, hinter.peer.ID, err)
-		}
-		hintRes, ok := hinter.srv.PeekCached(hintKey)
+		missedRes, ok := survivor.srv.PeekCached(missedKey)
 		if !ok {
-			return fmt.Errorf("round %d: hint-bait result missing from node %d's cache", round, hinter.peer.ID)
+			return fmt.Errorf("round %d: result missing from node %d's cache", round, survivor.peer.ID)
 		}
-		entries = append(entries, entry{req: hintReq, key: hintKey, res: hintRes})
+		entries = append(entries, entry{req: missedReq, key: missedKey, res: missedRes})
 
 		// Restart the victim from nothing and bring it back to full
-		// replica duty: rejoin catch-up pulls what it owns, reinstatement
-		// drains deliver the hints, and the outstanding gauge hits zero.
+		// replica duty: rejoin catch-up pulls what it owns, including the
+		// digest completed while it was dead.
 		ln := relistenChaos(victim.peer.Addr)
 		if ln == nil {
 			return fmt.Errorf("round %d: cannot rebind %s", round, victim.peer.Addr)
@@ -292,14 +282,6 @@ func chaosReplication(rng *rand.Rand) error {
 		members[victim.peer.ID] = fresh
 		if err := waitChaos(20*time.Second, func() bool {
 			fresh.node.Rejoin()
-			for _, m := range members {
-				if m.alive {
-					m.node.DrainHintsNow()
-				}
-			}
-			if hintsOutstanding() != 0 {
-				return false
-			}
 			for _, e := range entries {
 				if !fullyReplicated(e.key) {
 					return false
@@ -307,17 +289,26 @@ func chaosReplication(rng *rand.Rand) error {
 			}
 			return true
 		}); err != nil {
-			return fmt.Errorf("round %d: node %d never recovered full replica duty (hints=%d): %w",
-				round, fresh.peer.ID, hintsOutstanding(), err)
+			return fmt.Errorf("round %d: node %d never recovered full replica duty: %w",
+				round, fresh.peer.ID, err)
+		}
+		got, ok := fresh.srv.PeekCached(missedKey)
+		if !ok {
+			return fmt.Errorf("round %d: restarted node %d lacks digest %.12s completed while it was dead",
+				round, fresh.peer.ID, missedKey)
+		}
+		if got.EdgeCut != missedRes.EdgeCut {
+			return fmt.Errorf("round %d: caught-up digest %.12s cut %d, want %d",
+				round, missedKey, got.EdgeCut, missedRes.EdgeCut)
 		}
 		if verbose {
-			fmt.Printf("chaos: replication round %d: node %d rejoined, %d digests intact, hints drained\n",
+			fmt.Printf("chaos: replication round %d: node %d rejoined, %d digests intact\n",
 				round, fresh.peer.ID, len(entries))
 		}
 	}
 
 	if net := netModeled(); net <= netAfterPhase1 {
-		return fmt.Errorf("handoff/repair traffic charged no modeled network time (%.9f -> %.9f)",
+		return fmt.Errorf("repair traffic charged no modeled network time (%.9f -> %.9f)",
 			netAfterPhase1, net)
 	}
 	return nil

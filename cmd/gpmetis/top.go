@@ -88,7 +88,7 @@ func renderFleet(w *os.File, from string, fs *server.FleetStatus) {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "\nNODE  STATE  ADDR                  RTT      SHARE   QUEUE      DONE  FAIL  SLO     BURNf  BURNs  QUAR  HINTS  CACHE")
+	fmt.Fprintln(w, "\nNODE  STATE  ADDR                  RTT      SHARE   QUEUE      DONE  FAIL  SLO     BURNf  BURNs  QUAR  CACHE")
 	for _, node := range fs.Nodes {
 		state := "down"
 		switch {
@@ -119,26 +119,22 @@ func renderFleet(w *os.File, from string, fs *server.FleetStatus) {
 				quar++
 			}
 		}
-		hints := int64(0)
-		if st.Cluster != nil {
-			hints = st.Cluster.HintsOutstanding
-		}
-		fmt.Fprintf(w, "%4d  %-5s  %-20s  %-7s  %5.1f%%  %4d/%-4d  %5d  %4d  %-6s  %5.2f  %5.2f  %4d  %5d  %5d\n",
+		fmt.Fprintf(w, "%4d  %-5s  %-20s  %-7s  %5.1f%%  %4d/%-4d  %5d  %4d  %-6s  %5.2f  %5.2f  %4d  %5d\n",
 			node.ID, state, node.Addr, rtt, node.OwnershipPct,
 			st.QueueDepth, st.QueueCap, st.JobsCompleted, st.JobsFailed,
 			st.SLO.Status, st.SLO.Fast.LatencyBurn, st.SLO.Slow.LatencyBurn,
-			quar, hints, st.CacheEntries)
+			quar, st.CacheEntries)
 	}
 
-	fmt.Fprintln(w, "\nNODE  FWDS  PEEK-HIT  PEEK-MISS  FAILOVER  REPL-PUSH  DRAINED  REPAIR+  REPAIR-  NET-MODELED")
+	fmt.Fprintln(w, "\nNODE  FWDS  PEEK-HIT  PEEK-MISS  FAILOVER  REPL-PUSH  REPAIR+  REPAIR-  NET-MODELED")
 	for _, node := range fs.Nodes {
 		if node.Status == nil || node.Status.Cluster == nil {
 			continue
 		}
 		c := node.Status.Cluster
-		fmt.Fprintf(w, "%4d  %4d  %8d  %9d  %8d  %9d  %7d  %7d  %7d  %10.3fs\n",
+		fmt.Fprintf(w, "%4d  %4d  %8d  %9d  %8d  %9d  %7d  %7d  %10.3fs\n",
 			c.NodeID, c.Forwards, c.PeekHits, c.PeekMisses, c.Failovers,
-			c.ReplicaPushes, c.HandoffDrained, c.RepairPushed, c.RepairPulled,
+			c.ReplicaPushes, c.RepairPushed, c.RepairPulled,
 			c.NetModeledSeconds)
 	}
 }

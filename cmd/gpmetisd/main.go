@@ -18,7 +18,7 @@
 //	         [-brownout-slow-window 90s] [-brownout-off] \
 //	         [-debug-addr 127.0.0.1:6060] \
 //	         [-peers peers.json -node-id 0] [-vnodes 64] [-cluster-probe 1s] \
-//	         [-replicas 2] [-anti-entropy 5s] [-hint-dir hints/]
+//	         [-replicas 2] [-anti-entropy 5s]
 //
 // API:
 //
@@ -68,10 +68,9 @@
 // saturation while an idle queue serves everyone immediately. Unlisted
 // tenants (and jobs submitted without a tenant) run under "default".
 //
-// Sustained queue-wait pressure engages the brownout ladder: level 1
-// sheds queued jobs from tenants over their fair share of the queue,
-// level 2 additionally forces Degrade on new jobs (they take the cheap
-// CPU path). Both transitions appear in the flight recorder as
+// Sustained queue-wait pressure engages the brownout ladder: it sheds
+// queued jobs from tenants over their fair share of the queue. Both
+// transitions appear in the flight recorder as
 // brownout_begin/brownout_end and on /metrics as gpmetisd_brownout_*.
 //
 // -journal makes the daemon durable: every accepted job and its outcome
@@ -105,15 +104,16 @@
 // Ring durability (DESIGN.md §15): -replicas R (default 2) pushes every
 // freshly completed result to the next R−1 ring successors, so a dead
 // owner's cached work is served bit-identically from a replica instead
-// of recomputed. Pushes to quarantined peers become handoff hints
-// (persisted under -hint-dir when set) and drain when the peer
-// reinstates; a background anti-entropy sweep (-anti-entropy, negative
-// to disable) exchanges digest summaries and repairs divergence. On
-// startup a ring member announces itself and pulls the entries it now
-// owns (rejoin catch-up). POST /admin/decommission retires a node
-// safely: it pushes its cache to the shrunk ring's owners, announces
-// departure to every peer, then drains and exits exactly as on SIGTERM;
-// POST /admin/rejoin re-announces and re-runs catch-up on demand.
+// of recomputed. Pushes to quarantined peers are skipped; when the
+// prober reinstates a peer it runs one anti-entropy summary exchange
+// with it, which delivers what it missed, and a background sweep
+// (-anti-entropy, negative to disable) repeats that exchange with every
+// peer to repair any other divergence. On startup a ring member
+// announces itself and pulls the entries it now owns (rejoin catch-up).
+// POST /admin/decommission retires a node safely: it pushes its cache
+// to the shrunk ring's owners, announces departure to every peer, then
+// drains and exits exactly as on SIGTERM; POST /admin/rejoin
+// re-announces and re-runs catch-up on demand.
 // SIGHUP reloads -peers, applying membership changes without a restart.
 //
 // Cluster observability (DESIGN.md §16): a ring forward carries the
@@ -178,14 +178,13 @@ func main() {
 	brownoutTarget := flag.Float64("brownout-target", 0.9, "fraction of dequeues that must wait less than -brownout-wait")
 	brownoutFast := flag.Duration("brownout-fast-window", 15*time.Second, "brownout fast burn-rate window")
 	brownoutSlow := flag.Duration("brownout-slow-window", 90*time.Second, "brownout slow burn-rate window")
-	brownoutOff := flag.Bool("brownout-off", false, "disable brownout shedding and auto-degrade entirely")
+	brownoutOff := flag.Bool("brownout-off", false, "disable brownout shedding entirely")
 	peersFile := flag.String("peers", "", "cluster peers.json; joins the ring described in it")
 	nodeID := flag.Int("node-id", -1, "this node's id in -peers (required with -peers)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default, must match across the ring)")
 	clusterProbe := flag.Duration("cluster-probe", 0, "peer health-probe interval (0 = default 1s)")
 	replicas := flag.Int("replicas", 0, "cluster replication factor (0 = default 2, 1 disables replication)")
 	antiEntropy := flag.Duration("anti-entropy", 0, "anti-entropy repair sweep interval (0 = default 5s, negative disables)")
-	hintDir := flag.String("hint-dir", "", "directory persisting handoff hints across restarts (empty = memory only)")
 	flag.Parse()
 
 	level, err := obs.ParseLogLevel(*logLevel)
@@ -279,7 +278,6 @@ func main() {
 			Logger:              logger,
 			Replicas:            *replicas,
 			AntiEntropyInterval: *antiEntropy,
-			HintDir:             *hintDir,
 			OnDecommission: func() {
 				select {
 				case decommissioned <- struct{}{}:

@@ -21,7 +21,10 @@ import (
 // peer). Ranges whose {count, hash} disagree come back with the peer's
 // digest list; the requester then pushes what the peer misses and pulls
 // what it misses itself — so divergence left by crashes, evictions, or
-// lost hints heals without any coordination beyond the shared ring.
+// pushes skipped while a replica was down heals without any coordination
+// beyond the shared ring. Besides the periodic sweep, the prober runs
+// one exchange with a peer the moment it reinstates (spawnSync), so the
+// replicas it missed while down arrive without waiting for the sweep.
 
 // rangeSummary is one vnode range's digest fingerprint: how many
 // relevant entries fall in it and a hash over their sorted digests.
@@ -77,6 +80,25 @@ func (n *Node) AntiEntropyNow() {
 		}
 		n.syncWith(p)
 	}
+}
+
+// spawnSync starts one background summary exchange with a peer the
+// prober just reinstated.
+func (n *Node) spawnSync(p Peer) {
+	if n.cfg.Replicas <= 1 {
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		n.syncWith(p)
+	}()
+}
+
+// peerIsDown reports the health verdict for p (false for unknown peers).
+func (n *Node) peerIsDown(p Peer) bool {
+	h := n.peerHealth(p.ID)
+	return h != nil && h.down()
 }
 
 // pairSummaries builds this node's view of the (self, peer) pair: for

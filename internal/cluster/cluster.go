@@ -69,9 +69,6 @@ type Config struct {
 	// (0 means DefaultAntiEntropyInterval; < 0 disables the loop, for
 	// tests that call AntiEntropyNow by hand).
 	AntiEntropyInterval time.Duration
-	// HintDir, when non-empty, persists handoff hints as one JSONL file
-	// per peer, so hints survive a restart of the hinting node.
-	HintDir string
 	// OnDecommission, when non-nil, is invoked (once, asynchronously)
 	// after POST /admin/decommission has pushed this node's cache to its
 	// new owners and announced departure — the daemon hooks its graceful
@@ -112,10 +109,9 @@ type Node struct {
 	mu        sync.Mutex
 	forwarded map[string]fwdInfo // job ID -> owning peer + trace context
 
-	hints *hintTable
-	repl  chan replTask
+	repl chan replTask
 
-	// spans holds background-round traces (replication, handoff, repair,
+	// spans holds background-round traces (replication, repair,
 	// decommission) for GET /internal/trace/{trace_id}; rpc aggregates
 	// per-peer × per-RPC-type real-wall latency and errors; spanSeq mints
 	// node-unique cluster-side span ids.
@@ -130,8 +126,6 @@ type Node struct {
 	replicaPushes atomic.Int64
 	replicaStores atomic.Int64
 	replicaHits   atomic.Int64
-	handoffHinted atomic.Int64
-	handoffDrain  atomic.Int64
 	repairPushed  atomic.Int64
 	repairPulled  atomic.Int64
 
@@ -196,7 +190,6 @@ func New(cfg Config) (*Node, error) {
 		probe:     &http.Client{Timeout: 2 * time.Second},
 		health:    map[int]*nodeHealth{},
 		forwarded: map[string]fwdInfo{},
-		hints:     newHintTable(cfg.HintDir),
 		repl:      make(chan replTask, 256),
 		spans:     obs.NewSpanStore(0),
 		rpc:       newRPCMetrics(),
@@ -211,9 +204,6 @@ func New(cfg Config) (*Node, error) {
 				n.rpc.declare(p.ID, rpc)
 			}
 		}
-	}
-	if err := n.hints.load(); err != nil {
-		n.log.Warn("hint journal load failed; starting with empty hints", "error", err.Error())
 	}
 	n.srv.SetNodeID(fmt.Sprintf("%d", self.ID))
 	n.srv.SetClusterStatus(n.Status)
@@ -236,9 +226,9 @@ func New(cfg Config) (*Node, error) {
 
 // Close stops every background goroutine the node owns — the health
 // prober, the replicator, the anti-entropy sweep, and any in-flight
-// hint drains — and uninstalls the server hooks. The wrapped handler
-// keeps serving (the server owns its own shutdown); routing continues
-// with frozen health.
+// reinstatement syncs — and uninstalls the server hooks. The wrapped
+// handler keeps serving (the server owns its own shutdown); routing
+// continues with frozen health.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.srv.SetResultHook(nil)
@@ -297,9 +287,6 @@ func (n *Node) Status() *server.ClusterStatus {
 		ReplicaPushes:     n.replicaPushes.Load(),
 		ReplicaStores:     n.replicaStores.Load(),
 		ReplicaHits:       n.replicaHits.Load(),
-		HandoffHinted:     n.handoffHinted.Load(),
-		HandoffDrained:    n.handoffDrain.Load(),
-		HintsOutstanding:  n.hints.outstanding(),
 		RepairPushed:      n.repairPushed.Load(),
 		RepairPulled:      n.repairPulled.Load(),
 	}
@@ -322,7 +309,7 @@ func (n *Node) Status() *server.ClusterStatus {
 // Handler wraps the server's HTTP API with the ring's routing layer:
 //
 //	GET  /internal/cache/{digest}  cross-node cache peek (200 result, 404)
-//	PUT  /internal/cache/{digest}  replica store (replication, handoff, repair)
+//	PUT  /internal/cache/{digest}  replica store (replication, repair)
 //	POST /internal/cache/summary   anti-entropy digest-summary exchange
 //	GET  /internal/trace/{trace_id} this node's spans under a trace (stitching)
 //	POST /internal/ring/leave      a member announced its departure
@@ -428,7 +415,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			n.serveLocal(w, r, body)
 			return
 		}
-		if h := n.peerHealth(p.ID); h != nil && h.down() {
+		if n.peerIsDown(p) {
 			continue
 		}
 		res, found, peekErr := n.peekRemote(p, key)
@@ -720,7 +707,7 @@ func (n *Node) probePeer(p Peer) {
 		if h.probeResult(true) {
 			n.srv.RecordEvent(obs.EvNodeUp, fmt.Sprintf("node %d (%s) reinstated", p.ID, p.Addr))
 			n.log.Info("peer reinstated", "peer", p.ID, "addr", p.Addr)
-			n.spawnDrain(p)
+			n.spawnSync(p)
 		}
 		return
 	}

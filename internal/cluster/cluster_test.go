@@ -424,9 +424,6 @@ func TestClusterMetricsExported(t *testing.T) {
 		"gpmetisd_cluster_replica_pushes",
 		"gpmetisd_cluster_replica_stores",
 		"gpmetisd_cluster_replica_hits",
-		"gpmetisd_cluster_handoff_hinted",
-		"gpmetisd_cluster_handoff_drained",
-		"gpmetisd_cluster_handoff_hints_outstanding",
 		"gpmetisd_cluster_repair_pushed",
 		"gpmetisd_cluster_repair_pulled",
 		`gpmetisd_cluster_node_up{node="1"} 1`,

@@ -143,7 +143,7 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 
 <h2>Nodes</h2>
 <table>
-<tr><th>node</th><th>addr</th><th>state</th><th>rtt</th><th>ring share</th><th>queue</th><th>completed</th><th>failed</th><th>SLO</th><th>fast burn</th><th>slow burn</th><th>quarantined</th><th>hint debt</th><th>cache</th></tr>
+<tr><th>node</th><th>addr</th><th>state</th><th>rtt</th><th>ring share</th><th>queue</th><th>completed</th><th>failed</th><th>SLO</th><th>fast burn</th><th>slow burn</th><th>quarantined</th><th>cache</th></tr>
 {{range .Nodes}}<tr>
 <td>{{.ID}}{{if .Self}} (self){{end}}</td><td>{{.Addr}}</td>
 {{if .Left}}<td class="muted">left</td>{{else if .Up}}<td class="ok">up</td>{{else}}<td class="down">down</td>{{end}}
@@ -153,20 +153,19 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 <td>{{.QueueDepth}}/{{.QueueCap}}</td><td>{{.JobsCompleted}}</td><td>{{.JobsFailed}}</td>
 <td class="{{.SLO.Status}}">{{.SLO.Status}}</td><td>{{burn .SLO.Fast.LatencyBurn}}</td><td>{{burn .SLO.Slow.LatencyBurn}}</td>
 <td{{if quarantined .Slots}} class="warn"{{end}}>{{quarantined .Slots}}</td>
-<td{{if .Cluster}}{{if .Cluster.HintsOutstanding}} class="warn"{{end}}>{{.Cluster.HintsOutstanding}}{{else}}>0{{end}}</td>
 <td>{{.CacheEntries}}</td>
 {{else}}
-<td colspan="9" class="muted">{{if .Left}}decommissioned{{else}}{{.Error}}{{end}}</td>
+<td colspan="8" class="muted">{{if .Left}}decommissioned{{else}}{{.Error}}{{end}}</td>
 {{end}}
 </tr>
 {{end}}</table>
 
 <h2>Cluster traffic (as reported by each node)</h2>
 <table>
-<tr><th>node</th><th>forwards</th><th>peek hits</th><th>peek misses</th><th>failovers</th><th>replica pushes</th><th>hints drained</th><th>repair pushed</th><th>repair pulled</th><th>net modeled</th></tr>
+<tr><th>node</th><th>forwards</th><th>peek hits</th><th>peek misses</th><th>failovers</th><th>replica pushes</th><th>repair pushed</th><th>repair pulled</th><th>net modeled</th></tr>
 {{range .Nodes}}{{with .Status}}{{with .Cluster}}<tr>
 <td>{{.NodeID}}</td><td>{{.Forwards}}</td><td>{{.PeekHits}}</td><td>{{.PeekMisses}}</td><td>{{.Failovers}}</td>
-<td>{{.ReplicaPushes}}</td><td>{{.HandoffDrained}}</td><td>{{.RepairPushed}}</td><td>{{.RepairPulled}}</td><td>{{secs .NetModeledSeconds}}</td>
+<td>{{.ReplicaPushes}}</td><td>{{.RepairPushed}}</td><td>{{.RepairPulled}}</td><td>{{secs .NetModeledSeconds}}</td>
 </tr>
 {{end}}{{end}}{{end}}</table>
 

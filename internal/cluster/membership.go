@@ -145,8 +145,9 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleJoin processes a departed peer's return announcement: clear its
 // departure mark, rebuild the ring, and reset its health to up so
-// traffic (and any hint backlog) flows immediately instead of waiting
-// out the probe backoff.
+// traffic flows immediately instead of waiting out the probe backoff.
+// The joining node's own catch-up (Rejoin → AntiEntropyNow) pushes and
+// pulls against every peer, so nothing is sent from here.
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id, ok := decodeRingChange(w, r)
 	if !ok {
@@ -158,10 +159,9 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	n.ringMu.Lock()
 	known := false
-	var joined Peer
 	for _, p := range n.peersAll {
 		if p.ID == id {
-			known, joined = true, p
+			known = true
 			break
 		}
 	}
@@ -179,7 +179,6 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	n.ringMu.Unlock()
 	n.srv.RecordEvent(obs.EvClusterMembership, fmt.Sprintf("node %d rejoined the ring", id))
 	n.log.Info("ring member rejoined", "peer", id)
-	n.spawnDrain(joined)
 	writeJSON(w, http.StatusOK, map[string]bool{"joined": true})
 }
 

@@ -325,7 +325,7 @@ func TestClusterRPCMetricsObserve(t *testing.T) {
 	}
 }
 
-// TestClusterBackgroundTraces: replication, hinted handoff, and
+// TestClusterBackgroundTraces: replication, reinstatement-sync, and
 // anti-entropy rounds each record trace-id-bearing flight-recorder
 // events, their spans land in the span store (replayable via
 // GET /internal/trace/{trace_id}), and their wire calls move the
@@ -406,32 +406,48 @@ func TestClusterBackgroundTraces(t *testing.T) {
 		t.Error("replication moved no replica_put histogram")
 	}
 
-	// Hinted handoff: hint a digest for a peer by hand, then drain.
+	// Reinstatement: plant an entry the owner shares with a peer, take the
+	// peer down, and probe it back. The reinstatement sync pushes the
+	// entry, and its repair event's trace holds the summary span.
+	extra := &server.JobResult{Part: []int{0, 1}, EdgeCut: 1}
 	var peer Peer
-	for _, p := range ownerNode.node.otherPeers() {
-		peer = p
-		break
+	for i := 0; peer.Addr == ""; i++ {
+		cand := fmt.Sprintf("%04x", i) + key[4:]
+		set := ownerNode.node.currentRing().Successors(cand)
+		switch owner.ID {
+		case set[0].ID:
+			peer = set[1]
+		case set[1].ID:
+			peer = set[0]
+		default:
+			continue
+		}
+		ownerNode.srv.StoreReplicated(cand, extra)
 	}
-	ownerNode.node.addHint(peer, key, "test")
-	ownerNode.node.DrainHintsNow()
-	var drainTrace string
-	for _, ev := range fetchEvents(t, ownerNode.base()) {
-		if ev.Type == obs.EvClusterHintDrained {
-			drainTrace = ev.Trace
+	for !ownerNode.node.peerIsDown(peer) {
+		ownerNode.node.strikePeer(peer, "test")
+	}
+	ownerNode.node.probePeer(peer)
+	var syncTrace string
+	waitFor(t, "the reinstatement sync's repair event", func() bool {
+		for _, ev := range fetchEvents(t, ownerNode.base()) {
+			if ev.Type == obs.EvClusterRepair {
+				syncTrace = ev.Trace
+			}
+		}
+		return syncTrace != ""
+	})
+	summarySpan := false
+	if rec, ok := ownerNode.node.spans.Get(syncTrace); ok {
+		for _, sp := range rec.Spans {
+			summarySpan = summarySpan || sp.Name == "anti-entropy-summary"
 		}
 	}
-	if drainTrace == "" {
-		t.Fatal("hint drain recorded no trace-bearing event")
-	}
-	if st2, ok := ownerNode.node.spans.Get(drainTrace); !ok || len(st2.Spans) == 0 {
-		t.Error("hint drain round left no spans in the span store")
-	}
-	if !rpcCountNonZero(scrapeMetrics(t, ownerNode.base()), "handoff_put") {
-		t.Error("hint drain moved no handoff_put histogram")
+	if !summarySpan {
+		t.Errorf("reinstatement sync trace %q holds no anti-entropy-summary span", syncTrace)
 	}
 
 	// Anti-entropy: plant divergence on the owner, then sweep.
-	extra := &server.JobResult{Part: []int{0, 1}, EdgeCut: 1}
 	planted := false
 	for _, cand := range []string{"aaaa" + key[4:], "bbbb" + key[4:], "cccc" + key[4:]} {
 		set := ownerNode.node.currentRing().Successors(cand)

@@ -16,8 +16,9 @@ import (
 // pushed asynchronously to the next Replicas−1 distinct ring successors
 // of its digest (PUT /internal/cache/{digest}), so a dead owner's cached
 // work is served bit-identically from a replica instead of recomputed.
-// Pushes to quarantined peers become handoff hints (handoff.go); silent
-// divergence is repaired by the anti-entropy sweep (antientropy.go).
+// Pushes to quarantined or unreachable peers are skipped; the
+// anti-entropy exchange (antientropy.go), run when the peer reinstates
+// and on the periodic sweep, delivers what they missed.
 
 // replTask is one completed result awaiting replication.
 type replTask struct {
@@ -50,16 +51,15 @@ func (n *Node) replicateLoop() {
 }
 
 // replicateKey pushes one result to every replica target of its digest.
-// A quarantined or unreachable target gets a handoff hint instead; the
-// hint is drained when the peer reinstates. The whole round is one
+// A quarantined target is skipped and an unreachable one struck; either
+// catches up by summary exchange once it is back. The whole round is one
 // trace: each push records a span into the node's span store and the
 // flight-recorder event carries the trace id, so a replication round
 // can be replayed via GET /internal/trace/{trace_id}.
 func (n *Node) replicateKey(key string, res *server.JobResult) {
 	trace := obs.NewTraceID()
 	for _, p := range n.replicaTargets(key) {
-		if h := n.peerHealth(p.ID); h != nil && h.down() {
-			n.addHint(p, key, "replica quarantined")
+		if n.peerIsDown(p) {
 			continue
 		}
 		t0 := time.Now()
@@ -68,7 +68,6 @@ func (n *Node) replicateKey(key string, res *server.JobResult) {
 			spanAttrs(p, "digest", fmt.Sprintf("%.12s", key), "ok", err == nil))
 		if err != nil {
 			n.strikePeer(p, "replicate: "+err.Error())
-			n.addHint(p, key, err.Error())
 			continue
 		}
 		n.clearStrikes(p)
@@ -112,11 +111,10 @@ func (n *Node) replicaSetHas(ring *Ring, key string, id int) bool {
 }
 
 // pushEntry PUTs one cached result to a peer — the shared transport of
-// replication, hinted-handoff drains, decommission pushes, and
-// anti-entropy repair. Both legs are charged to the modeled network;
-// the caller says which purpose (rpc label) the wire call serves, which
-// is what keeps the three background subsystems separable in the
-// gpmetisd_cluster_rpc_* series.
+// replication, decommission pushes, and anti-entropy repair. Both legs
+// are charged to the modeled network; the caller says which purpose (rpc
+// label) the wire call serves, which is what keeps the background
+// subsystems separable in the gpmetisd_cluster_rpc_* series.
 func (n *Node) pushEntry(p Peer, key string, res *server.JobResult, rpc string) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
@@ -189,7 +187,7 @@ func (n *Node) consultReplicas(key string, succs []Peer, i int) (*server.JobResu
 	}
 	trace := obs.NewTraceID()
 	for _, q := range succs[i+1 : r] {
-		if h := n.peerHealth(q.ID); h != nil && h.down() {
+		if n.peerIsDown(q) {
 			continue
 		}
 		res, found, err := n.peekRemote(q, key)

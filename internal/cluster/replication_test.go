@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -192,11 +191,15 @@ func TestClusterFailoverServedFromReplica(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoffDrain: a replica push to a dead peer becomes a
-// hint (deduped by digest), and once the peer is back a drain delivers
-// the backlog and the outstanding gauge returns to zero.
-func TestClusterHintedHandoffDrain(t *testing.T) {
-	nodes := startTestRing(t, 3)
+// TestClusterReinstatementRepair: a replica push to a dead peer is
+// skipped, and when the prober reinstates the peer its one summary
+// exchange delivers the missed entry bit-identically. The periodic
+// anti-entropy sweep is off, so the reinstatement sync is the only path
+// that can deliver it.
+func TestClusterReinstatementRepair(t *testing.T) {
+	nodes := startTestRingCfg(t, 3, nil, func(_ int, c *Config) {
+		c.ProbeInterval = 10 * time.Millisecond
+	})
 
 	g, err := gpmetis.Grid2D(25, 25)
 	if err != nil {
@@ -206,56 +209,50 @@ func TestClusterHintedHandoffDrain(t *testing.T) {
 	owner := nodes[2]
 	target := nodes[owner.node.replicaTargets(key)[0].ID]
 
-	target.hs.Close() // replica target is down before the job completes
-
+	// The replica target is down, as the owner's prober sees it, before
+	// the job completes: the owner's push is skipped.
+	target.hs.Close()
+	waitFor(t, "the owner to mark the target down", func() bool {
+		return owner.node.peerIsDown(target.peer)
+	})
 	st, _ := clusterSubmit(t, owner.base(), req)
 	st = clusterPoll(t, owner.base(), st.ID)
 	if st.State != server.StateDone {
 		t.Fatalf("job state %s, error %q", st.State, st.Error)
 	}
-	waitFor(t, "the failed push to become a hint", func() bool {
-		return owner.node.HintsOutstanding() == 1
+	// The skip is decided when the replicator dequeues the result; the
+	// target stays marked down until a probe after its restart.
+	waitFor(t, "the replication queue to empty", func() bool {
+		return len(owner.node.repl) == 0
 	})
-	if hinted := owner.node.handoffHinted.Load(); hinted != 1 {
-		t.Errorf("recorded %d hints, want 1", hinted)
+	if pushes := owner.node.replicaPushes.Load(); pushes != 0 {
+		t.Fatalf("owner pushed %d replicas to a down target, want 0", pushes)
 	}
 
-	// A second replication attempt of the same digest dedups against the
-	// standing hint instead of queueing a duplicate.
-	owner.node.enqueueReplication(key, st.Result)
-	waitFor(t, "the duplicate push attempt to resolve", func() bool {
-		h := owner.node.peerHealth(target.peer.ID)
-		return h != nil && h.down() || owner.node.HintsOutstanding() == 1
-	})
-	time.Sleep(20 * time.Millisecond)
-	if n := owner.node.HintsOutstanding(); n != 1 {
-		t.Errorf("outstanding hints = %d after a duplicate push, want 1 (dedup by digest)", n)
-	}
-	if hinted := owner.node.handoffHinted.Load(); hinted != 1 {
-		t.Errorf("recorded %d hints after a duplicate, want 1", hinted)
-	}
-
-	// Bring the peer back and drain.
+	// Bring the target back; reinstatement runs the repair.
 	ln := relisten(t, target.peer.Addr)
 	hs2 := &http.Server{Handler: target.hs.Handler}
 	go hs2.Serve(ln)
 	t.Cleanup(func() { hs2.Close() })
 
-	waitFor(t, "the hint backlog to drain", func() bool {
-		owner.node.DrainHintsNow()
-		return owner.node.HintsOutstanding() == 0
+	waitFor(t, "the reinstatement sync to deliver the missed entry", func() bool {
+		_, ok := target.srv.PeekCached(key)
+		return ok
 	})
-	if drained := owner.node.handoffDrain.Load(); drained != 1 {
-		t.Errorf("drained %d hints, want 1", drained)
+	if pushed := owner.node.repairPushed.Load(); pushed < 1 {
+		t.Errorf("owner repair-pushed %d entries, want >= 1", pushed)
 	}
-	rep, ok := target.srv.PeekCached(key)
-	if !ok {
-		t.Fatal("drained hint did not land in the target's cache")
+	rep, _ := target.srv.PeekCached(key)
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, p := range rep.Part {
-		if p != st.Result.Part[v] {
-			t.Fatalf("handed-off result differs at vertex %d (%d vs %d)", v, p, st.Result.Part[v])
-		}
+	want, err := json.Marshal(st.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("repaired entry differs from the owner's result:\n got %.200s\nwant %.200s", got, want)
 	}
 }
 
@@ -339,57 +336,9 @@ func TestClusterAntiEntropyRepair(t *testing.T) {
 	}
 }
 
-// TestHintTableDedupAndPersistence: hints dedup by digest per peer and
-// survive a restart of the hinting node via the per-peer JSONL journal.
-func TestHintTableDedupAndPersistence(t *testing.T) {
-	dir := t.TempDir()
-	ht := newHintTable(dir)
-	if !ht.add(1, "k1") {
-		t.Fatal("first add rejected")
-	}
-	if ht.add(1, "k1") {
-		t.Error("duplicate digest accepted for the same peer")
-	}
-	if !ht.add(1, "k2") || !ht.add(2, "k1") {
-		t.Fatal("distinct adds rejected")
-	}
-	if n := ht.outstanding(); n != 3 {
-		t.Fatalf("outstanding = %d, want 3", n)
-	}
-
-	// A fresh table over the same directory reloads the backlog.
-	ht2 := newHintTable(dir)
-	if err := ht2.load(); err != nil {
-		t.Fatal(err)
-	}
-	if n := ht2.outstanding(); n != 3 {
-		t.Fatalf("reloaded outstanding = %d, want 3", n)
-	}
-	if ht2.add(1, "k1") {
-		t.Error("reloaded table accepted a duplicate digest")
-	}
-	got := ht2.take(1)
-	if len(got) != 2 || got[0] != "k1" || got[1] != "k2" {
-		t.Fatalf("take(1) = %v, want FIFO [k1 k2]", got)
-	}
-	// Taking the backlog removes the journal file.
-	if _, err := os.Stat(filepath.Join(dir, "hints-to-node1.jsonl")); !os.IsNotExist(err) {
-		t.Errorf("peer 1 journal still present after take: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "hints-to-node2.jsonl")); err != nil {
-		t.Errorf("peer 2 journal missing: %v", err)
-	}
-
-	// Requeue preserves delivery order ahead of nothing.
-	ht2.requeue(1, got)
-	if n := ht2.outstandingFor(1); n != 2 {
-		t.Fatalf("requeued outstanding = %d, want 2", n)
-	}
-}
-
 // TestClusterCloseStopsGoroutines pins the leak fix: Close must stop the
-// prober, the replicator, the anti-entropy sweep, and any drains — the
-// goroutine count returns to its pre-New baseline.
+// prober, the replicator, the anti-entropy sweep, and any reinstatement
+// syncs — the goroutine count returns to its pre-New baseline.
 func TestClusterCloseStopsGoroutines(t *testing.T) {
 	s := server.New(server.Config{
 		Devices: 1, QueueCap: 4, CacheCap: 8, Logger: obs.DiscardLogger(),

@@ -14,14 +14,13 @@ import (
 
 // RPC type labels for the per-peer × per-RPC-type latency and error
 // series (gpmetisd_cluster_rpc_*). The replica PUT wire call carries
-// three labels depending on why it was made — replication, hinted
-// handoff, anti-entropy repair — so each background subsystem's traffic
-// is separable on a dashboard.
+// two labels depending on why it was made — replication or anti-entropy
+// repair — so each background subsystem's traffic is separable on a
+// dashboard.
 const (
 	rpcForward    = "forward"
 	rpcPeek       = "peek"
 	rpcReplicaPut = "replica_put"
-	rpcHandoffPut = "handoff_put"
 	rpcRepairPut  = "repair_put"
 	rpcSummary    = "summary"
 	rpcProbe      = "probe"
@@ -35,7 +34,7 @@ const (
 // exist on a fresh /metrics scrape, not after the first call of each
 // kind (the metrics-lint invariant).
 var rpcTypes = []string{
-	rpcForward, rpcPeek, rpcReplicaPut, rpcHandoffPut, rpcRepairPut,
+	rpcForward, rpcPeek, rpcReplicaPut, rpcRepairPut,
 	rpcSummary, rpcProbe, rpcAnnounce, rpcProxy, rpcTraceFetch, rpcStatus,
 }
 
@@ -199,7 +198,7 @@ func spanAttrs(p Peer, kvs ...any) map[string]any {
 }
 
 // recordRoundSpan stores one closed span of a background round (a
-// replication push, a hint drain, a repair transfer) into the node's
+// replication push, a summary exchange, a repair transfer) into the node's
 // bounded span store, so GET /internal/trace/{trace_id} can replay the
 // round.
 func (n *Node) recordRoundSpan(traceID, name string, start, end time.Time, attrs map[string]any) {

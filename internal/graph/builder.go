@@ -10,22 +10,21 @@ import (
 // rejected. The zero Builder is not usable; construct with NewBuilder.
 type Builder struct {
 	n      int
-	vwgt   []int
+	vwgt   []int // weights up to the highest vertex set; the rest weigh 1
 	us, vs []int
 	ws     []int
 }
 
 // NewBuilder returns a Builder for a graph with n vertices, all with
-// vertex weight 1 until overridden by SetVertexWeight.
+// vertex weight 1 until overridden by SetVertexWeight. It allocates
+// nothing per vertex: the arrays grow with the weights set and are
+// sized to n only by Build, so a reader handed a huge declared count
+// pays for it only once the input has backed it.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: NewBuilder(%d): negative vertex count", n))
 	}
-	vwgt := make([]int, n)
-	for i := range vwgt {
-		vwgt[i] = 1
-	}
-	return &Builder{n: n, vwgt: vwgt}
+	return &Builder{n: n}
 }
 
 // SetVertexWeight sets the computation weight of vertex v.
@@ -35,6 +34,9 @@ func (b *Builder) SetVertexWeight(v, w int) error {
 	}
 	if w <= 0 {
 		return fmt.Errorf("graph: SetVertexWeight: weight %d must be positive", w)
+	}
+	for len(b.vwgt) <= v {
+		b.vwgt = append(b.vwgt, 1)
 	}
 	b.vwgt[v] = w
 	return nil
@@ -96,6 +98,9 @@ func (b *Builder) Build() (*Graph, error) {
 		VWgt: make([]int, b.n),
 	}
 	copy(g.VWgt, b.vwgt)
+	for v := len(b.vwgt); v < b.n; v++ {
+		g.VWgt[v] = 1
+	}
 	deg := make([]int, b.n)
 	for _, a := range merged {
 		deg[a.u]++

@@ -2,13 +2,17 @@ package gio
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+
+	"gpmetis/internal/graph"
 )
 
 // limitSizes lowers the header caps for the duration of a fuzz target so
-// mutated headers cannot allocate gigabytes before any adjacency data is
-// read.
+// a mutated header that is accepted (a .gr file with no arcs is valid at
+// any vertex count) cannot build a graph of gigabytes.
 func limitSizes(f *testing.F) {
 	oldV, oldE := MaxVertices, MaxEdges
 	MaxVertices, MaxEdges = 1<<12, 1<<14
@@ -84,6 +88,34 @@ func FuzzReadGR(f *testing.F) {
 			t.Fatalf("ReadGR accepted an invalid graph: %v", verr)
 		}
 	})
+}
+
+// TestHugeHeaderAllocatesLittle: a header declaring 2^24 vertices with
+// no body behind it is rejected with the same error as any truncated
+// input, and the readers allocate for the bytes they saw, not for the
+// count the header claimed.
+func TestHugeHeaderAllocatesLittle(t *testing.T) {
+	cases := []struct {
+		name, in, want string
+		read           func(io.Reader) (*graph.Graph, error)
+	}{
+		{"metis", "16777216 0\n", "gio: vertex 1: unexpected EOF", Read},
+		{"gr", "p sp 16777216 1\nq\n", `gio: unknown line type "q"`, ReadGR},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := tc.read(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte input allocated %d bytes, want < 1 MiB",
+				tc.name, len(tc.in), got)
+		}
+	}
 }
 
 // TestReadRejectsCorruptAdjacency pins the reader's hardened rejections:

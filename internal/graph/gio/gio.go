@@ -21,9 +21,10 @@ import (
 )
 
 // MaxVertices and MaxEdges bound the header counts Read and ReadGR
-// accept, so a malicious or corrupt header cannot force a huge
-// allocation before any adjacency data is seen. Variables (not
-// constants) so tests and fuzzing can lower them.
+// accept, and with them the graph an accepted input can build. Nothing
+// is allocated per declared vertex until the input is accepted: the
+// builder grows with the lines read. Variables (not constants) so tests
+// and fuzzing can lower them.
 var (
 	MaxVertices = 1 << 27
 	MaxEdges    = 1 << 29
@@ -35,7 +36,7 @@ var (
 // yields an error, never a panic.
 func Read(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	line, err := nextLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("gio: missing header: %w", err)

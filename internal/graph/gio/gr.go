@@ -23,7 +23,7 @@ import (
 // files.
 func ReadGR(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	var b *graph.Builder
 	n := -1
 	type key struct{ u, v int }

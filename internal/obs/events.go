@@ -43,14 +43,11 @@ const (
 	EvNodeDown        = "node_down"
 	EvNodeUp          = "node_up"
 	// Replication-tier events: a result pushed to a ring replica, a
-	// failover read answered from a replica instead of recomputed, a
-	// handoff hint recorded against a quarantined replica and later
-	// drained, an anti-entropy repair transfer, and membership changes
-	// (decommission, leave/join announcements, a peers.json reload).
+	// failover read answered from a replica instead of recomputed, an
+	// anti-entropy repair transfer, and membership changes (decommission,
+	// leave/join announcements, a peers.json reload).
 	EvClusterReplicate    = "cluster_replicate"
 	EvClusterReplicaHit   = "cluster_replica_hit"
-	EvClusterHint         = "cluster_hint"
-	EvClusterHintDrained  = "cluster_hint_drained"
 	EvClusterRepair       = "cluster_repair"
 	EvClusterDecommission = "cluster_decommission"
 	EvClusterMembership   = "cluster_membership"

@@ -24,7 +24,7 @@ type SpanRecord struct {
 
 // StoredTrace is the per-trace unit of the span store: every span a
 // node recorded under one trace id, typically one background round
-// (a replication push, a hint drain, an anti-entropy exchange).
+// (a replication push, an anti-entropy exchange).
 type StoredTrace struct {
 	TraceID string       `json:"trace_id"`
 	Spans   []SpanRecord `json:"spans"`

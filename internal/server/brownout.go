@@ -9,18 +9,16 @@ import (
 
 // Brownout levels. The level is a pure function of the queue-wait SLO
 // status at each evaluation — the ladder is not hysteretic, so recovery
-// can drop straight from degrade to off once the windows clear.
+// drops straight back to off once the windows clear.
 const (
-	brownoutOff     = 0 // normal service
-	brownoutShed    = 1 // shed over-share queued work of low-weight tenants
-	brownoutDegrade = 2 // additionally auto-enable Options.Degrade for new jobs
+	brownoutOff  = 0 // normal service
+	brownoutShed = 1 // shed over-share queued work of low-weight tenants
 )
 
 // BrownoutConfig tunes the overload ladder. The ladder reuses the SLO
 // engine's multi-window burn-rate machinery with queue wait as the
 // latency objective: a dequeue whose wait exceeded QueueWait spends
-// error budget; the fast window burning alone arms shedding (level 1),
-// both windows burning together escalates to auto-degrade (level 2).
+// error budget; either or both windows burning arms shedding (level 1).
 type BrownoutConfig struct {
 	// QueueWait is the per-job queue-wait objective (default 500ms).
 	QueueWait time.Duration
@@ -111,11 +109,8 @@ func (b *brownout) evaluate() (prev, level int) {
 	snap := b.slo.Snapshot()
 	level = brownoutOff
 	if snap.Fast.Jobs >= b.cfg.MinSamples {
-		switch snap.Status {
-		case obs.SLOWarn:
+		if snap.Status == obs.SLOWarn || snap.Status == obs.SLOBreach {
 			level = brownoutShed
-		case obs.SLOBreach:
-			level = brownoutDegrade
 		}
 	}
 	prev = int(b.level.Swap(int64(level)))

@@ -15,9 +15,10 @@ import (
 // class handleSubmit answers with 400. Accepted requests must describe
 // a runnable job.
 func FuzzSubmitRequest(f *testing.F) {
-	// The graph readers allocate by header count before any adjacency
-	// line is read; lower the caps, as the reader fuzz targets do, so a
-	// mutated header cannot allocate gigabytes on the fuzzing host.
+	// An accepted graph is built at its header's vertex count (a .gr
+	// file with no arcs is valid at any count); lower the caps, as the
+	// reader fuzz targets do, so a mutated header cannot allocate
+	// gigabytes on the fuzzing host.
 	oldV, oldE := gio.MaxVertices, gio.MaxEdges
 	gio.MaxVertices, gio.MaxEdges = 1<<12, 1<<14
 	f.Cleanup(func() { gio.MaxVertices, gio.MaxEdges = oldV, oldE })

@@ -39,12 +39,10 @@ type Job struct {
 	// tenant is the admission state the job was accepted under; estWall
 	// and estModeled are the cost estimates captured at push time (wall
 	// seconds for Retry-After and deadline math, modeled seconds as the
-	// fair queue's service currency). autoDegraded marks Degrade forced
-	// on by the brownout ladder rather than requested by the client.
-	tenant       *tenantState
-	estWall      float64
-	estModeled   float64
-	autoDegraded bool
+	// fair queue's service currency).
+	tenant     *tenantState
+	estWall    float64
+	estModeled float64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -197,16 +195,15 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:           j.ID,
-		TraceID:      j.traceID,
-		State:        j.state,
-		Cached:       j.cached,
-		Coalesced:    j.coalesced,
-		Resumed:      j.resumed,
-		Device:       j.device,
-		WaitSeconds:  j.waitSeconds,
-		AutoDegraded: j.autoDegraded,
-		Error:        j.errMsg,
+		ID:          j.ID,
+		TraceID:     j.traceID,
+		State:       j.state,
+		Cached:      j.cached,
+		Coalesced:   j.coalesced,
+		Resumed:     j.resumed,
+		Device:      j.device,
+		WaitSeconds: j.waitSeconds,
+		Error:       j.errMsg,
 	}
 	if j.tenant != nil {
 		st.Tenant = j.tenant.name

@@ -82,8 +82,8 @@ type Config struct {
 	// tenant runs under the built-in default contract (weight 1, no
 	// quota, no rate limit). See LoadTenantsFile for the JSON form.
 	Tenants TenantsConfig
-	// Brownout tunes the overload ladder (queue-wait burn windows, shed
-	// and degrade thresholds); zero fields take the BrownoutConfig
+	// Brownout tunes the overload ladder (queue-wait objective and burn
+	// windows); zero fields take the BrownoutConfig
 	// defaults. Set Brownout.Disable to pin the ladder off.
 	Brownout BrownoutConfig
 	// Now is the wall clock behind admission control (token buckets, the
@@ -546,7 +546,7 @@ func (s *Server) PeekCached(key string) (*JobResult, bool) {
 
 // StoreReplicated stores a peer's completed result under its content key
 // — the write behind the cluster tier's PUT /internal/cache/{digest}
-// (replication, hinted-handoff drains, anti-entropy repair). It bypasses
+// (replication, decommission pushes, anti-entropy repair). It bypasses
 // hit/miss accounting, journals a replica record so the entry survives a
 // restart, and reports whether the entry was newly stored: false means
 // the cache already held it (or caching is disabled), which is how the
@@ -619,14 +619,6 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 		return nil, ErrDraining
 	}
 	t0 := time.Now()
-	// Brownout level 2: new work runs with the degrade ladder armed. The
-	// flip happens on the wire request before resolution so the cache
-	// key, the journal record, and the run all see the same options.
-	autoDegraded := false
-	if !req.Degrade && s.brown.Level() >= brownoutDegrade {
-		req.Degrade = true
-		autoDegraded = true
-	}
 	job, err := resolveRequest(req)
 	if err != nil {
 		s.reg.Add("jobs.bad_request", 1)
@@ -649,10 +641,6 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 		})
 	}
 	job.tenant = s.tenants.state(req.Tenant)
-	job.autoDegraded = autoDegraded
-	if autoDegraded {
-		s.reg.Add("jobs.auto_degraded", 1)
-	}
 	job.tenant.addSubmitted()
 	s.reg.Add("jobs.submitted", 1)
 
@@ -920,8 +908,6 @@ func (s *Server) brownoutTick() {
 	case prev > brownoutOff && level == brownoutOff:
 		s.event(obs.EvBrownoutEnd, nil, -1, "")
 		s.log.Info("brownout ended: queue-wait burn back under budget")
-	case prev != level:
-		s.log.Info("brownout level changed", "from", prev, "to", level)
 	}
 	if level >= brownoutShed {
 		s.shedOverShare()
@@ -931,7 +917,8 @@ func (s *Server) brownoutTick() {
 // shedOverShare shears queued work of tenants holding more than their
 // weighted fair share of the queue (see fairQueue.shedOverShare) and
 // fails the victims with a retryable shed error. In-quota tenants are
-// never shed — the ladder escalates to degrade instead.
+// never shed; deadline admission refuses work that cannot finish in
+// time.
 func (s *Server) shedOverShare() {
 	victims := s.fq.shedOverShare()
 	for _, j := range victims {
@@ -1349,12 +1336,6 @@ func (s *Server) clusterSamples() []obs.PromSample {
 			Help: "Replica entries this node stored on behalf of peers."},
 		{Name: "cluster.replica_hits", Value: float64(cs.ReplicaHits),
 			Help: "Failover reads answered from a replica instead of recomputed."},
-		{Name: "cluster.handoff_hinted", Value: float64(cs.HandoffHinted),
-			Help: "Handoff hints recorded against quarantined replicas."},
-		{Name: "cluster.handoff_drained", Value: float64(cs.HandoffDrained),
-			Help: "Handoff hints delivered after the peer reinstated."},
-		{Name: "cluster.handoff_hints_outstanding", Value: float64(cs.HintsOutstanding),
-			Help: "Handoff hints currently awaiting delivery."},
 		{Name: "cluster.repair_pushed", Value: float64(cs.RepairPushed),
 			Help: "Cache entries pushed to peers by anti-entropy repair."},
 		{Name: "cluster.repair_pulled", Value: float64(cs.RepairPulled),

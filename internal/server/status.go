@@ -153,8 +153,8 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 <tr><td>{{.Cluster.Forwards}}</td><td>{{.Cluster.PeekHits}}</td><td>{{.Cluster.PeekMisses}}</td><td>{{.Cluster.Failovers}}</td><td>{{secs .Cluster.NetModeledSeconds}}</td><td>{{.Cluster.NetMessages}}</td></tr>
 </table>
 {{if .Cluster.Replicas}}<table>
-<tr><th>replica pushes</th><th>replica stores</th><th>replica hits</th><th>hints queued</th><th>hints drained</th><th>hints outstanding</th><th>repair pushed</th><th>repair pulled</th></tr>
-<tr><td>{{.Cluster.ReplicaPushes}}</td><td>{{.Cluster.ReplicaStores}}</td><td>{{.Cluster.ReplicaHits}}</td><td>{{.Cluster.HandoffHinted}}</td><td>{{.Cluster.HandoffDrained}}</td><td{{if .Cluster.HintsOutstanding}} class="warn"{{end}}>{{.Cluster.HintsOutstanding}}</td><td>{{.Cluster.RepairPushed}}</td><td>{{.Cluster.RepairPulled}}</td></tr>
+<tr><th>replica pushes</th><th>replica stores</th><th>replica hits</th><th>repair pushed</th><th>repair pulled</th></tr>
+<tr><td>{{.Cluster.ReplicaPushes}}</td><td>{{.Cluster.ReplicaStores}}</td><td>{{.Cluster.ReplicaHits}}</td><td>{{.Cluster.RepairPushed}}</td><td>{{.Cluster.RepairPulled}}</td></tr>
 </table>
 {{end}}<table>
 <tr><th>peer</th><th>addr</th><th>state</th><th>strikes</th><th>downs</th></tr>

@@ -131,9 +131,6 @@ type JobStatus struct {
 	WaitSeconds float64 `json:"wait_seconds"`
 	// Tenant is the tenant the job was admitted under.
 	Tenant string `json:"tenant,omitempty"`
-	// AutoDegraded marks a job whose Degrade option was forced on by the
-	// brownout ladder (level 2) rather than requested by the client.
-	AutoDegraded bool `json:"auto_degraded,omitempty"`
 	// Node is the host:port of the ring node that owns this job, set by
 	// the cluster tier (empty on a standalone daemon). For a forwarded
 	// submission it names the owner the entry node routed to; for a
@@ -225,7 +222,7 @@ type HealthResponse struct {
 	// EventsTotal counts lifecycle events ever recorded.
 	EventsTotal int64 `json:"events_total"`
 	// BrownoutLevel is the overload ladder's current rung (0 normal,
-	// 1 shedding, 2 shedding + auto-degrade).
+	// 1 shedding).
 	BrownoutLevel int `json:"brownout_level"`
 	// Cluster is the ring tier's view of this node (nil on a standalone
 	// daemon): node identity, membership, and routing counters.
@@ -281,12 +278,6 @@ type ClusterStatus struct {
 	ReplicaStores int64 `json:"replica_stores"`
 	ReplicaHits   int64 `json:"replica_hits"`
 
-	// Hinted handoff: hints recorded against quarantined replicas,
-	// hints drained after reinstatement, and the live backlog.
-	HandoffHinted    int64 `json:"handoff_hinted"`
-	HandoffDrained   int64 `json:"handoff_drained"`
-	HintsOutstanding int64 `json:"hints_outstanding"`
-
 	// Anti-entropy repair: entries pushed to and pulled from peers by
 	// the background digest-summary sweep and read-repair.
 	RepairPushed int64 `json:"repair_pushed"`
@@ -323,7 +314,7 @@ type TenantStatus struct {
 // and /healthz.
 type BrownoutStatus struct {
 	// Level is the current rung: 0 normal, 1 shedding over-share queued
-	// work, 2 shedding plus auto-degrade for new jobs.
+	// work.
 	Level int `json:"level"`
 	// Engaged counts level transitions from 0 to a higher rung; Shed
 	// counts queued jobs shed by the ladder.

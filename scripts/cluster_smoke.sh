@@ -8,16 +8,17 @@
 # incremented, modeled network seconds charged) and that the result
 # replicated to a ring successor; then SIGKILLs the owner and asserts
 # the resubmission is served from the replica — a cache hit, not a
-# recompute — and finally restarts the owner and asserts rejoin
-# catch-up pulls its entries back so it serves locally again.
+# recompute — completes a job whose replica push to the dead owner is
+# skipped, and finally restarts the owner and asserts rejoin catch-up
+# pulls its entries back, that job's included, so it serves them alone.
 #
 # The observability plane rides along: the federated fleet view
 # (/admin/cluster/status.json) must list every node up, a forwarded
 # job's trace must come back STITCHED (entry + owner spans under
 # distinct pids in one document), every internode RPC class (forward,
-# replica_put, summary, handoff_put) must land in the per-peer
-# histograms, and replication / anti-entropy / hint-drain rounds must
-# each leave a trace-id-bearing event in the flight recorder. Run via
+# replica_put, summary) must land in the per-peer histograms, and
+# replication and anti-entropy rounds must each leave a trace-id-bearing
+# event in the flight recorder. Run via
 # `make serve-smoke` or directly from the repo root.
 set -euo pipefail
 
@@ -227,25 +228,31 @@ done
 [[ -n "$down" ]] || { echo "cluster-smoke: FAIL the dead owner was never marked down"; exit 1; }
 echo "cluster-smoke: dead owner quarantined by health probes"
 
-# With the owner dead, hunt a job whose RF=2 preference list includes
-# it: the computing survivor must record a handoff hint instead of a
-# replica push (each k lands on the dead node with probability ~2/3).
-echo "cluster-smoke: planting a hinted handoff for the dead owner"
-hinted=""
+# With the owner dead, hunt a job whose RF=2 replica set includes it:
+# the survivor that computes it skips the push to the dead node, so no
+# replica push is counted (each k lands on the dead node with
+# probability ~2/3).
+counter() {
+    local v
+    v="$(curl -sf "http://$1/metrics" | sed -n "s/^gpmetisd_$2 \([0-9]*\).*/\1/p")"
+    echo "${v:-0}"
+}
+echo "cluster-smoke: completing a job whose replica set includes the dead owner"
+missed=""
 for kk in 6 10 14 18 22 26; do
+    pushes=$(( $(counter "${addrs[$entry]}" cluster_replica_pushes) + $(counter "${addrs[$survivor]}" cluster_replica_pushes) ))
     "$workdir/gpmetis" -cluster "${addrs[$entry]},${addrs[$survivor]}" -k "$kk" -json \
-        -o "$workdir/hint.part" "$workdir/smoke.metis" >"$workdir/hint.json"
-    for _ in $(seq 1 10); do
-        for i in "$entry" "$survivor"; do
-            h="$(curl -sf "http://${addrs[$i]}/metrics" | sed -n 's/^gpmetisd_cluster_handoff_hints_outstanding \([0-9]*\).*/\1/p')"
-            if [[ -n "$h" && "$h" -ge 1 ]]; then hinted=$i; break 2; fi
-        done
+        -o "$workdir/missed.part" "$workdir/smoke.metis" >"$workdir/missed.json"
+    pushed=""
+    for _ in $(seq 1 20); do
+        now=$(( $(counter "${addrs[$entry]}" cluster_replica_pushes) + $(counter "${addrs[$survivor]}" cluster_replica_pushes) ))
+        if (( now > pushes )); then pushed=1; break; fi
         sleep 0.1
     done
-    [[ -n "$hinted" ]] && break
+    if [[ -z "$pushed" ]]; then missed=$kk; break; fi
 done
-[[ -n "$hinted" ]] || { echo "cluster-smoke: FAIL no k in six tries replicated toward the dead owner; no hint recorded"; exit 1; }
-echo "cluster-smoke: node $hinted holds a hint for the dead owner"
+[[ -n "$missed" ]] || { echo "cluster-smoke: FAIL no k in six tries had the dead owner in its replica set"; exit 1; }
+echo "cluster-smoke: k=$missed completed with its push to the dead owner skipped"
 
 # Restart the owner from nothing on the same address: rejoin catch-up
 # must pull the entries it owns back from its replicas.
@@ -261,6 +268,11 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [[ -n "$up" ]] || { cat "$workdir/node$owner.restart.log"; echo "cluster-smoke: FAIL restarted owner never rejoined the ring"; exit 1; }
+deadline=$((SECONDS + 15))
+until grep -q "rejoin catch-up complete" "$workdir/node$owner.restart.log"; do
+    (( SECONDS < deadline )) || { cat "$workdir/node$owner.restart.log"; echo "cluster-smoke: FAIL restarted owner never finished rejoin catch-up"; exit 1; }
+    sleep 0.2
+done
 
 deadline=$((SECONDS + 15))
 caught_up=""
@@ -294,28 +306,21 @@ cmp -s "$workdir/run1.part" "$workdir/run4.part" || { echo "cluster-smoke: FAIL 
 jc="$(curl -sf "http://${addrs[$owner]}/metrics" | sed -n 's/^gpmetisd_jobs_completed \([0-9]*\).*/\1/p')"
 [[ -z "$jc" || "$jc" -eq 0 ]] || { echo "cluster-smoke: FAIL restarted owner recomputed a repaired job (jobs_completed=$jc)"; exit 1; }
 
-# The planted hint must drain back to the restarted owner once probes
-# reinstate it: no hints left anywhere, a traced hint-drain event on
-# the hinted node, and handoff_put observations in its histograms.
-deadline=$((SECONDS + 15))
-drained=""
-while (( SECONDS < deadline )); do
-    left=0
-    for i in 0 1 2; do
-        h="$(curl -sf "http://${addrs[$i]}/metrics" | sed -n 's/^gpmetisd_cluster_handoff_hints_outstanding \([0-9]*\).*/\1/p')"
-        left=$((left + ${h:-0}))
-    done
-    if (( left == 0 )); then drained=1; break; fi
-    sleep 0.2
+# The job completed while the owner was dead must be on the restarted
+# owner too: with both other nodes killed, it alone answers that job
+# from its own cache, bit-identically and without a recompute.
+echo "cluster-smoke: killing nodes $entry and $survivor; the restarted owner must serve k=$missed alone"
+for i in "$entry" "$survivor"; do
+    kill -9 "${pids[$i]}"
+    wait "${pids[$i]}" 2>/dev/null || true
+    pids[$i]=""
 done
-[[ -n "$drained" ]] || { echo "cluster-smoke: FAIL $left hints still undelivered with the ring whole"; exit 1; }
-curl -sf "http://${addrs[$hinted]}/admin/events" >"$workdir/hinted.events.json"
-hint_ev="$(grep -o '{[^{}]*"type":"cluster_hint_drained"[^{}]*}' "$workdir/hinted.events.json" | head -1)"
-[[ -n "$hint_ev" ]] || { echo "cluster-smoke: FAIL node $hinted recorded no cluster_hint_drained event"; exit 1; }
-grep -q '"trace_id":"' <<<"$hint_ev" || { echo "cluster-smoke: FAIL cluster_hint_drained event carries no trace_id: $hint_ev"; exit 1; }
-hput="$(curl -sf "http://${addrs[$hinted]}/metrics" | sed -n 's/^gpmetisd_cluster_rpc_seconds_count{[^}]*rpc="handoff_put"} \([0-9]*\)$/\1/p' | awk '{s+=$1} END {print s+0}')"
-(( hput >= 1 )) || { echo "cluster-smoke: FAIL node $hinted observed no handoff_put RPC in the histograms"; exit 1; }
-echo "cluster-smoke: hint drained to the restarted owner (traced event + handoff_put observed), no hints outstanding"
+"$workdir/gpmetis" -cluster "${addrs[$owner]}" -k "$missed" -json -o "$workdir/missed2.part" \
+    "$workdir/smoke.metis" >"$workdir/missed2.json"
+grep -q '"cached": true' "$workdir/missed2.json" || { cat "$workdir/missed2.json"; echo "cluster-smoke: FAIL restarted owner lacks the job completed while it was dead"; exit 1; }
+cmp -s "$workdir/missed.part" "$workdir/missed2.part" || { echo "cluster-smoke: FAIL caught-up partition differs from the original"; exit 1; }
+[[ "$(counter "${addrs[$owner]}" jobs_completed)" -eq 0 ]] || { echo "cluster-smoke: FAIL restarted owner recomputed the job completed while it was dead"; exit 1; }
+echo "cluster-smoke: restarted owner holds the job completed while it was dead"
 
 for i in 0 1 2; do
     [[ -n "${pids[$i]}" ]] && kill "${pids[$i]}" 2>/dev/null || true
