@@ -404,11 +404,10 @@ func chaosOverload(rng *rand.Rand) error {
 		},
 		// A 1ns wait objective makes every dequeue a miss, so the ladder
 		// engages deterministically once MinSamples dequeues land; the
-		// short windows let it step back down within the round.
+		// short window lets it step back down within the round.
 		Brownout: server.BrownoutConfig{
 			QueueWait:  time.Nanosecond,
 			FastWindow: 300 * time.Millisecond,
-			SlowWindow: 600 * time.Millisecond,
 			MinSamples: 3,
 		},
 	}

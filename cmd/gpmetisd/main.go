@@ -15,7 +15,7 @@
 //	         [-slo-availability-target 0.99] [-events 256] \
 //	         [-tenants tenants.json] [-brownout-wait 500ms] \
 //	         [-brownout-target 0.9] [-brownout-fast-window 15s] \
-//	         [-brownout-slow-window 90s] [-brownout-off] \
+//	         [-brownout-off] \
 //	         [-debug-addr 127.0.0.1:6060] \
 //	         [-peers peers.json -node-id 0] [-vnodes 64] [-cluster-probe 1s] \
 //	         [-replicas 2] [-anti-entropy 5s]
@@ -177,7 +177,6 @@ func main() {
 	brownoutWait := flag.Duration("brownout-wait", 500*time.Millisecond, "queue-wait threshold feeding the brownout ladder")
 	brownoutTarget := flag.Float64("brownout-target", 0.9, "fraction of dequeues that must wait less than -brownout-wait")
 	brownoutFast := flag.Duration("brownout-fast-window", 15*time.Second, "brownout fast burn-rate window")
-	brownoutSlow := flag.Duration("brownout-slow-window", 90*time.Second, "brownout slow burn-rate window")
 	brownoutOff := flag.Bool("brownout-off", false, "disable brownout shedding entirely")
 	peersFile := flag.String("peers", "", "cluster peers.json; joins the ring described in it")
 	nodeID := flag.Int("node-id", -1, "this node's id in -peers (required with -peers)")
@@ -232,7 +231,6 @@ func main() {
 			QueueWait:  *brownoutWait,
 			Target:     *brownoutTarget,
 			FastWindow: *brownoutFast,
-			SlowWindow: *brownoutSlow,
 			Disable:    *brownoutOff,
 		},
 		SLO: obs.SLOConfig{

@@ -406,48 +406,8 @@ func TestClusterBackgroundTraces(t *testing.T) {
 		t.Error("replication moved no replica_put histogram")
 	}
 
-	// Reinstatement: plant an entry the owner shares with a peer, take the
-	// peer down, and probe it back. The reinstatement sync pushes the
-	// entry, and its repair event's trace holds the summary span.
-	extra := &server.JobResult{Part: []int{0, 1}, EdgeCut: 1}
-	var peer Peer
-	for i := 0; peer.Addr == ""; i++ {
-		cand := fmt.Sprintf("%04x", i) + key[4:]
-		set := ownerNode.node.currentRing().Successors(cand)
-		switch owner.ID {
-		case set[0].ID:
-			peer = set[1]
-		case set[1].ID:
-			peer = set[0]
-		default:
-			continue
-		}
-		ownerNode.srv.StoreReplicated(cand, extra)
-	}
-	for !ownerNode.node.peerIsDown(peer) {
-		ownerNode.node.strikePeer(peer, "test")
-	}
-	ownerNode.node.probePeer(peer)
-	var syncTrace string
-	waitFor(t, "the reinstatement sync's repair event", func() bool {
-		for _, ev := range fetchEvents(t, ownerNode.base()) {
-			if ev.Type == obs.EvClusterRepair {
-				syncTrace = ev.Trace
-			}
-		}
-		return syncTrace != ""
-	})
-	summarySpan := false
-	if rec, ok := ownerNode.node.spans.Get(syncTrace); ok {
-		for _, sp := range rec.Spans {
-			summarySpan = summarySpan || sp.Name == "anti-entropy-summary"
-		}
-	}
-	if !summarySpan {
-		t.Errorf("reinstatement sync trace %q holds no anti-entropy-summary span", syncTrace)
-	}
-
 	// Anti-entropy: plant divergence on the owner, then sweep.
+	extra := &server.JobResult{Part: []int{0, 1}, EdgeCut: 1}
 	planted := false
 	for _, cand := range []string{"aaaa" + key[4:], "bbbb" + key[4:], "cccc" + key[4:]} {
 		set := ownerNode.node.currentRing().Successors(cand)
@@ -471,6 +431,53 @@ func TestClusterBackgroundTraces(t *testing.T) {
 		if ownerNode.node.repairPushed.Load() > 0 && !repaired {
 			t.Error("repair ran but recorded no trace-bearing cluster_repair event")
 		}
+	}
+
+	// Reinstatement: plant an entry the owner shares with a peer, take the
+	// peer down, and probe it back. The reinstatement sync pushes the
+	// entry, and its repair event — one the sweep above did not record —
+	// carries a trace holding the summary span.
+	seen := map[string]bool{}
+	for _, ev := range fetchEvents(t, ownerNode.base()) {
+		if ev.Type == obs.EvClusterRepair {
+			seen[ev.Trace] = true
+		}
+	}
+	var peer Peer
+	for i := 0; peer.Addr == ""; i++ {
+		cand := fmt.Sprintf("%04x", i) + key[4:]
+		set := ownerNode.node.currentRing().Successors(cand)
+		switch owner.ID {
+		case set[0].ID:
+			peer = set[1]
+		case set[1].ID:
+			peer = set[0]
+		default:
+			continue
+		}
+		ownerNode.srv.StoreReplicated(cand, extra)
+	}
+	for !ownerNode.node.peerIsDown(peer) {
+		ownerNode.node.strikePeer(peer, "test")
+	}
+	ownerNode.node.probePeer(peer)
+	var syncTrace string
+	waitFor(t, "the reinstatement sync's repair event", func() bool {
+		for _, ev := range fetchEvents(t, ownerNode.base()) {
+			if ev.Type == obs.EvClusterRepair && !seen[ev.Trace] {
+				syncTrace = ev.Trace
+			}
+		}
+		return syncTrace != ""
+	})
+	summarySpan := false
+	if rec, ok := ownerNode.node.spans.Get(syncTrace); ok {
+		for _, sp := range rec.Spans {
+			summarySpan = summarySpan || sp.Name == "anti-entropy-summary"
+		}
+	}
+	if !summarySpan {
+		t.Errorf("reinstatement sync trace %q holds no anti-entropy-summary span", syncTrace)
 	}
 }
 

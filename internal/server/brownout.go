@@ -7,27 +7,28 @@ import (
 	"gpmetis/internal/obs"
 )
 
-// Brownout levels. The level is a pure function of the queue-wait SLO
-// status at each evaluation — the ladder is not hysteretic, so recovery
-// drops straight back to off once the windows clear.
+// Brownout levels. The level is a pure function of the queue-wait burn
+// at each evaluation — the ladder is not hysteretic, so recovery drops
+// straight back to off once the window clears.
 const (
 	brownoutOff  = 0 // normal service
 	brownoutShed = 1 // shed over-share queued work of low-weight tenants
 )
 
 // BrownoutConfig tunes the overload ladder. The ladder reuses the SLO
-// engine's multi-window burn-rate machinery with queue wait as the
-// latency objective: a dequeue whose wait exceeded QueueWait spends
-// error budget; either or both windows burning arms shedding (level 1).
+// engine's burn-rate machinery with queue wait as the latency
+// objective: a dequeue whose wait exceeded QueueWait spends error
+// budget, and a fast-window latency burn above 1 (once MinSamples
+// dequeues are in the window) arms shedding (level 1).
 type BrownoutConfig struct {
 	// QueueWait is the per-job queue-wait objective (default 500ms).
 	QueueWait time.Duration
 	// Target is the fraction of dequeues that must meet QueueWait
 	// (default 0.9).
 	Target float64
-	// FastWindow and SlowWindow are the burn-rate windows (defaults 15s
-	// and 90s — queue pressure moves much faster than job outcomes).
-	FastWindow, SlowWindow time.Duration
+	// FastWindow is the burn-rate window (default 15s — queue pressure
+	// moves much faster than job outcomes).
+	FastWindow time.Duration
 	// MinSamples is how many dequeues the fast window must hold before
 	// the ladder may leave level 0 (default 5); it keeps one slow dequeue
 	// after an idle stretch from tripping a shed.
@@ -45,9 +46,6 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 	}
 	if c.FastWindow <= 0 {
 		c.FastWindow = 15 * time.Second
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 90 * time.Second
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 5
@@ -78,13 +76,15 @@ func newBrownout(cfg BrownoutConfig, now func() time.Time) *brownout {
 		// budget wide open so only latency burn drives the ladder.
 		AvailabilityTarget: 0.5,
 		FastWindow:         cfg.FastWindow,
-		SlowWindow:         cfg.SlowWindow,
-		Now:                now,
+		// Only the fast window decides the level; a slow window of the
+		// same length keeps no samples beyond it.
+		SlowWindow: cfg.FastWindow,
+		Now:        now,
 	})
 	return b
 }
 
-// observeWait feeds one dequeue's queue wait into the burn windows.
+// observeWait feeds one dequeue's queue wait into the burn window.
 func (b *brownout) observeWait(wait time.Duration) {
 	if b.disabled {
 		return
@@ -100,18 +100,16 @@ func (b *brownout) Level() int {
 	return int(b.level.Load())
 }
 
-// evaluate recomputes the rung from the queue-wait burn windows and
-// reports the previous and new levels.
+// evaluate recomputes the rung from the fast window's queue-wait burn
+// and reports the previous and new levels.
 func (b *brownout) evaluate() (prev, level int) {
 	if b.disabled {
 		return brownoutOff, brownoutOff
 	}
 	snap := b.slo.Snapshot()
 	level = brownoutOff
-	if snap.Fast.Jobs >= b.cfg.MinSamples {
-		if snap.Status == obs.SLOWarn || snap.Status == obs.SLOBreach {
-			level = brownoutShed
-		}
+	if snap.Fast.Jobs >= b.cfg.MinSamples && snap.Fast.LatencyBurn > 1 {
+		level = brownoutShed
 	}
 	prev = int(b.level.Swap(int64(level)))
 	return prev, level

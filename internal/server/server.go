@@ -83,11 +83,11 @@ type Config struct {
 	// quota, no rate limit). See LoadTenantsFile for the JSON form.
 	Tenants TenantsConfig
 	// Brownout tunes the overload ladder (queue-wait objective and burn
-	// windows); zero fields take the BrownoutConfig
+	// window); zero fields take the BrownoutConfig
 	// defaults. Set Brownout.Disable to pin the ladder off.
 	Brownout BrownoutConfig
 	// Now is the wall clock behind admission control (token buckets, the
-	// brownout windows); nil means time.Now. Injectable for tests.
+	// brownout window); nil means time.Now. Injectable for tests.
 	Now func() time.Time
 	// JobIDPrefix prefixes generated job IDs (default "j"). Cluster nodes
 	// set a per-node prefix ("n0-j", "n1-j", ...) so IDs are unique across
