@@ -97,11 +97,14 @@ chaos:
 	$(GO) run ./cmd/chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
 # fuzz exercises the hardened graph readers, the POST /jobs wire
-# decoder, and the peers.json loader for FUZZTIME per target.
+# decoder, journal replay, the checkpoint decoder, and the peers.json
+# loader for FUZZTIME per target.
 fuzz:
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzRead$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzReadGR$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzSubmitRequest$$ -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReplayJournal$$ -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointDecode$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzPeersFile$$ -fuzztime $(FUZZTIME)
 
 bench:

@@ -18,7 +18,7 @@ import (
 
 // testState builds a snapshot exercising every encoded field, including
 // the optional ones (partition vector, events, fault counters).
-func testState(t *testing.T) *State {
+func testState(t testing.TB) *State {
 	t.Helper()
 	// A triangle and a 2-path: two small valid CSR graphs.
 	g1 := &graph.Graph{

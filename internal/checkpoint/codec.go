@@ -70,9 +70,14 @@ func Read(r io.Reader) (*State, error) {
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Grow the buffer with the bytes that arrive, not the length the
+	// header claims: a 16-byte file must not allocate a gigabyte.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("%w: short payload: %v", ErrCorrupt, err)
+	}
+	if uint64(len(payload)) < n {
+		return nil, fmt.Errorf("%w: short payload: %d of %d bytes", ErrCorrupt, len(payload), n)
 	}
 	var sum [sha256.Size]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,15 +206,12 @@ func New(cfg Config) (*Node, error) {
 			}
 		}
 	}
-	n.srv.SetNodeID(fmt.Sprintf("%d", self.ID))
-	n.srv.SetClusterStatus(n.Status)
-	n.srv.SetPromExtra(n.rpc.snapshot)
+	n.srv.SetRing(n.hooks(true))
 	if cfg.ProbeInterval > 0 {
 		n.wg.Add(1)
 		go n.probeLoop()
 	}
 	if cfg.Replicas > 1 {
-		n.srv.SetResultHook(n.enqueueReplication)
 		n.wg.Add(1)
 		go n.replicateLoop()
 		if cfg.AntiEntropyInterval > 0 {
@@ -226,16 +224,34 @@ func New(cfg Config) (*Node, error) {
 
 // Close stops every background goroutine the node owns — the health
 // prober, the replicator, the anti-entropy sweep, and any in-flight
-// reinstatement syncs — and uninstalls the server hooks. The wrapped
-// handler keeps serving (the server owns its own shutdown); routing
-// continues with frozen health.
+// reinstatement syncs — and uninstalls the replication and RPC-metric
+// hooks. The wrapped handler keeps serving (the server owns its own
+// shutdown); routing continues with frozen health.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
-		n.srv.SetResultHook(nil)
-		n.srv.SetPromExtra(nil)
+		n.srv.SetRing(n.hooks(false))
 		close(n.stop)
 		n.wg.Wait()
 	})
+}
+
+// hooks is what the node installs on its server: identity, status and
+// routing always; while open, also the fresh-result hook that feeds
+// replication and the per-peer RPC series.
+func (n *Node) hooks(open bool) server.RingHooks {
+	h := server.RingHooks{
+		NodeID: strconv.Itoa(n.self.ID),
+		Addr:   n.self.Addr,
+		Status: n.Status,
+		Route:  n.route,
+	}
+	if open {
+		h.Prom = n.rpc.snapshot
+		if n.cfg.Replicas > 1 {
+			h.Result = n.enqueueReplication
+		}
+	}
+	return h
 }
 
 // Ring returns the node's current effective ring (departed members
@@ -317,11 +333,11 @@ func (n *Node) Status() *server.ClusterStatus {
 //	GET  /admin/cluster/status     federated fleet view (HTML; .json for data)
 //	POST /admin/decommission       retire this node: push cache, announce leave
 //	POST /admin/rejoin             announce return and run catch-up repair
-//	POST /jobs                     route by digest: local, peek, forward
 //	GET/DELETE /jobs/{id}[...]     proxied to the owner for forwarded jobs
 //	                               (a forwarded job's /trace is stitched)
 //
-// Everything else passes straight through to inner.
+// Everything else passes straight through to inner, POST /jobs
+// included: the server resolves the submission and hands it to route.
 func (n *Node) Handler(inner http.Handler) http.Handler {
 	n.inner = inner
 	mux := http.NewServeMux()
@@ -335,7 +351,6 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux.HandleFunc("POST /internal/ring/join", n.handleJoin)
 	mux.HandleFunc("POST /admin/decommission", n.handleDecommission)
 	mux.HandleFunc("POST /admin/rejoin", n.handleRejoin)
-	mux.HandleFunc("POST /jobs", n.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", n.proxyOrLocal)
 	mux.HandleFunc("DELETE /jobs/{id}", n.proxyOrLocal)
 	mux.HandleFunc("GET /jobs/{id}/trace", n.proxyOrLocal)
@@ -357,63 +372,38 @@ func (n *Node) handlePeek(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleSubmit is the routing core. Forwarded submissions are pinned
-// local (loop guard); everything else walks the ring from the digest's
-// owner: serve locally when this node is the first live candidate,
-// otherwise peek the candidate's cache and forward on a miss. A dead
-// candidate is struck and the walk continues — that continuation is the
-// failover path.
-func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			server.ErrorResponse{Error: fmt.Sprintf("read body: %v", err), Code: server.CodeBadRequest})
-		return
-	}
-	var req server.SubmitRequest
-	if json.Unmarshal(body, &req) != nil || req.ForwardedBy != "" {
-		// Unparsable bodies get the server's canonical 400; forwarded jobs
-		// are pinned here — re-forwarding could loop if ring views diverge.
-		n.serveLocal(w, r, body)
-		return
-	}
-	key, err := server.KeyForRequest(&req)
-	if err != nil || key == "" {
-		// Invalid requests fail locally with the canonical error; NoCache
-		// submissions have no digest to route on and run wherever they land.
-		n.serveLocal(w, r, body)
-		return
-	}
-
-	// The distributed trace starts here, at the entry node: the forward
-	// carries this id in its body and the owner's job adopts it, so the
-	// whole routed submission is one trace regardless of where it lands;
-	// peek hits and forwards record it in the flight recorder. (A
-	// submission served locally mints its own id at registration and this
-	// one is simply unused.)
-	traceID := obs.NewTraceID()
-
+// route is the ring's routing core, the server's RingHooks.Route: it
+// walks the ring from the job's owner, peeking each live candidate's
+// cache and forwarding on a miss. When this node is the first live
+// candidate it declines, and the server admits the job here, unless an
+// untried member of the key's replica set already holds the result. A
+// dead candidate is struck and the walk continues — that continuation
+// is the failover path. The job's trace id, minted by the server before
+// routing, rides the forward, so the whole routed submission is one
+// trace wherever it lands; peek hits and forwards record it in the
+// flight recorder.
+func (n *Node) route(w http.ResponseWriter, j *server.Job) bool {
+	key, traceID := j.Key(), j.TraceID()
 	ring := n.currentRing()
 	owner := ring.Owner(key)
 	succs := ring.Successors(key)
 	for i, p := range succs {
 		if p.ID == n.self.ID {
-			// This node is the first live candidate. Before recomputing
-			// work a dead owner may already have finished, consult the
-			// untried members of the key's replica set: a replicated
-			// entry answers bit-identically at zero modeled partition
-			// cost, and read-repairs the local cache on the way through.
+			// Before recomputing work a dead owner may already have
+			// finished, consult the untried members of the key's replica
+			// set: a replicated entry answers bit-identically at zero
+			// modeled partition cost, and read-repairs the local cache on
+			// the way through.
 			if res, from, ok := n.consultReplicas(key, succs, i); ok {
 				n.noteFailover(owner, from, key)
 				writeJSON(w, http.StatusOK, server.JobStatus{
 					State: server.StateDone, Cached: true, Device: -1,
 					Node: from.Addr, Result: res,
 				})
-				return
+				return true
 			}
 			n.noteFailover(owner, p, key)
-			n.serveLocal(w, r, body)
-			return
+			return false
 		}
 		if n.peerIsDown(p) {
 			continue
@@ -432,10 +422,10 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				State: server.StateDone, Cached: true, Device: -1,
 				Node: p.Addr, Result: res,
 			})
-			return
+			return true
 		}
 		n.peekMisses.Add(1)
-		status, respBody, fi, fwdErr := n.forward(p, req, key, traceID)
+		resp, body, fi, fwdErr := n.forward(p, *j.Request(), traceID)
 		if fwdErr != nil {
 			n.strikePeer(p, "forward: "+fwdErr.Error())
 			continue
@@ -445,52 +435,24 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n.noteFailover(owner, p, key)
 		n.srv.RecordTracedEvent(obs.EvClusterForward, traceID,
 			fmt.Sprintf("digest %.12s -> node %d", key, p.ID))
-		if status == http.StatusOK || status == http.StatusAccepted {
-			var st server.JobStatus
-			if json.Unmarshal(respBody, &st) == nil && st.ID != "" {
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
+			var st struct {
+				ID string `json:"id"`
+			}
+			if json.Unmarshal(body, &st) == nil && st.ID != "" {
 				n.mu.Lock()
 				n.forwarded[st.ID] = fi
 				n.mu.Unlock()
 			}
 		}
-		relay(w, status, respBody)
-		return
+		relay(w, resp, body)
+		return true
 	}
 	writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{
 		Error: "no live ring node reachable for this job",
 		Code:  server.CodeClusterUnreachable,
 	})
-}
-
-// serveLocal hands the submission to the wrapped server and stamps this
-// node's address into successful JobStatus answers, so entry nodes and
-// clients learn where the job lives.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	cw := newCaptureWriter()
-	n.inner.ServeHTTP(cw, r2)
-	relay(w, cw.status, n.patchStatusBody(cw.status, cw.body.Bytes()))
-}
-
-// patchStatusBody stamps this node's address into a successful
-// JobStatus body; anything that is not a job status passes through
-// untouched.
-func (n *Node) patchStatusBody(status int, out []byte) []byte {
-	if status != http.StatusOK && status != http.StatusAccepted {
-		return out
-	}
-	var st server.JobStatus
-	if json.Unmarshal(out, &st) != nil || st.ID == "" {
-		return out
-	}
-	st.Node = n.self.Addr
-	b, err := json.Marshal(st)
-	if err != nil {
-		return out
-	}
-	return append(b, '\n')
+	return true
 }
 
 // peekRemote asks peer whether it already caches digest. Both legs of
@@ -532,8 +494,8 @@ func (n *Node) peekRemote(p Peer, digest string) (*server.JobResult, bool, error
 // parent its spans under the forward span minted here. This body is the
 // only carrier of trace context between nodes. The returned fwdInfo is
 // what the stitcher needs later: the owner, the trace context, and the
-// measured RTT.
-func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (int, []byte, fwdInfo, error) {
+// measured RTT. The owner's answer comes back with its body read.
+func (n *Node) forward(p Peer, req server.SubmitRequest, traceID string) (*http.Response, []byte, fwdInfo, error) {
 	fi := fwdInfo{
 		peer:    p,
 		traceID: traceID,
@@ -545,7 +507,7 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	req.ForwardSpanID = fi.spanID
 	payload, err := json.Marshal(&req)
 	if err != nil {
-		return 0, nil, fi, err
+		return nil, nil, fi, err
 	}
 	req.ForwardNetSeconds = n.net.Charge(len(payload))
 	fi.netSeconds = req.ForwardNetSeconds
@@ -553,25 +515,25 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, key, traceID string) (i
 	// the graph text that dominates the payload.
 	payload, err = json.Marshal(&req)
 	if err != nil {
-		return 0, nil, fi, err
+		return nil, nil, fi, err
 	}
 	hreq, err := http.NewRequest(http.MethodPost, "http://"+p.Addr+"/jobs", bytes.NewReader(payload))
 	if err != nil {
-		return 0, nil, fi, err
+		return nil, nil, fi, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := n.doRPC(n.client, p, rpcForward, hreq)
 	if err != nil {
-		return 0, nil, fi, err
+		return nil, nil, fi, err
 	}
 	fi.rtt = time.Since(fi.sentAt)
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, nil, fi, err
+		return nil, nil, fi, err
 	}
 	n.net.Charge(len(b))
-	return resp.StatusCode, b, fi, nil
+	return resp, b, fi, nil
 }
 
 // proxyOrLocal serves job lookups: jobs this node forwarded are fetched
@@ -585,11 +547,7 @@ func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 	fi, ok := n.forwarded[id]
 	n.mu.Unlock()
 	if !ok {
-		// Local job: serve it here and stamp this node's address into the
-		// status, so polls (not just submissions) say where the job lives.
-		cw := newCaptureWriter()
-		n.inner.ServeHTTP(cw, r)
-		relay(w, cw.status, n.patchStatusBody(cw.status, cw.body.Bytes()))
+		n.inner.ServeHTTP(w, r)
 		return
 	}
 	p := fi.peer
@@ -628,7 +586,7 @@ func (n *Node) proxyOrLocal(w http.ResponseWriter, r *http.Request) {
 	}
 	n.net.Charge(len(b))
 	n.clearStrikes(p)
-	relay(w, resp.StatusCode, b)
+	relay(w, resp, b)
 }
 
 // noteFailover accounts a submission that landed on a ring successor
@@ -718,26 +676,15 @@ func (n *Node) probePeer(p Peer) {
 	n.strikePeer(p, "health probe failed")
 }
 
-// captureWriter buffers an inner handler's response so the routing layer
-// can patch the body before relaying it.
-type captureWriter struct {
-	status int
-	header http.Header
-	body   bytes.Buffer
-}
-
-func newCaptureWriter() *captureWriter {
-	return &captureWriter{status: http.StatusOK, header: http.Header{}}
-}
-
-func (c *captureWriter) Header() http.Header         { return c.header }
-func (c *captureWriter) WriteHeader(code int)        { c.status = code }
-func (c *captureWriter) Write(b []byte) (int, error) { return c.body.Write(b) }
-
-// relay writes a buffered JSON response through to the real writer.
-func relay(w http.ResponseWriter, status int, body []byte) {
+// relay writes a peer's answer, its body already read, through to the
+// client. Retry-After comes along, so a 429 or a draining 503 relayed
+// from a peer keeps the back-off hint the client waits by.
+func relay(w http.ResponseWriter, resp *http.Response, body []byte) {
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
 }
 

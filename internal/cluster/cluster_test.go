@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -435,5 +436,172 @@ func TestClusterMetricsExported(t *testing.T) {
 	}
 	if strings.Contains(text, fmt.Sprintf(`gpmetisd_cluster_node_up{node="0"}`)) {
 		t.Error("a node must not export an up gauge for itself")
+	}
+}
+
+// postJobs sends a raw POST /jobs body and returns the answer with its
+// body read.
+func postJobs(t *testing.T, base string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp, buf.Bytes()
+}
+
+// seedsOwnedBy returns n seeds whose submissions of req's graph and k
+// the ring assigns to peer id.
+func seedsOwnedBy(t *testing.T, ring *Ring, req server.SubmitRequest, id, n int) []int64 {
+	t.Helper()
+	var seeds []int64
+	for seed := int64(1); len(seeds) < n && seed < 200; seed++ {
+		r := req
+		r.Seed = seed
+		key, err := server.KeyForRequest(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Owner(key).ID == id {
+			seeds = append(seeds, seed)
+		}
+	}
+	if len(seeds) < n {
+		t.Fatalf("found %d seeds owned by node %d, want %d", len(seeds), id, n)
+	}
+	return seeds
+}
+
+// TestClusterRelaysRetryAfter: an admission rejection reaches the client
+// with its Retry-After through a ring node, whether the entry node owns
+// the submission (the rejection is its own) or forwarded it (the owner's
+// rejection is relayed).
+func TestClusterRelaysRetryAfter(t *testing.T) {
+	nodes := startTestRingCfg(t, 3, func(_ int, c *server.Config) {
+		c.Tenants = server.TenantsConfig{"limited": {RatePerSec: 0.001, Burst: 1}}
+	}, nil)
+	g, err := gpmetis.Grid2D(20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := server.SubmitRequest{Graph: clusterGraphText(t, g), K: 4, Tenant: "limited"}
+	entry := nodes[0]
+	for _, tc := range []struct {
+		name  string
+		owner int
+	}{{"owned by the entry node", 0}, {"forwarded", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seeds := seedsOwnedBy(t, entry.node.Ring(), req, tc.owner, 2)
+			first, second := req, req
+			first.Seed, second.Seed = seeds[0], seeds[1]
+			if st, code := clusterSubmit(t, entry.base(), first); st.Node != nodes[tc.owner].peer.Addr {
+				t.Fatalf("first submission: HTTP %d on %q, want the owner %q", code, st.Node, nodes[tc.owner].peer.Addr)
+			}
+			body, err := json.Marshal(second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b := postJobs(t, entry.base(), body)
+			var e server.ErrorResponse
+			json.Unmarshal(b, &e)
+			if resp.StatusCode != http.StatusTooManyRequests || e.Code != server.CodeRateLimited {
+				t.Fatalf("second submission: HTTP %d code %q, want 429 %q", resp.StatusCode, e.Code, server.CodeRateLimited)
+			}
+			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+				t.Errorf("429 through the ring carries Retry-After %q, want whole seconds >= 1",
+					resp.Header.Get("Retry-After"))
+			}
+		})
+	}
+}
+
+// TestClusterSubmitAtOwner: a submission entering at its own ring owner
+// is admitted there, and every status the node writes for it — the
+// POST answer, GET /jobs/{id} and DELETE /jobs/{id} — names that node.
+func TestClusterSubmitAtOwner(t *testing.T) {
+	nodes := startTestRing(t, 3)
+	g, err := gpmetis.Grid2D(20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := server.SubmitRequest{Graph: clusterGraphText(t, g), K: 4, Seed: 5}
+	keyReq := req
+	key, err := server.KeyForRequest(&keyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := nodes[nodes[0].node.Ring().Owner(key).ID]
+
+	st, code := clusterSubmit(t, owner.base(), req)
+	if code != http.StatusAccepted || st.Node != owner.peer.Addr {
+		t.Fatalf("POST: HTTP %d node %q, want 202 and %q", code, st.Node, owner.peer.Addr)
+	}
+	if fw := owner.node.Status().Forwards; fw != 0 {
+		t.Errorf("owner forwarded %d submissions, want 0", fw)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		hreq, err := http.NewRequest(method, owner.base()+"/jobs/"+st.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got server.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /jobs/%s: HTTP %d, %v", method, st.ID, resp.StatusCode, err)
+		}
+		if got.ID != st.ID || got.Node != owner.peer.Addr {
+			t.Errorf("%s /jobs/%s: id %q node %q, want %q on %q", method, st.ID, got.ID, got.Node, st.ID, owner.peer.Addr)
+		}
+	}
+}
+
+// TestClusterRejectsLikeStandalone: invalid submissions get the same
+// HTTP status and error code at every ring node as from a standalone
+// server.
+func TestClusterRejectsLikeStandalone(t *testing.T) {
+	nodes := startTestRing(t, 3)
+	alone := server.New(server.Config{Devices: 1, Logger: obs.DiscardLogger()})
+	defer alone.Close()
+	standalone := httptest.NewServer(alone.Handler())
+	defer standalone.Close()
+
+	g, err := gpmetis.Grid2D(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooMany, err := json.Marshal(server.SubmitRequest{Graph: clusterGraphText(t, g), K: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"malformed JSON":    []byte(`{"graph": "1 0\n", "k": `),
+		"unparsable graph":  []byte(`{"graph": "not a graph", "k": 2}`),
+		"k exceeds n":       tooMany,
+		"unknown algorithm": []byte(`{"graph": "1 0\n\n", "k": 1, "algo": "nope"}`),
+	} {
+		want, wb := postJobs(t, standalone.URL, body)
+		var we server.ErrorResponse
+		if err := json.Unmarshal(wb, &we); err != nil || want.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: standalone answered HTTP %d %s", name, want.StatusCode, wb)
+		}
+		for _, rn := range nodes {
+			got, gb := postJobs(t, rn.base(), body)
+			var ge server.ErrorResponse
+			json.Unmarshal(gb, &ge)
+			if got.StatusCode != want.StatusCode || ge.Code != we.Code {
+				t.Errorf("%s at node %d: HTTP %d code %q, standalone HTTP %d code %q",
+					name, rn.peer.ID, got.StatusCode, ge.Code, want.StatusCode, we.Code)
+			}
+		}
 	}
 }

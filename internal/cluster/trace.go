@@ -36,9 +36,7 @@ type fwdInfo struct {
 func (n *Node) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
 	tid := r.PathValue("trace_id")
 	if j, ok := n.srv.JobByTrace(tid); ok {
-		nt := n.srv.NodeTraceForJob(j)
-		nt.Addr = n.self.Addr
-		writeJSON(w, http.StatusOK, nt)
+		writeJSON(w, http.StatusOK, n.srv.NodeTraceForJob(j))
 		return
 	}
 	if st, ok := n.spans.Get(tid); ok {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gpmetis/internal/graph/gio"
@@ -73,6 +75,77 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 		if (j.key == "") != req.NoCache {
 			t.Fatalf("cache key %q does not match no_cache=%v", j.key, req.NoCache)
+		}
+	})
+}
+
+// FuzzReplayJournal replays valid journal records followed by a torn
+// or garbage tail. Replay must not panic, every record it returns must
+// carry a type and an id, and every record before the first bad line
+// must come back, in order.
+func FuzzReplayJournal(f *testing.F) {
+	valid := []Record{
+		{Type: RecSubmit, ID: "j000001", Seq: 1, Req: &SubmitRequest{Graph: "3 3\n2 3\n1 3\n1 2\n", K: 2}},
+		{Type: RecRunning, ID: "j000001"},
+		{Type: RecDone, ID: "j000001", Key: "k1", Result: &JobResult{Part: []int{0, 1, 1}, EdgeCut: 2, ModeledSeconds: 0.25}},
+		{Type: RecEstimator, ID: "estimator", Est: []EstimatorCell{{Algo: 0, Bucket: 3, Wall: 0.5, Modeled: 0.1}}},
+		{Type: RecReplica, ID: "replica-k2", Key: "k2", Result: &JobResult{Part: []int{1, 0}}},
+		{Type: RecFailed, ID: "j000002", Error: "boom"},
+	}
+	lines := make([][]byte, len(valid))
+	for i, rec := range valid {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines[i] = append(b, '\n')
+	}
+	for _, tail := range []string{
+		"",
+		`{"type":"done","id":"j0000`,
+		"\x00\xff garbage\n" + string(lines[1]),
+		`{"type":"","id":"j9"}` + "\n",
+		`{"type":"running"}` + "\n",
+		"\n\n",
+		`{"type":"running","id":"j9"}`,
+		"[1,2]\n",
+	} {
+		f.Add(uint8(len(valid)), []byte(tail))
+	}
+	f.Add(uint8(2), []byte(`{"type":"done","id":"j000001","result":{"part":[0,`))
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, n uint8, tail []byte) {
+		prefix := int(n) % (len(valid) + 1)
+		var buf bytes.Buffer
+		for _, l := range lines[:prefix] {
+			buf.Write(l)
+		}
+		buf.Write(tail)
+		path := filepath.Join(dir, "journal.jsonl")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := ReplayJournal(path)
+		if err != nil {
+			t.Fatalf("replay failed: %v", err)
+		}
+		for i, rec := range recs {
+			if rec.Type == "" || rec.ID == "" {
+				t.Fatalf("record %d has type %q id %q", i, rec.Type, rec.ID)
+			}
+		}
+		if len(recs) < prefix {
+			t.Fatalf("replayed %d records, want at least the %d valid ones", len(recs), prefix)
+		}
+		for i := 0; i < prefix; i++ {
+			got, err := json.Marshal(recs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(got, '\n'), lines[i]) {
+				t.Fatalf("record %d replayed as %s, want %s", i, got, lines[i])
+			}
 		}
 	})
 }

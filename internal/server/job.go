@@ -214,6 +214,13 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
+// Key returns the job's content address, "" for NoCache submissions.
+func (j *Job) Key() string { return j.key }
+
+// Request returns the wire request the job was resolved from. Callers
+// must treat it as read-only: the journal records it.
+func (j *Job) Request() *SubmitRequest { return j.req }
+
 // TraceID returns the job's trace id — empty until the job was
 // registered (or adopted a forwarded trace).
 func (j *Job) TraceID() string {

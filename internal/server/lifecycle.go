@@ -74,7 +74,7 @@ func (s *Server) assignIDLocked(j *Job) {
 // one job's lifecycle is a single grep even across a ring.
 func (s *Server) jlog(j *Job) *slog.Logger {
 	l := s.log.With("job_id", j.ID, "trace_id", j.traceID)
-	if id := s.nodeID(); id != "" {
+	if id := s.hooks().NodeID; id != "" {
 		l = l.With("node_id", id)
 	}
 	return l
@@ -85,7 +85,7 @@ func (s *Server) jlog(j *Job) *slog.Logger {
 // When clustering is on, every event is stamped with this node's id so
 // fleet-merged event streams stay attributable.
 func (s *Server) event(typ string, j *Job, slot int, detail string) {
-	e := obs.Event{Type: typ, Slot: slot, Detail: detail, Node: s.nodeID()}
+	e := obs.Event{Type: typ, Slot: slot, Detail: detail, Node: s.hooks().NodeID}
 	if j != nil {
 		e.Job, e.Trace = j.ID, j.traceID
 	}
@@ -97,7 +97,7 @@ func (s *Server) event(typ string, j *Job, slot int, detail string) {
 // cluster background round: the round's trace id rides along, linking
 // the flight-recorder entry to the round's spans.
 func (s *Server) tracedEvent(typ, trace, detail string) {
-	e := obs.Event{Type: typ, Slot: -1, Detail: detail, Trace: trace, Node: s.nodeID()}
+	e := obs.Event{Type: typ, Slot: -1, Detail: detail, Trace: trace, Node: s.hooks().NodeID}
 	s.events.Append(e)
 	s.reg.Add("events.recorded", 1)
 }
@@ -246,7 +246,8 @@ func serviceParent(spans []obs.SpanRecord) int64 {
 func (s *Server) NodeTraceForJob(j *Job) NodeTrace {
 	spans, submitted, runStart := j.LifeSpans()
 	st := j.Status()
-	nt := NodeTrace{NodeID: s.nodeID(), TraceID: st.TraceID, JobID: st.ID, Anchor: submitted, Spans: spans}
+	h := s.hooks()
+	nt := NodeTrace{NodeID: h.NodeID, Addr: h.Addr, TraceID: st.TraceID, JobID: st.ID, Anchor: submitted, Spans: spans}
 	if nt.Anchor.IsZero() && len(spans) > 0 {
 		nt.Anchor = spans[0].Start
 	}

@@ -175,31 +175,10 @@ type Server struct {
 
 	journalWarn sync.Once
 
-	// clusterFn, when installed via SetClusterStatus, snapshots the ring
-	// tier's state for /healthz, the ops view, and the cluster metric
-	// series. The server only consumes plain ClusterStatus data, so
-	// internal/cluster can depend on this package without a cycle.
-	clusterMu sync.Mutex
-	clusterFn func() *ClusterStatus
-
-	// resultFn, when installed via SetResultHook, is called with the
-	// content key and result of every job that completes fresh on this
-	// node — not cache hits, not coalesced followers, not journal
-	// replays. The cluster tier hangs replication off it; the same
-	// no-cycle rule as clusterFn applies.
-	resultMu sync.Mutex
-	resultFn func(key string, res *JobResult)
-
-	// promFn, when installed via SetPromExtra, contributes extra samples
-	// and labeled histograms to the /metrics exposition — the cluster
-	// tier's per-peer RPC series. Same no-cycle rule as clusterFn.
-	promMu sync.Mutex
-	promFn func() ([]obs.PromSample, []obs.PromHistogram)
-
-	// nodeIDv holds this node's cluster identity ("" standalone; set once
-	// by the cluster tier at startup). Read on every log line and
+	// ring holds the ring tier's hooks, installed by SetRing (nil on a
+	// standalone daemon). Read on every submission, log line and
 	// flight-recorder event, hence the atomic.
-	nodeIDv atomic.Value
+	ring atomic.Pointer[RingHooks]
 
 	// replicaKeys (guarded by mu) tracks cache entries this node holds
 	// as a ring replica of a peer's work, so journal rotation preserves
@@ -421,7 +400,7 @@ func (s *Server) watch(j *Job) {
 	// are themselves replicas.
 	if st.State == StateDone && st.Result != nil && j.key != "" &&
 		!j.recovered && !j.cached && !j.coalesced {
-		if fn := s.resultHook(); fn != nil {
+		if fn := s.hooks().Result; fn != nil {
 			fn(j.key, st.Result)
 		}
 	}
@@ -445,85 +424,73 @@ func (s *Server) journalEstimator() {
 	s.journalAppend(Record{Type: RecEstimator, ID: "estimator", Est: cells})
 }
 
-// SetClusterStatus installs the ring tier's status snapshot callback;
-// nil uninstalls it. The snapshot surfaces on /healthz,
-// /admin/status(.json), and as the gpmetisd_cluster_* metric series.
-func (s *Server) SetClusterStatus(fn func() *ClusterStatus) {
-	s.clusterMu.Lock()
-	s.clusterFn = fn
-	s.clusterMu.Unlock()
+// RingHooks attaches the ring tier to a server. The server only calls
+// plain functions and reads plain data, so internal/cluster can depend
+// on this package without a cycle.
+type RingHooks struct {
+	// NodeID is this node's ring identity. Every job-scoped log line,
+	// every flight-recorder event, every NodeTrace and the build_info
+	// metric carry it, so fleet-merged streams stay attributable.
+	NodeID string
+	// Addr is this node's host:port, stamped as node on every JobStatus
+	// the server writes and as NodeTrace.Addr.
+	Addr string
+	// Status snapshots the ring for /healthz, /admin/status(.json) and
+	// the gpmetisd_cluster_* metric series.
+	Status func() *ClusterStatus
+	// Result, when non-nil, is called with the content key and result
+	// of every job that completes fresh on this node — not cache hits,
+	// not coalesced followers, not journal replays. It runs on the
+	// job's watcher goroutine, so it must hand off (not perform) slow
+	// work. Replication hangs off it.
+	Result func(key string, res *JobResult)
+	// Prom, when non-nil, contributes extra samples and labeled
+	// histograms to the Prometheus exposition: the per-peer × per-RPC
+	// latency and error series.
+	Prom func() ([]obs.PromSample, []obs.PromHistogram)
+	// Route is offered every cacheable submission that was not itself
+	// forwarded, once it is resolved and holds its trace id. It may
+	// answer w itself (a peek hit, a forward, a replica) and return
+	// true; false admits the job on this node.
+	Route func(w http.ResponseWriter, j *Job) bool
+}
+
+// SetRing installs the ring tier's hooks; a zero RingHooks detaches
+// the ring.
+func (s *Server) SetRing(h RingHooks) { s.ring.Store(&h) }
+
+// standalone is the zero hook set a server without a ring reads.
+var standalone RingHooks
+
+// hooks returns the installed ring hooks, zero on a standalone daemon.
+func (s *Server) hooks() *RingHooks {
+	if h := s.ring.Load(); h != nil {
+		return h
+	}
+	return &standalone
 }
 
 // clusterStatus snapshots the ring tier, nil on a standalone daemon.
 func (s *Server) clusterStatus() *ClusterStatus {
-	s.clusterMu.Lock()
-	fn := s.clusterFn
-	s.clusterMu.Unlock()
-	if fn == nil {
-		return nil
+	if fn := s.hooks().Status; fn != nil {
+		return fn()
 	}
-	return fn()
+	return nil
 }
 
-// SetResultHook installs the cluster tier's fresh-result callback; nil
-// uninstalls it. The hook runs on the job's watcher goroutine, so it
-// must hand off (not perform) slow work.
-func (s *Server) SetResultHook(fn func(key string, res *JobResult)) {
-	s.resultMu.Lock()
-	s.resultFn = fn
-	s.resultMu.Unlock()
+// status snapshots a job for the wire, stamped with this node's
+// address when it is a ring member.
+func (s *Server) status(j *Job) JobStatus {
+	st := j.Status()
+	st.Node = s.hooks().Addr
+	return st
 }
-
-// resultHook returns the installed fresh-result callback, nil when none.
-func (s *Server) resultHook() func(key string, res *JobResult) {
-	s.resultMu.Lock()
-	defer s.resultMu.Unlock()
-	return s.resultFn
-}
-
-// SetPromExtra installs a callback contributing extra samples and
-// labeled histograms to the Prometheus exposition; nil uninstalls it.
-// The cluster tier uses it to export its per-peer × per-RPC latency
-// and error series without the server importing the cluster package.
-func (s *Server) SetPromExtra(fn func() ([]obs.PromSample, []obs.PromHistogram)) {
-	s.promMu.Lock()
-	s.promFn = fn
-	s.promMu.Unlock()
-}
-
-// promExtra invokes the installed exposition callback, empty when none.
-func (s *Server) promExtra() ([]obs.PromSample, []obs.PromHistogram) {
-	s.promMu.Lock()
-	fn := s.promFn
-	s.promMu.Unlock()
-	if fn == nil {
-		return nil, nil
-	}
-	return fn()
-}
-
-// SetNodeID stamps this server with its cluster identity. From then on
-// every job-scoped log line, every flight-recorder event, and the
-// build_info metric carry node_id, so fleet-merged streams stay
-// attributable. Standalone daemons never call it.
-func (s *Server) SetNodeID(id string) { s.nodeIDv.Store(id) }
-
-// nodeID returns the cluster identity, "" on a standalone daemon.
-func (s *Server) nodeID() string {
-	if v := s.nodeIDv.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
-
-// NodeID is the exported read of the cluster identity.
-func (s *Server) NodeID() string { return s.nodeID() }
 
 // KeyForRequest resolves req exactly as Submit would and returns its
-// content-addressed cache key ("" for NoCache submissions). It is the
-// digest the cluster tier routes on: routing and caching share one
-// resolution path, so they can never disagree about a request's
-// identity.
+// content-addressed cache key ("" for NoCache submissions): the digest
+// the ring routes that submission on. Tools and tests use it to find a
+// request's owner; the request path resolves each submission once, in
+// Submit.
 func KeyForRequest(req *SubmitRequest) (string, error) {
 	j, err := resolveRequest(req)
 	if err != nil {
@@ -613,13 +580,39 @@ func (s *Server) JobByTrace(traceID string) (*Job, bool) {
 // deadline_unmeetable when admission control refuses the tenant or the
 // deadline, with ErrDraining during graceful shutdown, and with a
 // *requestError for invalid submissions.
-func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
-	if s.draining.Load() {
+func (s *Server) Submit(req *SubmitRequest) (*Job, error) { return s.submit(req, nil) }
+
+// errRouted reports a submission the ring's route answered itself:
+// nothing was admitted here.
+var errRouted = errors.New("server: answered by the ring route")
+
+// submit is Submit with the ring's route offered each resolved,
+// cacheable submission that was not itself forwarded (forwarded jobs
+// are pinned: re-forwarding could loop if ring views diverge). A
+// routing node resolves before it checks draining, so a draining node
+// still routes what it does not own.
+func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error) {
+	if req.ForwardedBy != "" {
+		route = nil
+	}
+	if route == nil && s.draining.Load() {
 		s.reg.Add("jobs.rejected_draining", 1)
 		return nil, ErrDraining
 	}
 	t0 := time.Now()
 	job, err := resolveRequest(req)
+	if route != nil {
+		if err == nil && job.key != "" {
+			job.traceID = obs.NewTraceID()
+			if route(job) {
+				return nil, errRouted
+			}
+		}
+		if s.draining.Load() {
+			s.reg.Add("jobs.rejected_draining", 1)
+			return nil, ErrDraining
+		}
+	}
 	if err != nil {
 		s.reg.Add("jobs.bad_request", 1)
 		return nil, err
@@ -1069,7 +1062,8 @@ func (s *Server) Job(id string) (*Job, bool) {
 
 // Handler returns the HTTP API:
 //
-//	POST   /jobs            submit (202 queued, 200 cache hit, 429 full)
+//	POST   /jobs            submit (202 queued, 200 cache hit, 429 full);
+//	                        on a ring node, offered to RingHooks.Route first
 //	GET    /jobs            list job statuses, oldest first
 //	GET    /jobs/{id}       one job's status (result when done)
 //	DELETE /jobs/{id}       cancel
@@ -1132,11 +1126,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad JSON: %v", err))
 		return
 	}
-	job, err := s.Submit(&req)
+	var route func(*Job) bool
+	if h := s.hooks(); h.Route != nil {
+		route = func(j *Job) bool { return h.Route(w, j) }
+	}
+	job, err := s.submit(&req, route)
 	var oe *overloadError
 	switch {
+	case errors.Is(err, errRouted):
 	case err == nil:
-		st := job.Status()
+		st := s.status(job)
 		code := http.StatusAccepted
 		if st.State == StateDone {
 			code = http.StatusOK // cache hit: born done
@@ -1167,7 +1166,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
-		st := j.Status()
+		st := s.status(j)
 		st.Result = nil // listing stays light; fetch one job for the vector
 		out = append(out, st)
 	}
@@ -1176,7 +1175,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.Job(r.PathValue("id")); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+		writeJSON(w, http.StatusOK, s.status(j))
 		return
 	}
 	writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
@@ -1189,7 +1188,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Status())
+	writeJSON(w, http.StatusOK, s.status(j))
 }
 
 // handleTrace serves the job's merged timeline as one Chrome
@@ -1229,7 +1228,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{Key: "version", Value: Version},
 		{Key: "go_version", Value: runtime.Version()},
 	}
-	if id := s.nodeID(); id != "" {
+	if id := s.hooks().NodeID; id != "" {
 		// The node label is what lets fleet dashboards join build_info
 		// across a ring scrape.
 		buildLabels = append(buildLabels, obs.Label{Key: "node", Value: id})
@@ -1298,10 +1297,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	extra = append(extra, s.tenantSamples()...)
 	extra = append(extra, s.clusterSamples()...)
-	hookSamples, hookHists := s.promExtra()
-	extra = append(extra, hookSamples...)
+	var hists []obs.PromHistogram
+	if fn := s.hooks().Prom; fn != nil {
+		var samples []obs.PromSample
+		samples, hists = fn()
+		extra = append(extra, samples...)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WritePrometheus(w, s.reg, "gpmetisd_", extra, hookHists)
+	obs.WritePrometheus(w, s.reg, "gpmetisd_", extra, hists)
 }
 
 // clusterSamples renders the gpmetisd_cluster_* series from the ring

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gpmetis"
+	"gpmetis/internal/obs"
 )
 
 // httpSubmit posts req and decodes either the job status or the error.
@@ -499,5 +500,98 @@ func TestHealthz(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Devices != 3 || h.QueueCap != 7 {
 		t.Errorf("healthz = %+v", h)
+	}
+}
+
+// TestRingRouteSeesResolvedJob: a ring node resolves each submission
+// once. The route hook gets the resolved job with its key and trace id;
+// a declined job is admitted as that same job, stamped with the node's
+// address. Forwarded, uncacheable and invalid submissions never reach
+// the hook, and a draining node still routes before it refuses.
+func TestRingRouteSeesResolvedJob(t *testing.T) {
+	s := New(Config{Devices: 1, Logger: obs.DiscardLogger()})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var mu sync.Mutex
+	var routed []*Job
+	answer := false
+	s.SetRing(RingHooks{NodeID: "3", Addr: "10.0.0.3:8080", Route: func(w http.ResponseWriter, j *Job) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		routed = append(routed, j)
+		if answer {
+			writeJSON(w, http.StatusOK, JobStatus{State: StateDone, Cached: true, Device: -1, Node: "10.0.0.9:8080"})
+		}
+		return answer
+	}})
+	hookCalls := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(routed)
+	}
+
+	g, err := gpmetis.Grid2D(12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SubmitRequest{Graph: graphText(t, g), K: 4, Seed: 1}
+	st, _, code := httpSubmit(t, ts.URL, req)
+	if code != http.StatusAccepted || hookCalls() != 1 {
+		t.Fatalf("declined submission: HTTP %d after %d route calls, want 202 after 1", code, hookCalls())
+	}
+	mu.Lock()
+	j := routed[0]
+	mu.Unlock()
+	keyReq := req
+	if key, _ := KeyForRequest(&keyReq); j.Key() != key || j.TraceID() == "" {
+		t.Errorf("routed job key %q trace %q, want key %q and a trace id", j.Key(), j.TraceID(), key)
+	}
+	if admitted, ok := s.Job(st.ID); !ok || admitted != j {
+		t.Error("the declined job was not admitted as the job the route saw")
+	}
+	if st.TraceID != j.TraceID() || st.Node != "10.0.0.3:8080" {
+		t.Errorf("answer trace %q node %q, want %q and the node's address", st.TraceID, st.Node, j.TraceID())
+	}
+	if j.Request().Seed != 1 {
+		t.Errorf("routed request seed %d, want 1", j.Request().Seed)
+	}
+
+	forwarded, noCache := req, req
+	forwarded.Seed, forwarded.ForwardedBy = 2, "10.0.0.1:8080"
+	noCache.Seed, noCache.NoCache = 3, true
+	for _, r := range []SubmitRequest{forwarded, noCache} {
+		if _, e, code := httpSubmit(t, ts.URL, r); e != nil {
+			t.Fatalf("HTTP %d %s", code, e.Error)
+		}
+	}
+	if _, e, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: "not a graph", K: 2}); e == nil || e.Code != CodeBadRequest {
+		t.Errorf("invalid submission answered %+v, want bad_request", e)
+	}
+	if n := hookCalls(); n != 1 {
+		t.Errorf("forwarded, uncacheable and invalid submissions reached the route %d times, want 0", n-1)
+	}
+
+	submitted := httpMetrics(t, ts.URL)("jobs.submitted")
+	s.StartDrain()
+	mu.Lock()
+	answer = true
+	mu.Unlock()
+	req.Seed = 4
+	if st, e, code := httpSubmit(t, ts.URL, req); e != nil || !st.Cached || st.Node != "10.0.0.9:8080" {
+		t.Errorf("draining node's routed answer: HTTP %d %+v %+v, want the route's answer", code, st, e)
+	}
+	if after := httpMetrics(t, ts.URL)("jobs.submitted"); after != submitted {
+		t.Errorf("a routed answer admitted a job here: jobs.submitted %v -> %v", submitted, after)
+	}
+	mu.Lock()
+	answer = false
+	mu.Unlock()
+	if _, e, code := httpSubmit(t, ts.URL, req); code != http.StatusServiceUnavailable || e == nil || e.Code != CodeDraining {
+		t.Errorf("draining node declined by the route: HTTP %d %+v, want 503 draining", code, e)
+	}
+	if n := hookCalls(); n != 3 {
+		t.Errorf("route called %d times, want 3", n)
 	}
 }

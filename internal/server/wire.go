@@ -131,10 +131,12 @@ type JobStatus struct {
 	WaitSeconds float64 `json:"wait_seconds"`
 	// Tenant is the tenant the job was admitted under.
 	Tenant string `json:"tenant,omitempty"`
-	// Node is the host:port of the ring node that owns this job, set by
-	// the cluster tier (empty on a standalone daemon). For a forwarded
-	// submission it names the owner the entry node routed to; for a
-	// cross-node cache peek it names the node whose cache answered.
+	// Node is the host:port of the ring node that answered for this job
+	// (empty on a standalone daemon). A ring member's server stamps its
+	// own address on every status it writes, so a forwarded submission,
+	// relayed by its entry node, names the owner it was routed to; a
+	// cross-node cache peek or replica answer names the node whose cache
+	// answered.
 	Node  string `json:"node,omitempty"`
 	Error string `json:"error,omitempty"`
 	// Result is set once State is done.
@@ -249,7 +251,7 @@ type ClusterPeerStatus struct {
 // /healthz and /admin/status.json and by the cluster Prometheus series.
 // The server package defines it as plain data so internal/cluster can
 // depend on server without a cycle: the cluster node injects a snapshot
-// callback via SetClusterStatus.
+// callback as RingHooks.Status.
 type ClusterStatus struct {
 	NodeID int                 `json:"node_id"`
 	Addr   string              `json:"addr"`
