@@ -394,7 +394,7 @@ func (n *Node) route(w http.ResponseWriter, j *server.Job) bool {
 			// set: a replicated entry answers bit-identically at zero
 			// modeled partition cost, and read-repairs the local cache on
 			// the way through.
-			if res, from, ok := n.consultReplicas(key, succs, i); ok {
+			if res, from, ok := n.consultReplicas(ring, key, i); ok {
 				n.noteFailover(owner, from, key)
 				writeJSON(w, http.StatusOK, server.JobStatus{
 					State: server.StateDone, Cached: true, Device: -1,

@@ -276,21 +276,12 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 	trace := obs.NewTraceID()
 	t0 := time.Now()
 	pushed := 0
-	rf := n.cfg.Replicas
-	if rf < 1 {
-		rf = 1
-	}
 	for _, key := range n.srv.CachedKeys() {
 		res, ok := n.srv.PeekCached(key)
 		if !ok {
 			continue
 		}
-		succs := shrunk.Successors(key)
-		k := rf
-		if k > len(succs) {
-			k = len(succs)
-		}
-		for _, q := range succs[:k] {
+		for _, q := range n.replicaSet(shrunk, key) {
 			if n.peerIsDown(q) {
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"gpmetis/internal/obs"
@@ -77,16 +78,19 @@ func (n *Node) replicateKey(key string, res *server.JobResult) {
 	}
 }
 
-// replicaTargets returns the peers that should hold a replica of key:
-// the first Replicas members of its successor walk, minus this node.
+// replicaSet returns the peers that should hold key on ring: the first
+// Replicas members of its successor walk, this node included when it is
+// one of them.
+func (n *Node) replicaSet(ring *Ring, key string) []Peer {
+	succs := ring.Successors(key)
+	return succs[:min(n.cfg.Replicas, len(succs))]
+}
+
+// replicaTargets returns the members of key's replica set other than
+// this node: the peers a fresh result is pushed to.
 func (n *Node) replicaTargets(key string) []Peer {
-	succs := n.currentRing().Successors(key)
-	r := n.cfg.Replicas
-	if r > len(succs) {
-		r = len(succs)
-	}
 	var out []Peer
-	for _, p := range succs[:r] {
+	for _, p := range n.replicaSet(n.currentRing(), key) {
 		if p.ID != n.self.ID {
 			out = append(out, p)
 		}
@@ -94,20 +98,10 @@ func (n *Node) replicaTargets(key string) []Peer {
 	return out
 }
 
-// replicaSetHas reports whether a key's replica set (the first Replicas
-// successors on ring) contains the given node ID.
+// replicaSetHas reports whether key's replica set on ring contains the
+// given node ID.
 func (n *Node) replicaSetHas(ring *Ring, key string, id int) bool {
-	succs := ring.Successors(key)
-	r := n.cfg.Replicas
-	if r > len(succs) {
-		r = len(succs)
-	}
-	for _, p := range succs[:r] {
-		if p.ID == id {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(n.replicaSet(ring, key), func(p Peer) bool { return p.ID == id })
 }
 
 // pushEntry PUTs one cached result to a peer — the shared transport of
@@ -174,19 +168,19 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 // must not pay peek latency) and only when untried set members remain:
 // members earlier in the walk were already peeked or down, members past
 // the set never hold a replica. A hit read-repairs the local cache.
-func (n *Node) consultReplicas(key string, succs []Peer, i int) (*server.JobResult, Peer, bool) {
-	r := n.cfg.Replicas
-	if r > len(succs) {
-		r = len(succs)
+func (n *Node) consultReplicas(ring *Ring, key string, i int) (*server.JobResult, Peer, bool) {
+	if i < 1 {
+		return nil, Peer{}, false
 	}
-	if i < 1 || i+1 >= r {
+	set := n.replicaSet(ring, key)
+	if i+1 >= len(set) {
 		return nil, Peer{}, false
 	}
 	if _, ok := n.srv.PeekCached(key); ok {
 		return nil, Peer{}, false // the local cache answers at zero cost
 	}
 	trace := obs.NewTraceID()
-	for _, q := range succs[i+1 : r] {
+	for _, q := range set[i+1:] {
 		if n.peerIsDown(q) {
 			continue
 		}

@@ -44,8 +44,11 @@ type Job struct {
 	estWall    float64
 	estModeled float64
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	// ctx carries the job's cancellation and its deadline budget (0 is
+	// unbounded), both set by startClock.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	deadline time.Duration
 
 	mu          sync.Mutex
 	state       string
@@ -263,6 +266,16 @@ func (j *Job) setProfile(p *gpmetis.ProfileReport) {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Cancel requests cooperative cancellation: a queued job is discarded
 // when a worker pops it; a running job stops at its next level boundary.

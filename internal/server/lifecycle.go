@@ -56,12 +56,14 @@ func (j *Job) markRunStart(t time.Time) {
 	j.mu.Unlock()
 }
 
-// assignIDLocked names the job and mints its trace ID; the caller
-// holds s.mu. Trace IDs are 128-bit crypto/rand hex, unique across
-// nodes and restarts (the journal reuses job IDs, never trace IDs).
+// assignID names the job and mints its trace ID. Trace IDs are
+// 128-bit crypto/rand hex, unique across nodes and restarts (the
+// journal reuses job IDs, never trace IDs).
 // A job whose trace ID was pre-set — a ring forward carrying the entry
 // node's id — keeps it, so the distributed trace stays one trace.
-func (s *Server) assignIDLocked(j *Job) {
+func (s *Server) assignID(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.seq++
 	j.ID = fmt.Sprintf("%s%06d", s.cfg.JobIDPrefix, s.seq)
 	if j.traceID == "" {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -121,13 +120,13 @@ func (s *Server) recover() {
 		case StateDone:
 			j := terminalJob(id, StateDone, f.res, "")
 			j.key = f.key
-			s.indexRecovered(j)
+			s.index(j)
 			if f.key != "" && f.res != nil {
 				s.cache.Put(f.key, &CachedResult{Result: *f.res})
 				results++
 			}
 		case StateFailed, StateCanceled:
-			s.indexRecovered(terminalJob(id, f.state, nil, f.errMsg))
+			s.index(terminalJob(id, f.state, nil, f.errMsg))
 		default:
 			s.readmit(id, f, &readmitted, &resumed)
 		}
@@ -162,51 +161,29 @@ func (s *Server) recover() {
 		"readmitted", readmitted, "resumed_from_checkpoint", resumed)
 }
 
-// readmit rebuilds one interrupted job from its submit record and puts
-// it back in the queue under its original ID. A running job with a
-// loadable checkpoint resumes from it.
+// readmit rebuilds one interrupted job from its submit record and
+// admits it again under its original ID. A running job with a loadable
+// checkpoint resumes from it. Identical interrupted jobs coalesce at
+// recovery exactly as they would at submit: the first becomes the
+// leader, the rest follow.
 func (s *Server) readmit(id string, f *foldedJob, readmitted, resumed *int) {
 	if f.req == nil {
-		s.indexRecovered(terminalJob(id, StateFailed, nil, "lost across restart: journal has no request"))
+		s.index(terminalJob(id, StateFailed, nil, "lost across restart: journal has no request"))
 		return
 	}
 	job, err := resolveRequest(f.req)
 	if err != nil {
-		s.indexRecovered(terminalJob(id, StateFailed, nil, fmt.Sprintf("unreplayable across restart: %v", err)))
+		s.index(terminalJob(id, StateFailed, nil, fmt.Sprintf("unreplayable across restart: %v", err)))
 		return
 	}
 	job.ID = id
 	job.recovered = true
 	job.tenant = s.tenants.state(f.req.Tenant)
-	est := s.est.costs(job.algo, job.g.NumVertices())
-	job.estWall, job.estModeled = est.wall, est.modeled
 	// A recovered job gets a fresh trace ID (the journal does not record
-	// them) and a lifecycle clock restarting at recovery, mirroring the
-	// deadline decision below.
+	// them), and its lifecycle and deadline clocks restart at recovery.
 	job.traceID = "recovered-" + obs.NewTraceID()
 	job.submittedAt = time.Now()
-
-	// The deadline clock restarts at recovery: the journal records no
-	// submit timestamp, and charging crash downtime against the job
-	// would fail work the previous process had already accepted.
-	deadline := time.Duration(f.req.DeadlineMs) * time.Millisecond
-	if deadline == 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	if deadline > 0 {
-		job.ctx, job.cancel = context.WithTimeout(s.baseCtx, deadline)
-	} else {
-		job.ctx, job.cancel = context.WithCancel(s.baseCtx)
-	}
-
-	if job.key != "" {
-		if hit, ok := s.cache.Get(job.key); ok {
-			s.indexRecovered(job)
-			job.finishCached(hit)
-			s.spawnWatch(job)
-			return
-		}
-	}
+	s.startClock(job)
 
 	if f.state == StateRunning {
 		if path := s.pool.checkpointPath(job); path != "" {
@@ -223,47 +200,15 @@ func (s *Server) readmit(id string, f *foldedJob, readmitted, resumed *int) {
 		}
 	}
 
-	// Identical interrupted jobs coalesce at recovery exactly as they
-	// would at submit: the first becomes the leader, the rest follow.
-	if job.key != "" {
-		s.mu.Lock()
-		if leader, ok := s.inflight[job.key]; ok {
-			job.coalesced = true
-			s.indexLocked(job)
-			s.mu.Unlock()
-			s.reg.Add("jobs.coalesced", 1)
-			s.spawnWatch(job)
-			s.spawnFollow(job, leader)
-			return
-		}
-		s.inflight[job.key] = job
-		s.mu.Unlock()
-	}
-
-	job.queuedAt = time.Now()
-	// Quota does not apply to re-admission: these jobs were accepted once
-	// and admission-before-work says accepted jobs cannot be lost.
-	if err := s.fq.Push(job, false); err != nil {
-		s.mu.Lock()
-		if job.key != "" && s.inflight[job.key] == job {
-			delete(s.inflight, job.key)
-		}
-		s.mu.Unlock()
-		s.indexRecovered(terminalJob(id, StateFailed, nil, "queue full at recovery"))
+	outcome, _, err := s.admit(job, false)
+	if err != nil {
+		s.index(terminalJob(id, StateFailed, nil, "queue full at recovery"))
 		return
 	}
-	s.reg.Add("queue.depth", 1)
-	s.indexRecovered(job)
-	s.reg.Add("jobs.readmitted", 1)
-	*readmitted++
+	s.index(job)
+	if outcome == admitQueued {
+		s.reg.Add("jobs.readmitted", 1)
+		*readmitted++
+	}
 	s.spawnWatch(job)
-	s.watchQueued(job)
-}
-
-// indexRecovered inserts a journal-reconstructed job under its original
-// ID.
-func (s *Server) indexRecovered(j *Job) {
-	s.mu.Lock()
-	s.indexLocked(j)
-	s.mu.Unlock()
 }

@@ -295,7 +295,7 @@ func TestCanceledResultNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.ctx, job.cancel = context.WithCancel(context.Background())
-	s.register(job)
+	s.assignID(job)
 	job.markRunning(0, 0)
 	job.cancel() // canceled mid-flight; metis ignores the Cancel hook
 	s.pool.runJob(job, 0)

@@ -373,11 +373,7 @@ func (s *Server) watch(j *Job) {
 		// journal records already mark them live for the next process.
 		return
 	}
-	s.mu.Lock()
-	if j.key != "" && s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.mu.Unlock()
+	s.release(j)
 	st := j.Status()
 	var rec Record
 	switch st.State {
@@ -571,11 +567,12 @@ func (s *Server) JobByTrace(traceID string) (*Job, bool) {
 	return nil, false
 }
 
-// Submit validates req, consults the result cache and the in-flight
-// index, and either completes the job instantly (hit), attaches it to an
-// identical in-flight job (single-flight coalescing), or admits it to
-// the weighted-fair queue. It rejects with ErrQueueFull (wrapped in an
-// *overloadError carrying a dynamic Retry-After) at capacity, with
+// Submit validates req, consults the in-flight index and the result
+// cache (see admit), and either attaches the job to an identical
+// in-flight job (single-flight coalescing), completes it instantly
+// (hit), or admits it to the weighted-fair queue. It rejects with
+// ErrQueueFull (wrapped in an *overloadError carrying a dynamic
+// Retry-After) at capacity, with
 // overload errors coded tenant_quota / rate_limited /
 // deadline_unmeetable when admission control refuses the tenant or the
 // deadline, with ErrDraining during graceful shutdown, and with a
@@ -655,152 +652,68 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 		}
 	}
 
-	deadline := time.Duration(req.DeadlineMs) * time.Millisecond
-	if deadline == 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	if deadline > 0 {
-		job.ctx, job.cancel = context.WithTimeout(s.baseCtx, deadline)
-	} else {
-		job.ctx, job.cancel = context.WithCancel(s.baseCtx)
-	}
-
-	// The cache is its own hit/miss bookkeeper; /metrics merges its
-	// counts into the registry snapshot.
-	if job.key != "" {
-		lookT0 := time.Now()
-		hit, ok := s.cache.Get(job.key)
-		lookT1 := time.Now()
-		job.addLifeSpan(lifeCacheLook, lookT0, lookT1, map[string]any{"hit": ok})
-		if ok {
-			s.register(job)
-			job.addLifeSpan(lifeAdmit, t0, lookT1, admitAttrs(job, "cache-hit"))
-			s.event(obs.EvAdmit, job, -1, "cache hit")
-			s.event(obs.EvCacheHit, job, -1, "")
-			s.jlog(job).Info("job admitted", "outcome", "cache-hit", "k", job.k)
-			s.journalSubmit(job)
-			job.finishCached(hit)
-			s.spawnWatch(job)
-			return job, nil
-		}
-	}
-
-	// Single-flight: an identical cacheable request already in flight
-	// makes this job a follower — it adopts the leader's result instead
-	// of occupying a second device slot. Leadership is claimed before
-	// admission so two racing identical submits can never both run.
-	claimed := false
-	if job.key != "" {
-		s.mu.Lock()
-		if leader, ok := s.inflight[job.key]; ok {
-			s.registerLocked(job)
-			job.coalesced = true
-			s.mu.Unlock()
-			s.reg.Add("jobs.coalesced", 1)
-			job.addLifeSpan(lifeAdmit, t0, time.Now(), admitAttrs(job, "coalesced"))
-			s.event(obs.EvAdmit, job, -1, "coalesced behind "+leader.ID)
-			s.event(obs.EvCoalesced, job, -1, "leader "+leader.ID)
-			s.jlog(job).Info("job admitted", "outcome", "coalesced", "leader", leader.ID)
-			s.journalSubmit(job)
-			go s.watch(job)
-			go s.follow(job, leader)
-			return job, nil
-		}
-		s.inflight[job.key] = job
-		claimed = true
-		s.mu.Unlock()
-	}
-
 	// The ID must exist before a worker can pop the job (its running
-	// journal record carries it; the queue handoff orders the write),
-	// but the job is indexed only after the queue accepted it, so a
-	// rejected submission leaves no trace beyond the counter and a
-	// burned sequence number.
-	s.mu.Lock()
-	s.assignIDLocked(job)
-	s.mu.Unlock()
-
-	unclaim := func() {
-		if claimed {
-			s.mu.Lock()
-			if s.inflight[job.key] == job {
-				delete(s.inflight, job.key)
-			}
-			s.mu.Unlock()
-		}
+	// journal record carries it); a rejected submission burns it.
+	s.startClock(job)
+	s.assignID(job)
+	outcome, leader, err := s.admit(job, true)
+	if err != nil {
+		return nil, s.reject(job, err)
 	}
-
-	// Deadline-aware admission: once the estimator has evidence for this
-	// (algorithm, size-bucket) cell, a job whose deadline cannot cover
-	// the queued work ahead of it plus its own service time is rejected
-	// now, not failed after burning a queue slot. Cold cells admit
-	// optimistically.
-	est := s.est.costs(job.algo, job.g.NumVertices())
-	job.estWall, job.estModeled = est.wall, est.modeled
-	if deadline > 0 {
-		if known, ok := s.est.lookup(job.algo, job.g.NumVertices()); ok {
-			depth, queuedWall := s.fq.stats()
-			need := queuedWall/float64(s.cfg.Devices) + known.wall
-			if need > deadline.Seconds() {
-				unclaim()
-				job.tenant.addRejected()
-				s.reg.Add("jobs.rejected_deadline", 1)
-				detail := fmt.Sprintf("deadline unmeetable: need ~%.3fs (queue depth %d), deadline %s", need, depth, deadline)
-				s.event(obs.EvRejected, job, -1, detail)
-				s.jlog(job).Warn("job rejected: deadline unmeetable",
-					"estimated_seconds", need, "deadline", deadline.String(), "queue_depth", depth)
-				job.cancel()
-				return nil, &overloadError{
-					code:       CodeDeadlineUnmeetable,
-					msg:        detail,
-					retryAfter: s.retryAfterSeconds(),
-				}
-			}
-		}
+	s.index(job)
+	job.addLifeSpan(lifeAdmit, t0, time.Now(), admitAttrs(job, outcome))
+	switch outcome {
+	case admitHit:
+		s.event(obs.EvAdmit, job, -1, "cache hit")
+		s.event(obs.EvCacheHit, job, -1, "")
+		s.jlog(job).Info("job admitted", "outcome", outcome, "k", job.k)
+	case admitCoalesced:
+		s.event(obs.EvAdmit, job, -1, "coalesced behind "+leader.ID)
+		s.event(obs.EvCoalesced, job, -1, "leader "+leader.ID)
+		s.jlog(job).Info("job admitted", "outcome", outcome, "leader", leader.ID)
+	default:
+		s.event(obs.EvAdmit, job, -1, "queued")
+		s.jlog(job).Info("job admitted", "outcome", outcome, "k", job.k,
+			"vertices", job.g.NumVertices(), "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
 	}
-
-	job.queuedAt = time.Now()
-	if err := s.fq.Push(job, true); err != nil {
-		unclaim()
-		job.tenant.addRejected()
-		var qe *quotaError
-		if errors.As(err, &qe) {
-			s.reg.Add("jobs.rejected_quota", 1)
-			s.event(obs.EvRejected, job, -1, err.Error())
-			s.jlog(job).Warn("job rejected: tenant over quota",
-				"tenant", job.tenant.name, "max_queued", job.tenant.cfg.MaxQueued)
-			job.cancel()
-			return nil, &overloadError{
-				code:       CodeTenantQuota,
-				msg:        err.Error(),
-				retryAfter: s.retryAfterSeconds(),
-				wrapped:    err,
-			}
-		}
-		s.reg.Add("jobs.rejected", 1)
-		s.event(obs.EvRejected, job, -1, "queue full")
-		s.jlog(job).Warn("job rejected: queue full", "queue_cap", s.cfg.QueueCap)
-		job.cancel()
-		return nil, &overloadError{
-			code:       CodeOverloaded,
-			msg:        fmt.Sprintf("%v: capacity %d", ErrQueueFull, s.cfg.QueueCap),
-			retryAfter: s.retryAfterSeconds(),
-			wrapped:    ErrQueueFull,
-		}
-	}
-	s.reg.Add("queue.depth", 1)
-	s.mu.Lock()
-	s.indexLocked(job)
-	s.mu.Unlock()
-	job.addLifeSpan(lifeAdmit, t0, time.Now(), admitAttrs(job, "queued"))
-	s.event(obs.EvAdmit, job, -1, "queued")
-	s.jlog(job).Info("job admitted", "outcome", "queued", "k", job.k,
-		"vertices", job.g.NumVertices(), "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
+	// The submit record precedes the outcome record the watcher appends.
 	s.journalSubmit(job)
 	s.spawnWatch(job)
-	s.watchQueued(job)
-	s.brownoutTick()
+	if outcome == admitQueued {
+		s.brownoutTick()
+	}
 	return job, nil
+}
+
+// reject accounts for a fresh submission that admission control refused
+// (unmeetable deadline, tenant quota, full queue) and returns its wire
+// error, carrying a Retry-After derived from live load.
+func (s *Server) reject(j *Job, err error) error {
+	j.tenant.addRejected()
+	oe := &overloadError{msg: err.Error(), retryAfter: s.retryAfterSeconds(), wrapped: err}
+	var de *deadlineError
+	var qe *quotaError
+	switch {
+	case errors.As(err, &de):
+		oe.code = CodeDeadlineUnmeetable
+		s.reg.Add("jobs.rejected_deadline", 1)
+		s.event(obs.EvRejected, j, -1, oe.msg)
+		s.jlog(j).Warn("job rejected: deadline unmeetable",
+			"estimated_seconds", de.need, "deadline", de.deadline.String(), "queue_depth", de.depth)
+	case errors.As(err, &qe):
+		oe.code = CodeTenantQuota
+		s.reg.Add("jobs.rejected_quota", 1)
+		s.event(obs.EvRejected, j, -1, oe.msg)
+		s.jlog(j).Warn("job rejected: tenant over quota",
+			"tenant", j.tenant.name, "max_queued", j.tenant.cfg.MaxQueued)
+	default:
+		oe.code = CodeOverloaded
+		oe.msg = fmt.Sprintf("%v: capacity %d", ErrQueueFull, s.cfg.QueueCap)
+		s.reg.Add("jobs.rejected", 1)
+		s.event(obs.EvRejected, j, -1, "queue full")
+		s.jlog(j).Warn("job rejected: queue full", "queue_cap", s.cfg.QueueCap)
+	}
+	return oe
 }
 
 // retryAfterSeconds derives the Retry-After hint from live load: the
@@ -930,74 +843,11 @@ func admitAttrs(j *Job, outcome string) map[string]any {
 	return map[string]any{"outcome": outcome, "k": j.k, "vertices": j.g.NumVertices()}
 }
 
-// spawnWatch and spawnFollow run their goroutines under the server
-// WaitGroup so Close drains them before closing the journal.
+// spawnWatch runs watch under the server WaitGroup so Close drains it
+// before closing the journal.
 func (s *Server) spawnWatch(j *Job) {
 	s.wg.Add(1)
 	go func() { defer s.wg.Done(); s.watch(j) }()
-}
-
-func (s *Server) spawnFollow(j, leader *Job) {
-	s.wg.Add(1)
-	go func() { defer s.wg.Done(); s.follow(j, leader) }()
-}
-
-// follow resolves a single-flight follower against its leader: adopt
-// the result on success, otherwise re-follow or become the new leader
-// and run for real. The follower's own context still cancels it.
-func (s *Server) follow(j, leader *Job) {
-	for {
-		select {
-		case <-j.ctx.Done():
-			if errors.Is(j.ctx.Err(), context.DeadlineExceeded) {
-				s.reg.Add("jobs.failed", 1)
-				j.finish(StateFailed, nil, "deadline exceeded while coalesced")
-			} else {
-				s.reg.Add("jobs.canceled", 1)
-				j.finish(StateCanceled, nil, "canceled while coalesced")
-			}
-			return
-		case <-leader.Done():
-		}
-		if st := leader.Status(); st.State == StateDone && st.Result != nil {
-			s.reg.Add("jobs.completed", 1)
-			j.finishCoalesced(st.Result, leader.Profile())
-			return
-		}
-		// The leader failed or was canceled; its outcome must not bind
-		// the follower. Check the cache (another leader may have landed),
-		// then re-follow or take over.
-		if hit, ok := s.cache.Get(j.key); ok {
-			j.finishCached(hit)
-			return
-		}
-		s.mu.Lock()
-		if l2, ok := s.inflight[j.key]; ok && l2 != j {
-			leader = l2
-			s.mu.Unlock()
-			continue
-		}
-		s.inflight[j.key] = j
-		s.mu.Unlock()
-		est := s.est.costs(j.algo, j.g.NumVertices())
-		j.estWall, j.estModeled = est.wall, est.modeled
-		j.queuedAt = time.Now()
-		// The follower was already admitted once; quota does not apply to
-		// its takeover — accepted jobs cannot be lost to admission control.
-		if err := s.fq.Push(j, false); err != nil {
-			s.mu.Lock()
-			if s.inflight[j.key] == j {
-				delete(s.inflight, j.key)
-			}
-			s.mu.Unlock()
-			s.reg.Add("jobs.failed", 1)
-			j.finish(StateFailed, nil, "queue full after coalesced leader aborted")
-			return
-		}
-		s.reg.Add("queue.depth", 1)
-		s.watchQueued(j)
-		return
-	}
 }
 
 // journalSubmit appends a job's admission record.
@@ -1021,22 +871,11 @@ func seqOf(id string) int {
 	return n
 }
 
-// register assigns the job its ID and indexes it, forgetting the oldest
-// terminal jobs beyond the retention cap.
-func (s *Server) register(j *Job) {
+// index inserts an already-named job into the index and applies the
+// retention cap.
+func (s *Server) index(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.registerLocked(j)
-}
-
-func (s *Server) registerLocked(j *Job) {
-	s.assignIDLocked(j)
-	s.indexLocked(j)
-}
-
-// indexLocked inserts an already-named job into the index and applies
-// the retention cap.
-func (s *Server) indexLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	for len(s.order) > s.cfg.MaxJobs {
