@@ -53,12 +53,13 @@ determinism:
 		./internal/core ./internal/parmetis ./internal/ptscotch ./internal/mpi
 
 # metrics-lint asserts every registered series appears on a FRESH
-# /metrics scrape — counters, declared histograms, and the eagerly
-# declared per-peer × per-RPC cluster histograms — so dashboards and
-# alert previews never chase series that only exist after first use.
+# /metrics scrape, of a standalone server and of a ring member — every
+# registry name, counters, declared histograms, and the eagerly declared
+# per-peer × per-RPC cluster histograms — so dashboards and alert
+# previews never chase series that only exist after first use.
 metrics-lint:
 	$(GO) test ./internal/server -run 'TestMetricsLintFreshScrape' -count=1
-	$(GO) test ./internal/cluster -run 'TestClusterRPCMetricsEager' -count=1
+	$(GO) test ./internal/cluster -run 'TestClusterRPCMetricsEager|TestClusterMetricsLintFreshScrape' -count=1
 
 # perf-gate re-runs the benchmark at BENCH_baseline.json's own scale,
 # k, runs, and seed and fails (exit 2) when any input regresses modeled

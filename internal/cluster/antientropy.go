@@ -200,13 +200,17 @@ func (n *Node) repairRanges(ring *Ring, p Peer, local map[int][]string, mismatch
 			if localHas[d] || !n.replicaSetHas(ring, d, n.self.ID) {
 				continue
 			}
-			res, found, err := n.peekRemote(p, d)
+			raw, found, err := n.peekRemote(p, d)
+			var res server.JobResult
+			if err == nil && found {
+				err = json.Unmarshal(raw, &res)
+			}
 			if err != nil {
 				n.strikePeer(p, "repair pull: "+err.Error())
 				return
 			}
-			if found && n.srv.StoreReplicated(d, res) {
-				n.repairPulled.Add(1)
+			if found && n.srv.StoreReplicated(d, &res) {
+				n.reg.Add("cluster.repair_pulled", 1)
 				pulled++
 			}
 		}
@@ -222,7 +226,7 @@ func (n *Node) repairRanges(ring *Ring, p Peer, local map[int][]string, mismatch
 				n.strikePeer(p, "repair push: "+err.Error())
 				return
 			}
-			n.repairPushed.Add(1)
+			n.reg.Add("cluster.repair_pushed", 1)
 			pushed++
 		}
 	}

@@ -113,31 +113,24 @@ type Node struct {
 	repl chan replTask
 
 	// spans holds background-round traces (replication, repair,
-	// decommission) for GET /internal/trace/{trace_id}; rpc aggregates
-	// per-peer × per-RPC-type real-wall latency and errors; spanSeq mints
+	// decommission) for GET /internal/trace/{trace_id}; spanSeq mints
 	// node-unique cluster-side span ids.
 	spans   *obs.SpanStore
-	rpc     *rpcMetrics
 	spanSeq atomic.Int64
 
-	forwards      atomic.Int64
-	peekHits      atomic.Int64
-	peekMisses    atomic.Int64
-	failovers     atomic.Int64
-	replicaPushes atomic.Int64
-	replicaStores atomic.Int64
-	replicaHits   atomic.Int64
-	repairPushed  atomic.Int64
-	repairPulled  atomic.Int64
+	// reg is the server's registry, where the node keeps every metric:
+	// routing, replication and repair counts, peer health, the modeled
+	// network charge, and per-peer × per-RPC wall latency and errors.
+	reg *obs.Registry
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
-// New builds the node, installs its status snapshot on the server
-// (/healthz, /admin/status, gpmetisd_cluster_*), and starts the health
-// prober.
+// New builds the node, declares its gpmetisd_cluster_* series in the
+// server's registry, installs its status snapshot on the server
+// (/healthz, /admin/status), and starts the health prober.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -185,7 +178,7 @@ func New(cfg Config) (*Node, error) {
 		peersAll:  ring.Peers(),
 		departed:  map[int]bool{},
 		srv:       cfg.Server,
-		net:       NewNetModel(cfg.Machine),
+		net:       NewNetModel(cfg.Machine, cfg.Server.Metrics()),
 		log:       cfg.Logger.With("node_id", self.ID),
 		client:    cfg.Client,
 		probe:     &http.Client{Timeout: 2 * time.Second},
@@ -193,17 +186,13 @@ func New(cfg Config) (*Node, error) {
 		forwarded: map[string]fwdInfo{},
 		repl:      make(chan replTask, 256),
 		spans:     obs.NewSpanStore(0),
-		rpc:       newRPCMetrics(),
+		reg:       cfg.Server.Metrics(),
 		stop:      make(chan struct{}),
 	}
+	n.declareMetrics()
 	for _, p := range ring.Peers() {
 		if p.ID != self.ID {
-			n.health[p.ID] = newNodeHealth()
-			// Eager declaration: every (peer, rpc-type) series exists on a
-			// fresh /metrics scrape, not after the first call of its kind.
-			for _, rpc := range rpcTypes {
-				n.rpc.declare(p.ID, rpc)
-			}
+			n.health[p.ID] = newNodeHealth(n.reg, p.ID)
 		}
 	}
 	n.srv.SetRing(n.hooks(true))
@@ -224,9 +213,10 @@ func New(cfg Config) (*Node, error) {
 
 // Close stops every background goroutine the node owns — the health
 // prober, the replicator, the anti-entropy sweep, and any in-flight
-// reinstatement syncs — and uninstalls the replication and RPC-metric
-// hooks. The wrapped handler keeps serving (the server owns its own
-// shutdown); routing continues with frozen health.
+// reinstatement syncs — and uninstalls the replication hook. The
+// wrapped handler keeps serving (the server owns its own shutdown);
+// routing continues with frozen health, and the cluster series keep
+// their last values in the server's registry.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.srv.SetRing(n.hooks(false))
@@ -237,7 +227,7 @@ func (n *Node) Close() {
 
 // hooks is what the node installs on its server: identity, status and
 // routing always; while open, also the fresh-result hook that feeds
-// replication and the per-peer RPC series.
+// replication.
 func (n *Node) hooks(open bool) server.RingHooks {
 	h := server.RingHooks{
 		NodeID: strconv.Itoa(n.self.ID),
@@ -245,11 +235,8 @@ func (n *Node) hooks(open bool) server.RingHooks {
 		Status: n.Status,
 		Route:  n.route,
 	}
-	if open {
-		h.Prom = n.rpc.snapshot
-		if n.cfg.Replicas > 1 {
-			h.Result = n.enqueueReplication
-		}
+	if open && n.cfg.Replicas > 1 {
+		h.Result = n.enqueueReplication
 	}
 	return h
 }
@@ -288,23 +275,24 @@ func (n *Node) otherPeers() []Peer {
 }
 
 // Status snapshots the node for the wire — the callback behind the
-// server's /healthz, ops view, and cluster metric series.
+// server's /healthz and ops view — reading its counts from the registry.
 func (n *Node) Status() *server.ClusterStatus {
+	count := func(name string) int64 { return int64(n.reg.Get(name)) }
 	cs := &server.ClusterStatus{
 		NodeID:            n.self.ID,
 		Addr:              n.self.Addr,
-		Forwards:          n.forwards.Load(),
-		PeekHits:          n.peekHits.Load(),
-		PeekMisses:        n.peekMisses.Load(),
-		Failovers:         n.failovers.Load(),
-		NetModeledSeconds: n.net.Seconds(),
-		NetMessages:       n.net.Messages(),
+		Forwards:          count("cluster.forwards"),
+		PeekHits:          count("cluster.peek_hits"),
+		PeekMisses:        count("cluster.peek_misses"),
+		Failovers:         count("cluster.failovers_total"),
+		NetModeledSeconds: n.reg.Get("cluster.net_modeled_seconds"),
+		NetMessages:       count("cluster.net_messages"),
 		Replicas:          n.cfg.Replicas,
-		ReplicaPushes:     n.replicaPushes.Load(),
-		ReplicaStores:     n.replicaStores.Load(),
-		ReplicaHits:       n.replicaHits.Load(),
-		RepairPushed:      n.repairPushed.Load(),
-		RepairPulled:      n.repairPulled.Load(),
+		ReplicaPushes:     count("cluster.replica_pushes"),
+		ReplicaStores:     count("cluster.replica_stores"),
+		ReplicaHits:       count("cluster.replica_hits"),
+		RepairPushed:      count("cluster.repair_pushed"),
+		RepairPulled:      count("cluster.repair_pulled"),
 	}
 	n.ringMu.RLock()
 	cs.VNodes = n.ring.VNodes()
@@ -396,10 +384,7 @@ func (n *Node) route(w http.ResponseWriter, j *server.Job) bool {
 			// the way through.
 			if res, from, ok := n.consultReplicas(ring, key, i); ok {
 				n.noteFailover(owner, from, key)
-				writeJSON(w, http.StatusOK, server.JobStatus{
-					State: server.StateDone, Cached: true, Device: -1,
-					Node: from.Addr, Result: res,
-				})
+				writeCached(w, from, res)
 				return true
 			}
 			n.noteFailover(owner, p, key)
@@ -414,24 +399,21 @@ func (n *Node) route(w http.ResponseWriter, j *server.Job) bool {
 			continue
 		}
 		if found {
-			n.peekHits.Add(1)
+			n.reg.Add("cluster.peek_hits", 1)
 			n.noteFailover(owner, p, key)
 			n.srv.RecordTracedEvent(obs.EvClusterPeekHit, traceID,
 				fmt.Sprintf("node %d answered digest %.12s", p.ID, key))
-			writeJSON(w, http.StatusOK, server.JobStatus{
-				State: server.StateDone, Cached: true, Device: -1,
-				Node: p.Addr, Result: res,
-			})
+			writeCached(w, p, res)
 			return true
 		}
-		n.peekMisses.Add(1)
+		n.reg.Add("cluster.peek_misses", 1)
 		resp, body, fi, fwdErr := n.forward(p, *j.Request(), traceID)
 		if fwdErr != nil {
 			n.strikePeer(p, "forward: "+fwdErr.Error())
 			continue
 		}
 		n.clearStrikes(p)
-		n.forwards.Add(1)
+		n.reg.Add("cluster.forwards", 1)
 		n.noteFailover(owner, p, key)
 		n.srv.RecordTracedEvent(obs.EvClusterForward, traceID,
 			fmt.Sprintf("digest %.12s -> node %d", key, p.ID))
@@ -455,10 +437,27 @@ func (n *Node) route(w http.ResponseWriter, j *server.Job) bool {
 	return true
 }
 
-// peekRemote asks peer whether it already caches digest. Both legs of
-// the probe are charged against the modeled network; the real wall cost
-// lands in the per-peer rpc histograms.
-func (n *Node) peekRemote(p Peer, digest string) (*server.JobResult, bool, error) {
+// cachedAnswer is the client's answer to a submission a peer's cache
+// served: a done JobStatus whose result is the peer's
+// GET /internal/cache/{digest} body, relayed without a decode.
+type cachedAnswer struct {
+	server.JobStatus
+	Result json.RawMessage `json:"result"`
+}
+
+// writeCached answers a submission with the result from's cache holds.
+func writeCached(w http.ResponseWriter, from Peer, result json.RawMessage) {
+	writeJSON(w, http.StatusOK, cachedAnswer{
+		JobStatus: server.JobStatus{State: server.StateDone, Cached: true, Device: -1, Node: from.Addr},
+		Result:    result,
+	})
+}
+
+// peekRemote asks peer whether it already caches digest, returning the
+// cached JobResult as the peer's JSON bytes; a body that is not JSON is
+// an error. Both legs of the probe are charged against the modeled
+// network; the real wall cost lands in the per-peer rpc histograms.
+func (n *Node) peekRemote(p Peer, digest string) (json.RawMessage, bool, error) {
 	n.net.Charge(len(digest))
 	req, err := http.NewRequest(http.MethodGet, "http://"+p.Addr+"/internal/cache/"+digest, nil)
 	if err != nil {
@@ -480,11 +479,10 @@ func (n *Node) peekRemote(p Peer, digest string) (*server.JobResult, bool, error
 	if resp.StatusCode != http.StatusOK {
 		return nil, false, fmt.Errorf("peek status %d", resp.StatusCode)
 	}
-	var res server.JobResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, false, err
+	if !json.Valid(b) {
+		return nil, false, fmt.Errorf("peek answer is not JSON")
 	}
-	return &res, true, nil
+	return b, true, nil
 }
 
 // forward ships the submission to peer with the forwarding envelope set:
@@ -595,7 +593,7 @@ func (n *Node) noteFailover(owner, got Peer, key string) {
 	if owner.ID == got.ID {
 		return
 	}
-	n.failovers.Add(1)
+	n.reg.Add("cluster.failovers_total", 1)
 	detail := fmt.Sprintf("digest %.12s: owner %d down, routed to successor %d", key, owner.ID, got.ID)
 	n.srv.RecordEvent(obs.EvClusterFailover, detail)
 	n.log.Warn("cluster failover", "digest", key[:12], "owner", owner.ID, "successor", got.ID)

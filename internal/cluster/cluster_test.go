@@ -268,6 +268,79 @@ func TestClusterRoutesToOneOwner(t *testing.T) {
 	}
 }
 
+// TestClusterPeekHitRelaysOwnerBytes: a peek hit's answer carries the
+// owner's GET /internal/cache/{digest} body as its result, byte for byte
+// (less the encoder's trailing newline), and a peer answering a peek
+// with malformed JSON is an error, which the route strikes.
+func TestClusterPeekHitRelaysOwnerBytes(t *testing.T) {
+	nodes := startTestRing(t, 3)
+	g, err := gpmetis.Grid2D(24, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := server.SubmitRequest{Graph: clusterGraphText(t, g), K: 4, Seed: 3}
+	keyReq := req
+	key, err := server.KeyForRequest(&keyReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := nodes[0].node.Ring().Successors(key)[:2]
+	byID := map[int]*ringNode{}
+	for _, rn := range nodes {
+		byID[rn.peer.ID] = rn
+	}
+	owner := byID[set[0].ID]
+	var entry *ringNode // outside the replica set: it can only peek
+	for _, rn := range nodes {
+		if rn.peer.ID != set[0].ID && rn.peer.ID != set[1].ID {
+			entry = rn
+		}
+	}
+
+	st, _ := clusterSubmit(t, owner.base(), req)
+	if st = clusterPoll(t, owner.base(), st.ID); st.State != server.StateDone {
+		t.Fatalf("job state %s, error %q", st.State, st.Error)
+	}
+	resp, err := http.Get(owner.base() + "/internal/cache/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerBody := new(bytes.Buffer)
+	ownerBody.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner cache GET: HTTP %d", resp.StatusCode)
+	}
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp, answer := postJobs(t, entry.base(), body)
+	var hit struct {
+		Cached bool            `json:"cached"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(answer, &hit); err != nil || hresp.StatusCode != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmit: HTTP %d cached=%t err=%v", hresp.StatusCode, hit.Cached, err)
+	}
+	if got := entry.node.Status().PeekHits; got != 1 {
+		t.Fatalf("entry peek hits = %d, want 1", got)
+	}
+	if want := bytes.TrimSuffix(ownerBody.Bytes(), []byte("\n")); !bytes.Equal(hit.Result, want) {
+		t.Errorf("peek-hit result is not the owner's bytes:\n got %.200s\nwant %.200s", hit.Result, want)
+	}
+
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"part": [0, 1`))
+	}))
+	defer bad.Close()
+	badPeer := Peer{ID: 9, Addr: strings.TrimPrefix(bad.URL, "http://")}
+	if _, found, err := entry.node.peekRemote(badPeer, key); err == nil || found {
+		t.Errorf("malformed peek answer: found=%t err=%v, want an error", found, err)
+	}
+}
+
 // TestClusterFailoverOnDeadOwner: with the digest's owner gone, a
 // submission entering elsewhere walks the ring to the next live
 // successor, completes there, and the entry node accounts a failover.

@@ -1,6 +1,11 @@
 package cluster
 
-import "sync"
+import (
+	"strconv"
+	"sync"
+
+	"gpmetis/internal/obs"
+)
 
 // Node health states, mirroring the device-slot quarantine vocabulary.
 const (
@@ -15,8 +20,11 @@ const (
 // node must then answer a backoff-scaled number of consecutive probes
 // before it is trusted again, and the backoff doubles with every
 // quarantine so a flapping node spends exponentially longer distrusted.
+// Every transition sets the peer's cluster.node_up series (1 up, 0 down).
 type nodeHealth struct {
-	mu sync.Mutex
+	mu     sync.Mutex
+	reg    *obs.Registry
+	labels []obs.Label
 
 	state   string
 	strikes int // consecutive failures while up
@@ -26,7 +34,17 @@ type nodeHealth struct {
 	probesNeeded int // required to reinstate this quarantine
 }
 
-func newNodeHealth() *nodeHealth { return &nodeHealth{state: NodeUp} }
+// newNodeHealth starts peer id up and says so in reg.
+func newNodeHealth(reg *obs.Registry, id int) *nodeHealth {
+	h := &nodeHealth{state: NodeUp, reg: reg, labels: peerLabels(id)}
+	reg.SetWith("cluster.node_up", h.labels, 1)
+	return h
+}
+
+// peerLabels is the label set of a peer's cluster.node_up series.
+func peerLabels(id int) []obs.Label {
+	return []obs.Label{{Key: "node", Value: strconv.Itoa(id)}}
+}
 
 // strike records one failure. It returns true when the strike crossed
 // the threshold and the node just went down.
@@ -41,6 +59,7 @@ func (h *nodeHealth) strike(threshold int) bool {
 		return false
 	}
 	h.state = NodeDown
+	h.reg.SetWith("cluster.node_up", h.labels, 0)
 	h.downs++
 	h.probesOK = 0
 	h.probesNeeded = 1 << uint(min(h.downs-1, 6))
@@ -82,6 +101,7 @@ func (h *nodeHealth) probeResult(ok bool) bool {
 		return false
 	}
 	h.state = NodeUp
+	h.reg.SetWith("cluster.node_up", h.labels, 1)
 	h.strikes = 0
 	return true
 }

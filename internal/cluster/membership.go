@@ -90,15 +90,17 @@ func (n *Node) UpdatePeers(peers []Peer) error {
 	}
 	for _, p := range sorted {
 		if p.ID != n.self.ID && n.health[p.ID] == nil {
-			n.health[p.ID] = newNodeHealth()
+			n.health[p.ID] = newNodeHealth(n.reg, p.ID)
 		}
 	}
 	for id := range n.health {
 		if !present[id] {
 			delete(n.health, id)
+			n.reg.Delete("cluster.node_up", peerLabels(id))
 		}
 	}
 	size := len(sorted)
+	n.reg.Set("cluster.ring_size", float64(size))
 	n.ringMu.Unlock()
 
 	n.srv.RecordEvent(obs.EvClusterMembership,
@@ -175,7 +177,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	delete(n.departed, id)
 	n.rebuildRingLocked()
-	n.health[id] = newNodeHealth()
+	n.health[id] = newNodeHealth(n.reg, id)
 	n.ringMu.Unlock()
 	n.srv.RecordEvent(obs.EvClusterMembership, fmt.Sprintf("node %d rejoined the ring", id))
 	n.log.Info("ring member rejoined", "peer", id)
@@ -328,7 +330,7 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 // a no-op when nothing diverged. Returns how many entries catch-up
 // pulled.
 func (n *Node) Rejoin() int64 {
-	before := n.repairPulled.Load()
+	before := n.reg.Get("cluster.repair_pulled")
 	// A node that decommissioned without exiting still routes on the
 	// shrunk ring; returning to duty starts with readopting itself.
 	n.ringMu.Lock()
@@ -348,7 +350,7 @@ func (n *Node) Rejoin() int64 {
 		}
 	}
 	n.AntiEntropyNow()
-	return n.repairPulled.Load() - before
+	return int64(n.reg.Get("cluster.repair_pulled") - before)
 }
 
 // handleRejoin runs Rejoin on demand (POST /admin/rejoin) — the

@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"sync"
-
 	"gpmetis"
+	"gpmetis/internal/obs"
 	"gpmetis/internal/perfmodel"
 )
 
@@ -14,23 +13,22 @@ const msgOverheadBytes = 64
 
 // NetModel charges cluster traffic against the same α+βn network the
 // MPI ranks use: every peek, forward, response, and health probe costs
-// LatencySec + bytes/BytesPerSec modeled seconds. The accumulated total
-// is exported as gpmetisd_cluster_net_modeled_seconds, so bench -compare
-// can gate routing overhead exactly as it gates kernel time.
+// LatencySec + bytes/BytesPerSec modeled seconds. The running total and
+// message count accumulate in the registry's cluster.net_modeled_seconds
+// and cluster.net_messages, so bench -compare can gate routing overhead
+// exactly as it gates kernel time.
 type NetModel struct {
-	mu       sync.Mutex
-	net      perfmodel.NetParams
-	seconds  float64
-	messages int64
+	net perfmodel.NetParams
+	reg *obs.Registry
 }
 
-// NewNetModel builds the model from a machine's network parameters;
-// nil takes gpmetis.DefaultMachine().
-func NewNetModel(m *gpmetis.Machine) *NetModel {
+// NewNetModel builds the model from a machine's network parameters,
+// accounting into reg; nil m takes gpmetis.DefaultMachine().
+func NewNetModel(m *gpmetis.Machine, reg *obs.Registry) *NetModel {
 	if m == nil {
 		m = gpmetis.DefaultMachine()
 	}
-	return &NetModel{net: m.Net}
+	return &NetModel{net: m.Net, reg: reg}
 }
 
 // Charge accounts one message of payloadBytes (plus the fixed envelope)
@@ -40,23 +38,7 @@ func (n *NetModel) Charge(payloadBytes int) float64 {
 		payloadBytes = 0
 	}
 	sec := n.net.LatencySec + float64(payloadBytes+msgOverheadBytes)/n.net.BytesPerSec
-	n.mu.Lock()
-	n.seconds += sec
-	n.messages++
-	n.mu.Unlock()
+	n.reg.Add("cluster.net_modeled_seconds", sec)
+	n.reg.Add("cluster.net_messages", 1)
 	return sec
-}
-
-// Seconds returns the cumulative modeled network seconds charged.
-func (n *NetModel) Seconds() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.seconds
-}
-
-// Messages returns how many messages have been charged.
-func (n *NetModel) Messages() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.messages
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +282,40 @@ func TestClusterRPCMetricsEager(t *testing.T) {
 	}
 }
 
+// TestClusterMetricsLintFreshScrape is the ring member's half of the
+// metrics-lint invariant (see the server's TestMetricsLintFreshScrape):
+// every name in a fresh node's registry — the server's own series, the
+// cluster counters, peer gauges and the per-peer RPC histograms — is on
+// its very first /metrics scrape.
+func TestClusterMetricsLintFreshScrape(t *testing.T) {
+	nodes := startTestRing(t, 3)
+	reg := nodes[0].srv.Metrics()
+	text := scrapeMetrics(t, nodes[0].base())
+
+	check := func(series, suffix string) {
+		name := "gpmetisd_" + strings.ReplaceAll(series, ".", "_") + suffix
+		if !strings.Contains(text, name+" ") && !strings.Contains(text, name+"{") {
+			t.Errorf("registered series %q missing from a fresh scrape (as %s)", series, name)
+		}
+	}
+	names := reg.Names()
+	if !slices.Contains(names, "cluster.forwards") || !slices.Contains(names, "cluster.node_up") {
+		t.Fatalf("registry lacks the cluster series: %v", names)
+	}
+	for _, name := range names {
+		check(name, "")
+	}
+	hists := reg.HistogramNames()
+	if !slices.Contains(hists, "cluster.rpc_seconds") {
+		t.Fatalf("registry lacks the RPC histograms: %v", hists)
+	}
+	for _, name := range hists {
+		check(name, "_bucket")
+		check(name, "_sum")
+		check(name, "_count")
+	}
+}
+
 // TestClusterRPCMetricsObserve: routing one job through the ring moves
 // the forward and peek histograms, with real (non-zero) wall seconds.
 func TestClusterRPCMetricsObserve(t *testing.T) {
@@ -356,7 +391,7 @@ func TestClusterBackgroundTraces(t *testing.T) {
 	st, _ := clusterSubmit(t, ownerNode.base(), req)
 	clusterPoll(t, ownerNode.base(), st.ID)
 	deadline := time.Now().Add(10 * time.Second)
-	for ownerNode.node.replicaPushes.Load() == 0 {
+	for ownerNode.node.Status().ReplicaPushes == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("replication never pushed")
 		}
@@ -428,7 +463,7 @@ func TestClusterBackgroundTraces(t *testing.T) {
 				repaired = true
 			}
 		}
-		if ownerNode.node.repairPushed.Load() > 0 && !repaired {
+		if ownerNode.node.Status().RepairPushed > 0 && !repaired {
 			t.Error("repair ran but recorded no trace-bearing cluster_repair event")
 		}
 	}

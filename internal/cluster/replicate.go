@@ -72,7 +72,7 @@ func (n *Node) replicateKey(key string, res *server.JobResult) {
 			continue
 		}
 		n.clearStrikes(p)
-		n.replicaPushes.Add(1)
+		n.reg.Add("cluster.replica_pushes", 1)
 		n.srv.RecordTracedEvent(obs.EvClusterReplicate, trace,
 			fmt.Sprintf("digest %.12s replicated to node %d", key, p.ID))
 	}
@@ -157,7 +157,7 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	stored := n.srv.StoreReplicated(digest, &res)
 	if stored {
-		n.replicaStores.Add(1)
+		n.reg.Add("cluster.replica_stores", 1)
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"stored": stored})
 }
@@ -167,8 +167,9 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 // only applies off the owner seat (i ≥ 1: a fresh submission owned here
 // must not pay peek latency) and only when untried set members remain:
 // members earlier in the walk were already peeked or down, members past
-// the set never hold a replica. A hit read-repairs the local cache.
-func (n *Node) consultReplicas(ring *Ring, key string, i int) (*server.JobResult, Peer, bool) {
+// the set never hold a replica. A hit read-repairs the local cache and
+// returns the replica's JSON bytes for the client's answer.
+func (n *Node) consultReplicas(ring *Ring, key string, i int) (json.RawMessage, Peer, bool) {
 	if i < 1 {
 		return nil, Peer{}, false
 	}
@@ -184,22 +185,26 @@ func (n *Node) consultReplicas(ring *Ring, key string, i int) (*server.JobResult
 		if n.peerIsDown(q) {
 			continue
 		}
-		res, found, err := n.peekRemote(q, key)
+		raw, found, err := n.peekRemote(q, key)
+		var res server.JobResult
+		if err == nil && found {
+			err = json.Unmarshal(raw, &res)
+		}
 		if err != nil {
 			n.strikePeer(q, "replica peek: "+err.Error())
 			continue
 		}
 		if !found {
-			n.peekMisses.Add(1)
+			n.reg.Add("cluster.peek_misses", 1)
 			continue
 		}
-		n.replicaHits.Add(1)
+		n.reg.Add("cluster.replica_hits", 1)
 		n.srv.RecordTracedEvent(obs.EvClusterReplicaHit, trace,
 			fmt.Sprintf("replica %d answered digest %.12s for its dead owner", q.ID, key))
-		if n.srv.StoreReplicated(key, res) {
-			n.repairPulled.Add(1)
+		if n.srv.StoreReplicated(key, &res) {
+			n.reg.Add("cluster.repair_pulled", 1)
 		}
-		return res, q, true
+		return raw, q, true
 	}
 	return nil, Peer{}, false
 }

@@ -86,7 +86,7 @@ func TestClusterReplicatesOnCompletion(t *testing.T) {
 	}
 	target := nodes[targets[0].ID]
 
-	netBefore := owner.node.net.Seconds()
+	netBefore := owner.node.Status().NetModeledSeconds
 	st, _ := clusterSubmit(t, owner.base(), req)
 	st = clusterPoll(t, owner.base(), st.ID)
 	if st.State != server.StateDone {
@@ -95,7 +95,7 @@ func TestClusterReplicatesOnCompletion(t *testing.T) {
 
 	waitFor(t, "replica to land on the successor", func() bool {
 		_, ok := target.srv.PeekCached(key)
-		return ok && owner.node.replicaPushes.Load() == 1
+		return ok && owner.node.Status().ReplicaPushes == 1
 	})
 	rep, _ := target.srv.PeekCached(key)
 	if len(rep.Part) != len(st.Result.Part) {
@@ -106,13 +106,13 @@ func TestClusterReplicatesOnCompletion(t *testing.T) {
 			t.Fatalf("replica differs from the owner's result at vertex %d (%d vs %d)", v, p, st.Result.Part[v])
 		}
 	}
-	if pushes := owner.node.replicaPushes.Load(); pushes != 1 {
+	if pushes := owner.node.Status().ReplicaPushes; pushes != 1 {
 		t.Errorf("owner pushed %d replicas, want 1", pushes)
 	}
-	if stores := target.node.replicaStores.Load(); stores != 1 {
+	if stores := target.node.Status().ReplicaStores; stores != 1 {
 		t.Errorf("target stored %d replicas, want 1", stores)
 	}
-	if after := owner.node.net.Seconds(); after <= netBefore {
+	if after := owner.node.Status().NetModeledSeconds; after <= netBefore {
 		t.Errorf("replication was not charged to the modeled network (%.9f -> %.9f)", netBefore, after)
 	}
 	cs := owner.node.Status()
@@ -187,7 +187,7 @@ func TestClusterFailoverServedFromReplica(t *testing.T) {
 	if after := sumCounter(t, survivors, "modeled.seconds"); after != modeledBefore {
 		t.Errorf("replica-served reads charged partition time: %.9f -> %.9f", modeledBefore, after)
 	}
-	if fo := other.node.failovers.Load() + target.node.failovers.Load(); fo < 2 {
+	if fo := other.node.Status().Failovers + target.node.Status().Failovers; fo < 2 {
 		t.Errorf("survivors recorded %d failovers, want >= 2", fo)
 	}
 }
@@ -226,7 +226,7 @@ func TestClusterReinstatementRepair(t *testing.T) {
 	waitFor(t, "the replication queue to empty", func() bool {
 		return len(owner.node.repl) == 0
 	})
-	if pushes := owner.node.replicaPushes.Load(); pushes != 0 {
+	if pushes := owner.node.Status().ReplicaPushes; pushes != 0 {
 		t.Fatalf("owner pushed %d replicas to a down target, want 0", pushes)
 	}
 
@@ -239,7 +239,7 @@ func TestClusterReinstatementRepair(t *testing.T) {
 	// The target stores the entry before the owner counts the push.
 	waitFor(t, "the reinstatement sync to deliver the missed entry", func() bool {
 		_, ok := target.srv.PeekCached(key)
-		return ok && owner.node.repairPushed.Load() >= 1
+		return ok && owner.node.Status().RepairPushed >= 1
 	})
 	rep, _ := target.srv.PeekCached(key)
 	got, err := json.Marshal(rep)
@@ -299,9 +299,9 @@ func TestClusterAntiEntropyRepair(t *testing.T) {
 	if !a1.srv.StoreReplicated(d1, res) {
 		t.Fatal("seed store on A failed")
 	}
-	pushedBefore := a1.node.repairPushed.Load()
+	pushedBefore := a1.node.Status().RepairPushed
 	a1.node.AntiEntropyNow()
-	if got := a1.node.repairPushed.Load(); got <= pushedBefore {
+	if got := a1.node.Status().RepairPushed; got <= pushedBefore {
 		t.Errorf("repair pushed %d entries, want > %d", got, pushedBefore)
 	}
 	if _, ok := b1.srv.PeekCached(d1); !ok {
@@ -313,9 +313,9 @@ func TestClusterAntiEntropyRepair(t *testing.T) {
 	if !b2.srv.StoreReplicated(d2, res) {
 		t.Fatal("seed store on B failed")
 	}
-	pulledBefore := a2.node.repairPulled.Load()
+	pulledBefore := a2.node.Status().RepairPulled
 	a2.node.AntiEntropyNow()
-	if got := a2.node.repairPulled.Load(); got <= pulledBefore {
+	if got := a2.node.Status().RepairPulled; got <= pulledBefore {
 		t.Errorf("repair pulled %d entries, want > %d", got, pulledBefore)
 	}
 	if _, ok := a2.srv.PeekCached(d2); !ok {
@@ -323,14 +323,14 @@ func TestClusterAntiEntropyRepair(t *testing.T) {
 	}
 
 	// A second sweep finds nothing left to move.
-	pushedBefore = a1.node.repairPushed.Load() + a2.node.repairPushed.Load()
-	pulledBefore = a1.node.repairPulled.Load() + a2.node.repairPulled.Load()
+	pushedBefore = a1.node.Status().RepairPushed + a2.node.Status().RepairPushed
+	pulledBefore = a1.node.Status().RepairPulled + a2.node.Status().RepairPulled
 	a1.node.AntiEntropyNow()
 	a2.node.AntiEntropyNow()
-	if got := a1.node.repairPushed.Load() + a2.node.repairPushed.Load(); got != pushedBefore {
+	if got := a1.node.Status().RepairPushed + a2.node.Status().RepairPushed; got != pushedBefore {
 		t.Errorf("converged sweep still pushed (%d -> %d)", pushedBefore, got)
 	}
-	if got := a1.node.repairPulled.Load() + a2.node.repairPulled.Load(); got != pulledBefore {
+	if got := a1.node.Status().RepairPulled + a2.node.Status().RepairPulled; got != pulledBefore {
 		t.Errorf("converged sweep still pulled (%d -> %d)", pulledBefore, got)
 	}
 }
@@ -444,9 +444,9 @@ func TestClusterJournalReplayNoReReplication(t *testing.T) {
 	}
 	waitFor(t, "the replica to reach node 1", func() bool {
 		_, ok := n1.srv.PeekCached(key)
-		return ok && n0.node.replicaPushes.Load() == 1
+		return ok && n0.node.Status().ReplicaPushes == 1
 	})
-	storesBefore := n1.node.replicaStores.Load()
+	storesBefore := n1.node.Status().ReplicaStores
 
 	// Restart node 0 from its journal.
 	n0.hs.Close()
@@ -465,18 +465,18 @@ func TestClusterJournalReplayNoReReplication(t *testing.T) {
 	}
 	// Give a would-be re-replication time to fire, then pin that none did.
 	time.Sleep(100 * time.Millisecond)
-	if pushes := n0b.node.replicaPushes.Load(); pushes != 0 {
+	if pushes := n0b.node.Status().ReplicaPushes; pushes != 0 {
 		t.Errorf("restarted node re-replicated %d journal-replayed entries, want 0", pushes)
 	}
-	if got := n1.node.replicaStores.Load(); got != storesBefore {
+	if got := n1.node.Status().ReplicaStores; got != storesBefore {
 		t.Errorf("node 1 stored %d new replicas after the restart, want 0", got-storesBefore)
 	}
 	// Anti-entropy agrees: both sides already hold the entry.
 	n0b.node.AntiEntropyNow()
-	if p := n0b.node.repairPushed.Load(); p != 0 {
+	if p := n0b.node.Status().RepairPushed; p != 0 {
 		t.Errorf("post-restart sweep pushed %d entries, want 0", p)
 	}
-	if p := n0b.node.repairPulled.Load(); p != 0 {
+	if p := n0b.node.Status().RepairPulled; p != 0 {
 		t.Errorf("post-restart sweep pulled %d entries, want 0", p)
 	}
 }

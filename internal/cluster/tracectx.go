@@ -3,10 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpmetis/internal/obs"
@@ -46,119 +43,58 @@ var rpcBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// rpcStat is one (peer, rpc-type) cell: a non-cumulative bucket
-// histogram of real wall seconds plus an error count.
-type rpcStat struct {
-	counts []uint64
-	sum    float64
-	count  uint64
-	errors uint64
+// clusterSeries are the node's unlabeled registry series with their
+// HELP text, all present from the node's first scrape.
+var clusterSeries = []struct{ name, help string }{
+	{"cluster.node_id", "This node's ring identity."},
+	{"cluster.ring_size", "Ring member count from peers.json."},
+	{"cluster.forwards", "Submissions this node forwarded to their ring owner."},
+	{"cluster.peek_hits", "Cross-node cache peeks answered by a remote cache."},
+	{"cluster.peek_misses", "Cross-node cache peeks the remote cache could not answer."},
+	{"cluster.failovers_total", "Submissions routed to a ring successor because the owner was down."},
+	{"cluster.net_modeled_seconds", "Modeled α+βn network seconds charged to cluster traffic."},
+	{"cluster.net_messages", "Inter-node messages charged against the modeled network."},
+	{"cluster.replicas", "Configured replication factor (1 = replication off)."},
+	{"cluster.replica_pushes", "Completed results this node pushed to ring replicas."},
+	{"cluster.replica_stores", "Replica entries this node stored on behalf of peers."},
+	{"cluster.replica_hits", "Failover reads answered from a replica instead of recomputed."},
+	{"cluster.repair_pushed", "Cache entries pushed to peers by anti-entropy repair."},
+	{"cluster.repair_pulled", "Cache entries pulled from peers by anti-entropy repair and read-repair."},
+	{"cluster.rpc_inflight", "Internode RPCs currently in flight from this node."},
 }
 
-// rpcMetrics aggregates every internode RPC this node issued, keyed by
-// (peer id, rpc type). It lives beside the modeled α+βn accounting in
-// NetModel: the model says what the traffic should cost, these series
-// say what it did cost.
-type rpcMetrics struct {
-	mu       sync.Mutex
-	stats    map[string]*rpcStat
-	inflight atomic.Int64
-}
-
-func newRPCMetrics() *rpcMetrics {
-	return &rpcMetrics{stats: make(map[string]*rpcStat)}
-}
-
-func rpcKey(peer int, rpc string) string { return strconv.Itoa(peer) + "|" + rpc }
-
-// declare ensures the (peer, rpc) cell exists so its series render on
-// the next scrape even before the first call.
-func (m *rpcMetrics) declare(peer int, rpc string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cellLocked(peer, rpc)
-}
-
-func (m *rpcMetrics) cellLocked(peer int, rpc string) *rpcStat {
-	k := rpcKey(peer, rpc)
-	st, ok := m.stats[k]
-	if !ok {
-		st = &rpcStat{counts: make([]uint64, len(rpcBuckets)+1)}
-		m.stats[k] = st
+// declareMetrics describes and declares the node's series in its
+// server's registry: the unlabeled ones and, eagerly so that every
+// (peer, rpc) series exists on a fresh scrape, each peer's RPC latency
+// histograms and error counters. Peer up gauges come with their health
+// entries (newNodeHealth). The real-wall RPC series
+// sit beside the modeled α+βn accounting of NetModel: the model says
+// what the traffic should cost, these say what it did cost.
+func (n *Node) declareMetrics() {
+	for _, cs := range clusterSeries {
+		n.reg.Describe(cs.name, cs.help)
+		n.reg.Add(cs.name, 0)
 	}
-	return st
-}
-
-// observe folds one completed RPC into its cell.
-func (m *rpcMetrics) observe(peer int, rpc string, seconds float64, failed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.cellLocked(peer, rpc)
-	i := sort.SearchFloat64s(rpcBuckets, seconds)
-	st.counts[i]++
-	st.sum += seconds
-	st.count++
-	if failed {
-		st.errors++
-	}
-}
-
-// snapshot renders the cells as exposition extras: the labeled
-// cluster.rpc_seconds histograms, the cluster.rpc_errors_total
-// counters, and the cluster.rpc_inflight gauge, in deterministic
-// (peer, rpc) order.
-func (m *rpcMetrics) snapshot() ([]obs.PromSample, []obs.PromHistogram) {
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.stats))
-	for k := range m.stats {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type cell struct {
-		peer, rpc string
-		st        rpcStat
-	}
-	cells := make([]cell, 0, len(keys))
-	for _, k := range keys {
-		st := m.stats[k]
-		c := cell{st: rpcStat{
-			counts: append([]uint64(nil), st.counts...),
-			sum:    st.sum, count: st.count, errors: st.errors,
-		}}
-		for i := 0; i < len(k); i++ {
-			if k[i] == '|' {
-				c.peer, c.rpc = k[:i], k[i+1:]
-				break
-			}
+	n.reg.Describe("cluster.node_up", "Per-peer health as seen by this node (1 up, 0 down).")
+	n.reg.Describe("cluster.rpc_errors_total", "Failed internode RPCs by peer and type.")
+	n.reg.Describe("cluster.rpc_seconds", "Real wall seconds of internode RPCs by peer and type (the modeled charge is gpmetisd_cluster_net_modeled_seconds).")
+	n.reg.Set("cluster.node_id", float64(n.self.ID))
+	n.reg.Set("cluster.replicas", float64(n.cfg.Replicas))
+	n.reg.Set("cluster.ring_size", float64(len(n.peersAll)))
+	for _, p := range n.peersAll {
+		if p.ID == n.self.ID {
+			continue
 		}
-		cells = append(cells, c)
+		for _, rpc := range rpcTypes {
+			n.reg.DeclareHistogramWith("cluster.rpc_seconds", rpcLabels(p.ID, rpc), rpcBuckets)
+			n.reg.AddWith("cluster.rpc_errors_total", rpcLabels(p.ID, rpc), 0)
+		}
 	}
-	m.mu.Unlock()
+}
 
-	samples := []obs.PromSample{{
-		Name:  "cluster.rpc_inflight",
-		Value: float64(m.inflight.Load()),
-		Help:  "Internode RPCs currently in flight from this node.",
-	}}
-	var hists []obs.PromHistogram
-	for i, c := range cells {
-		labels := []obs.Label{{Key: "peer", Value: c.peer}, {Key: "rpc", Value: c.rpc}}
-		smp := obs.PromSample{Name: "cluster.rpc_errors_total", Labels: labels, Value: float64(c.st.errors)}
-		if i == 0 {
-			smp.Help = "Failed internode RPCs by peer and type."
-		}
-		samples = append(samples, smp)
-		h := obs.PromHistogram{
-			Name: "cluster.rpc_seconds", Labels: labels,
-			Bounds: rpcBuckets, Counts: c.st.counts,
-			Sum: c.st.sum, Count: c.st.count,
-		}
-		if i == 0 {
-			h.Help = "Real wall seconds of internode RPCs by peer and type (the modeled charge is gpmetisd_cluster_net_modeled_seconds)."
-		}
-		hists = append(hists, h)
-	}
-	return samples, hists
+// rpcLabels is the label set of one (peer, rpc-type) series.
+func rpcLabels(peer int, rpc string) []obs.Label {
+	return []obs.Label{{Key: "peer", Value: strconv.Itoa(peer)}, {Key: "rpc", Value: rpc}}
 }
 
 // clusterSpanIDBase keeps the cluster tier's span ids disjoint from
@@ -178,13 +114,16 @@ func (n *Node) nextSpanID() int64 {
 // Transport errors and 5xx answers count as errors; 4xx answers (a peek
 // miss's 404, say) are successful RPCs.
 func (n *Node) doRPC(client *http.Client, p Peer, rpc string, req *http.Request) (*http.Response, error) {
-	n.rpc.inflight.Add(1)
+	n.reg.Add("cluster.rpc_inflight", 1)
 	t0 := time.Now()
 	resp, err := client.Do(req)
 	secs := time.Since(t0).Seconds()
-	n.rpc.inflight.Add(-1)
-	failed := err != nil || (resp != nil && resp.StatusCode >= 500)
-	n.rpc.observe(p.ID, rpc, secs, failed)
+	n.reg.Add("cluster.rpc_inflight", -1)
+	labels := rpcLabels(p.ID, rpc)
+	n.reg.ObserveWith("cluster.rpc_seconds", labels, secs)
+	if err != nil || (resp != nil && resp.StatusCode >= 500) {
+		n.reg.AddWith("cluster.rpc_errors_total", labels, 1)
+	}
 	return resp, err
 }
 

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime"
 	"strings"
@@ -76,6 +77,7 @@ func FuzzReadGR(f *testing.F) {
 		"p sp 0 0\n",
 		"a 1 2 3\n",
 		"p sp 999999999 1\n",
+		"p sp 1048576 0\n", // more vertices than bytes
 	} {
 		f.Add([]byte(seed))
 	}
@@ -115,6 +117,31 @@ func TestHugeHeaderAllocatesLittle(t *testing.T) {
 			t.Errorf("%s: rejecting a %d-byte input allocated %d bytes, want < 1 MiB",
 				tc.name, len(tc.in), got)
 		}
+	}
+}
+
+// TestGRVerticesBoundedByInput: a .gr problem line declaring more
+// vertices than the input has bytes is refused with the typed error,
+// having allocated for the bytes seen rather than for the declared
+// vertices (32 B each once built), while a graph of isolated vertices
+// within the bound is still read.
+func TestGRVerticesBoundedByInput(t *testing.T) {
+	for _, in := range []string{"p sp 1048576 0\n", "p sp 4194304 0\n", "p sp 11 0\n"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := ReadGR(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrVerticesExceedInput) {
+			t.Errorf("%q: error %v, want ErrVerticesExceedInput", in, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%q: rejecting a %d-byte input allocated %d bytes, want < 1 MiB", in, len(in), got)
+		}
+	}
+	g, err := ReadGR(strings.NewReader("p sp 12 1\na 1 2 3\n"))
+	if err != nil || g.NumVertices() != 12 || g.NumEdges() != 1 {
+		t.Fatalf("12 vertices in 20 bytes: graph %v, err %v", g, err)
 	}
 }
 

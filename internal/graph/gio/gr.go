@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -9,6 +10,13 @@ import (
 
 	"gpmetis/internal/graph"
 )
+
+// ErrVerticesExceedInput rejects a .gr problem line that declares more
+// vertices than the input has bytes. Arcs are optional in the format, so
+// without this bound a 15-byte "p sp 1048576 0" would build (and
+// allocate for) a million isolated vertices; a Metis file meets the
+// bound by construction, since it needs a line per vertex.
+var ErrVerticesExceedInput = errors.New("gio: problem line declares more vertices than the input has bytes")
 
 // ReadGR parses the DIMACS9 shortest-path challenge ".gr" format, the
 // native format of the paper's USA road network input:
@@ -20,9 +28,11 @@ import (
 // Road graphs list both arc directions; ReadGR merges them into one
 // undirected edge (keeping the minimum weight when the directions
 // disagree) and drops self loops, which is how partitioners consume these
-// files.
+// files. A problem line declaring more vertices than the input has
+// bytes is refused with ErrVerticesExceedInput.
 func ReadGR(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
 	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	var b *graph.Builder
 	n := -1
@@ -89,10 +99,25 @@ func ReadGR(r io.Reader) (*graph.Graph, error) {
 	if b == nil {
 		return nil, fmt.Errorf("gio: missing problem line")
 	}
+	if n > cr.n {
+		return nil, fmt.Errorf("%w (%d vertices, %d bytes)", ErrVerticesExceedInput, n, cr.n)
+	}
 	for k, w := range weights {
 		if err := b.AddEdge(k.u, k.v, w); err != nil {
 			return nil, err
 		}
 	}
 	return b.Build()
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += k
+	return k, err
 }

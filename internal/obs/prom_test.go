@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -67,11 +68,11 @@ func TestNilRegistryHistogramsSafe(t *testing.T) {
 	}
 }
 
-// scrape renders the registry + extras and returns the exposition text.
-func scrape(t *testing.T, r *Registry, extra []PromSample) string {
+// scrape renders the registry and returns the exposition text.
+func scrape(t *testing.T, r *Registry) string {
 	t.Helper()
 	var b strings.Builder
-	if err := WritePrometheus(&b, r, "test_", extra, nil); err != nil {
+	if err := WritePrometheus(&b, r, "test_"); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -123,7 +124,7 @@ func TestWritePrometheusCountersAndNames(t *testing.T) {
 	r := &Registry{}
 	r.Add("jobs.completed", 3)
 	r.Add("queue.depth", 1)
-	out := scrape(t, r, nil)
+	out := scrape(t, r)
 	samples := promLines(t, out)
 	if samples["test_jobs_completed"] != "3" {
 		t.Errorf("jobs.completed sample = %q in:\n%s", samples["test_jobs_completed"], out)
@@ -142,7 +143,7 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 2} {
 		r.Observe("job.run_seconds", v)
 	}
-	out := scrape(t, r, nil)
+	out := scrape(t, r)
 	samples := promLines(t, out)
 	// Cumulative le buckets, monotonically non-decreasing, +Inf == count.
 	checks := map[string]string{
@@ -164,12 +165,9 @@ func TestWritePrometheusHistogram(t *testing.T) {
 
 func TestWritePrometheusLabelEscaping(t *testing.T) {
 	r := &Registry{}
-	out := scrape(t, r, []PromSample{{
-		Name:   "build_info",
-		Labels: []Label{{"version", "a\\b\"c\nd"}, {"go version", "go1.x"}},
-		Value:  1,
-		Help:   "Build metadata\nsecond line",
-	}})
+	r.SetWith("build_info", []Label{{"version", "a\\b\"c\nd"}, {"go version", "go1.x"}}, 1)
+	r.Describe("build_info", "Build metadata\nsecond line")
+	out := scrape(t, r)
 	if !strings.Contains(out, `version="a\\b\"c\nd"`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}
@@ -186,16 +184,56 @@ func TestWritePrometheusLabelEscaping(t *testing.T) {
 
 func TestWritePrometheusGroupsExtras(t *testing.T) {
 	r := &Registry{}
-	out := scrape(t, r, []PromSample{
-		{Name: "slot_busy", Labels: []Label{{"slot", "0"}}, Value: 1.5},
-		{Name: "slot_busy", Labels: []Label{{"slot", "1"}}, Value: 0},
-		{Name: "slot_jobs", Labels: []Label{{"slot", "0"}}, Value: 2},
-	})
+	r.SetWith("slot_busy", []Label{{"slot", "0"}}, 1.5)
+	r.SetWith("slot_busy", []Label{{"slot", "1"}}, 0)
+	r.SetWith("slot_jobs", []Label{{"slot", "0"}}, 2)
+	out := scrape(t, r)
 	if got := strings.Count(out, "# TYPE test_slot_busy gauge"); got != 1 {
 		t.Errorf("slot_busy TYPE emitted %d times, want 1:\n%s", got, out)
 	}
 	samples := promLines(t, out)
 	if samples[`test_slot_busy{slot="0"}`] != "1.5" || samples[`test_slot_busy{slot="1"}`] != "0" {
 		t.Errorf("per-slot samples wrong:\n%s", out)
+	}
+}
+
+// TestLabeledSeriesRegistry: labeled gauges accumulate and read back per
+// label set, label order is part of a series' identity, Names and
+// HistogramNames list labeled names by kind, an observation on a gauge
+// name is ignored, and Delete drops one series (the name with its last).
+func TestLabeledSeriesRegistry(t *testing.T) {
+	r := &Registry{}
+	a := []Label{{"tenant", "a"}}
+	r.AddWith("tenant.submitted", a, 2)
+	r.AddWith("tenant.submitted", a, 1)
+	r.SetWith("tenant.submitted", []Label{{"tenant", "b"}}, 7)
+	if got := r.GetWith("tenant.submitted", a); got != 3 {
+		t.Errorf("tenant a = %v, want 3", got)
+	}
+	r.SetWith("pair", []Label{{"x", "1"}, {"y", "2"}}, 1)
+	if got := r.GetWith("pair", []Label{{"y", "2"}, {"x", "1"}}); got != 0 {
+		t.Errorf("reordered labels read %v, want a different (absent) series", got)
+	}
+	r.ObserveWith("tenant.submitted", a, 5) // a gauge name: ignored
+	r.DeclareHistogramWith("rpc.seconds", []Label{{"peer", "1"}}, []float64{1})
+	r.Add("plain", 1)
+	if got := r.Names(); !slices.Equal(got, []string{"pair", "plain", "tenant.submitted"}) {
+		t.Errorf("Names() = %v", got)
+	}
+	if got := r.HistogramNames(); !slices.Equal(got, []string{"rpc.seconds"}) {
+		t.Errorf("HistogramNames() = %v", got)
+	}
+	r.Delete("tenant.submitted", a)
+	if out := scrape(t, r); strings.Contains(out, `tenant="a"`) || !strings.Contains(out, `test_tenant_submitted{tenant="b"} 7`) {
+		t.Errorf("Delete dropped the wrong series:\n%s", out)
+	}
+	r.Delete("pair", []Label{{"x", "1"}, {"y", "2"}})
+	if slices.Contains(r.Names(), "pair") {
+		t.Error("deleting a name's last series must drop the name")
+	}
+	var nilReg *Registry
+	nilReg.AddWith("x", a, 1)
+	if nilReg.GetWith("x", a) != 0 {
+		t.Error("nil registry holds a labeled series")
 	}
 }

@@ -6,27 +6,16 @@ import (
 	"testing"
 )
 
-// scrapeFull renders registry + extras + labeled histograms.
-func scrapeFull(t *testing.T, r *Registry, extra []PromSample, hists []PromHistogram) string {
-	t.Helper()
-	var b strings.Builder
-	if err := WritePrometheus(&b, r, "test_", extra, hists); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
 func TestLabeledHistogramExposition(t *testing.T) {
-	h := PromHistogram{
-		Name:   "cluster.rpc_seconds",
-		Labels: []Label{{Key: "peer", Value: "1"}, {Key: "rpc", Value: "forward"}},
-		Bounds: []float64{0.001, 0.01, 0.1},
-		Counts: []uint64{2, 3, 0, 1}, // last cell is the overflow bucket
-		Sum:    0.1234,
-		Count:  6,
-		Help:   "Wall seconds per RPC.",
+	r := &Registry{}
+	labels := []Label{{Key: "peer", Value: "1"}, {Key: "rpc", Value: "forward"}}
+	r.DeclareHistogramWith("cluster.rpc_seconds", labels, []float64{0.001, 0.01, 0.1})
+	r.Describe("cluster.rpc_seconds", "Wall seconds per RPC.")
+	// Two in the first bucket, three in the second, one overflow.
+	for _, v := range []float64{0.0005, 0.0005, 0.005, 0.005, 0.005, 0.1074} {
+		r.ObserveWith("cluster.rpc_seconds", labels, v)
 	}
-	text := scrapeFull(t, &Registry{}, nil, []PromHistogram{h})
+	text := scrape(t, r)
 
 	for _, want := range []string{
 		"# HELP test_cluster_rpc_seconds Wall seconds per RPC.",
@@ -48,15 +37,18 @@ func TestLabeledHistogramExposition(t *testing.T) {
 // +Inf equal to the total count — the invariant Prometheus clients
 // assume when computing quantiles.
 func TestLabeledHistogramBucketMonotonicity(t *testing.T) {
-	h := PromHistogram{
-		Name:   "lat.seconds",
-		Labels: []Label{{Key: "rpc", Value: "peek"}},
-		Bounds: []float64{0.5, 1, 2.5, 5},
-		Counts: []uint64{4, 0, 7, 2, 3},
-		Sum:    20,
-		Count:  16,
+	r := &Registry{}
+	labels := []Label{{Key: "rpc", Value: "peek"}}
+	bounds := []float64{0.5, 1, 2.5, 5}
+	r.DeclareHistogramWith("lat.seconds", labels, bounds)
+	// Per-bucket counts 4, 0, 7, 2 and 3 overflow: 16 in all.
+	for v, n := range map[float64]int{0.1: 4, 2: 7, 4: 2, 10: 3} {
+		for i := 0; i < n; i++ {
+			r.ObserveWith("lat.seconds", labels, v)
+		}
 	}
-	text := scrapeFull(t, &Registry{}, nil, []PromHistogram{h})
+	const count = 16
+	text := scrape(t, r)
 	prev := int64(-1)
 	var last int64
 	buckets := 0
@@ -74,26 +66,22 @@ func TestLabeledHistogramBucketMonotonicity(t *testing.T) {
 		}
 		prev, last = v, v
 	}
-	if buckets != len(h.Bounds)+1 {
-		t.Fatalf("rendered %d bucket lines, want %d (bounds + +Inf)", buckets, len(h.Bounds)+1)
+	if buckets != len(bounds)+1 {
+		t.Fatalf("rendered %d bucket lines, want %d (bounds + +Inf)", buckets, len(bounds)+1)
 	}
-	if last != int64(h.Count) {
-		t.Errorf("+Inf bucket is %d, want the total count %d", last, h.Count)
+	if last != count {
+		t.Errorf("+Inf bucket is %d, want the total count %d", last, count)
 	}
 }
 
 // Label values with quotes, backslashes, and newlines must be escaped
 // per the exposition format on bucket, sum, and count lines alike.
 func TestLabeledHistogramLabelEscaping(t *testing.T) {
-	h := PromHistogram{
-		Name:   "esc.seconds",
-		Labels: []Label{{Key: "peer", Value: "a\"b\\c\nd"}},
-		Bounds: []float64{1},
-		Counts: []uint64{1, 0},
-		Sum:    0.5,
-		Count:  1,
-	}
-	text := scrapeFull(t, &Registry{}, nil, []PromHistogram{h})
+	r := &Registry{}
+	labels := []Label{{Key: "peer", Value: "a\"b\\c\nd"}}
+	r.DeclareHistogramWith("esc.seconds", labels, []float64{1})
+	r.ObserveWith("esc.seconds", labels, 0.5)
+	text := scrape(t, r)
 	escaped := `peer="a\"b\\c\nd"`
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		found := false
@@ -114,18 +102,14 @@ func TestLabeledHistogramLabelEscaping(t *testing.T) {
 // Two histograms sharing a name must emit HELP/TYPE once, like labeled
 // series of one metric family.
 func TestLabeledHistogramFamilyHeaderOnce(t *testing.T) {
-	mk := func(peer string) PromHistogram {
-		return PromHistogram{
-			Name:   "fam.seconds",
-			Labels: []Label{{Key: "peer", Value: peer}},
-			Bounds: []float64{1},
-			Counts: []uint64{1, 0},
-			Sum:    1,
-			Count:  1,
-			Help:   "Family help.",
-		}
+	r := &Registry{}
+	r.Describe("fam.seconds", "Family help.")
+	for _, peer := range []string{"0", "1"} {
+		labels := []Label{{Key: "peer", Value: peer}}
+		r.DeclareHistogramWith("fam.seconds", labels, []float64{1})
+		r.ObserveWith("fam.seconds", labels, 1)
 	}
-	text := scrapeFull(t, &Registry{}, nil, []PromHistogram{mk("0"), mk("1")})
+	text := scrape(t, r)
 	if n := strings.Count(text, "# TYPE test_fam_seconds histogram"); n != 1 {
 		t.Errorf("TYPE header rendered %d times, want 1\n%s", n, text)
 	}

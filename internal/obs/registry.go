@@ -2,18 +2,42 @@ package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
 // Registry is a flat metrics registry: named float64 counters plus named
-// bucketed histograms that any pipeline stage can bump. Names are
-// dot-separated ("match.conflicts", "refine.moves", "job.seconds"). All
-// methods are safe for concurrent use and no-ops on a nil receiver, so
-// instrumented code never branches on whether metrics are enabled.
+// bucketed histograms that any pipeline stage can bump, and labeled
+// series of either kind. Names are dot-separated ("match.conflicts",
+// "refine.moves", "job.seconds"). A name is used either unlabeled or
+// labeled, not both. All methods are safe for concurrent use and no-ops
+// on a nil receiver, so instrumented code never branches on whether
+// metrics are enabled.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]float64
 	histograms map[string]*histogram
+	families   map[string]*family
+	help       map[string]string
+}
+
+// Label is one label pair of a series. Order is preserved as given.
+type Label struct {
+	Key, Value string
+}
+
+// family is every labeled series of one name, keyed by the series'
+// rendered label set (`{k1="v1",k2="v2"}`), which is also how the
+// exposition prints it. Its series are all gauges or all histograms.
+type family struct {
+	hist   bool
+	series map[string]*series
+}
+
+// series is one labeled value: a gauge, or a histogram when h is set.
+type series struct {
+	value float64
+	h     *histogram
 }
 
 // DefBuckets are the default histogram bucket upper bounds, an
@@ -31,6 +55,23 @@ type histogram struct {
 	counts []uint64
 	sum    float64
 	count  uint64
+}
+
+func newHistogram(bounds []float64) *histogram {
+	if len(bounds) == 0 {
+		bounds = DefBuckets
+	}
+	return &histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]uint64, len(bounds)+1),
+	}
+}
+
+func (h *histogram) observe(v float64) {
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: (..., bound] buckets
+	h.counts[i]++
+	h.sum += v
+	h.count++
 }
 
 // HistogramSnapshot is a point-in-time copy of one histogram.
@@ -82,7 +123,7 @@ func (r *Registry) Get(name string) float64 {
 	return r.counters[name]
 }
 
-// Snapshot returns a copy of all counters.
+// Snapshot returns a copy of all unlabeled counters.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -96,19 +137,54 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Names returns the sorted counter names, for stable report output.
+// Names returns the sorted counter and labeled gauge names, for stable
+// report output.
 func (r *Registry) Names() []string {
+	return r.names(false)
+}
+
+// HistogramNames returns the sorted histogram names, labeled ones
+// included.
+func (r *Registry) HistogramNames() []string {
+	return r.names(true)
+}
+
+func (r *Registry) names(hist bool) []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
+	var names []string
+	if hist {
+		for k := range r.histograms {
+			names = append(names, k)
+		}
+	} else {
+		for k := range r.counters {
+			names = append(names, k)
+		}
+	}
+	for k, f := range r.families {
+		if f.hist == hist {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Describe sets the HELP text the exposition prints for name.
+func (r *Registry) Describe(name, help string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if r.help == nil {
+		r.help = map[string]string{}
+	}
+	r.help[name] = help
+	r.mu.Unlock()
 }
 
 // DeclareHistogram creates histogram name with the given bucket bounds
@@ -133,13 +209,7 @@ func (r *Registry) histogram(name string, bounds []float64) *histogram {
 	if r.histograms == nil {
 		r.histograms = map[string]*histogram{}
 	}
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	h := &histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
+	h := newHistogram(bounds)
 	r.histograms[name] = h
 	return h
 }
@@ -151,11 +221,7 @@ func (r *Registry) Observe(name string, v float64) {
 		return
 	}
 	r.mu.Lock()
-	h := r.histogram(name, nil)
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: (..., bound] buckets
-	h.counts[i]++
-	h.sum += v
-	h.count++
+	r.histogram(name, nil).observe(v)
 	r.mu.Unlock()
 }
 
@@ -177,6 +243,134 @@ func (r *Registry) Histogram(name string) (snap HistogramSnapshot, ok bool) {
 		Sum:    h.sum,
 		Count:  h.count,
 	}, true
+}
+
+// AddWith increments the labeled counter name{labels} by v, creating it
+// at zero first; AddWith(name, labels, 0) declares the series.
+func (r *Registry) AddWith(name string, labels []Label, v float64) {
+	if r == nil {
+		return
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	r.series(name, key, false, nil).value += v
+	r.mu.Unlock()
+}
+
+// SetWith overwrites the labeled gauge name{labels} with v.
+func (r *Registry) SetWith(name string, labels []Label, v float64) {
+	if r == nil {
+		return
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	r.series(name, key, false, nil).value = v
+	r.mu.Unlock()
+}
+
+// GetWith returns the labeled gauge name{labels} (zero when absent).
+func (r *Registry) GetWith(name string, labels []Label) float64 {
+	if r == nil {
+		return 0
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f := r.families[name]; f != nil {
+		if s := f.series[key]; s != nil {
+			return s.value
+		}
+	}
+	return 0
+}
+
+// DeclareHistogramWith creates the labeled histogram name{labels} with
+// the given bounds, like DeclareHistogram.
+func (r *Registry) DeclareHistogramWith(name string, labels []Label, bounds []float64) {
+	if r == nil {
+		return
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	r.series(name, key, true, bounds)
+	r.mu.Unlock()
+}
+
+// ObserveWith records one observation in the labeled histogram
+// name{labels}, declaring it with DefBuckets if absent. A name already
+// holding labeled gauges ignores the observation.
+func (r *Registry) ObserveWith(name string, labels []Label, v float64) {
+	if r == nil {
+		return
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	if s := r.series(name, key, true, nil); s.h != nil {
+		s.h.observe(v)
+	}
+	r.mu.Unlock()
+}
+
+// Delete drops the labeled series name{labels}, for a label value that
+// no longer exists (a peer removed from the ring).
+func (r *Registry) Delete(name string, labels []Label) {
+	if r == nil {
+		return
+	}
+	key := labelKey(labels)
+	r.mu.Lock()
+	if f := r.families[name]; f != nil {
+		delete(f.series, key)
+		if len(f.series) == 0 {
+			delete(r.families, name)
+		}
+	}
+	r.mu.Unlock()
+}
+
+// series finds or creates the series of name under label set key; the
+// caller holds r.mu. A name's first series fixes whether its family
+// holds histograms.
+func (r *Registry) series(name, key string, hist bool, bounds []float64) *series {
+	f := r.families[name]
+	if f == nil {
+		if r.families == nil {
+			r.families = map[string]*family{}
+		}
+		f = &family{hist: hist, series: map[string]*series{}}
+		r.families[name] = f
+	}
+	s := f.series[key]
+	if s == nil {
+		s = &series{}
+		if f.hist {
+			s.h = newHistogram(bounds)
+		}
+		f.series[key] = s
+	}
+	return s
+}
+
+// labelKey renders labels as the exposition's label set,
+// `{k1="v1",k2="v2"}`, with names sanitized and values escaped; no
+// labels render as "".
+func labelKey(labels []Label) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(sanitizeLabelName(l.Key))
+		b.WriteString(`="`)
+		b.WriteString(labelValueEscaper.Replace(l.Value))
+		b.WriteByte('"')
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observations by
@@ -211,19 +405,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*(rank-prev)/float64(c)
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// HistogramNames returns the sorted histogram names.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.histograms))
-	for k := range r.histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

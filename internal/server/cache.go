@@ -11,6 +11,7 @@ import (
 
 	"gpmetis"
 	"gpmetis/internal/graph"
+	"gpmetis/internal/obs"
 )
 
 // GraphDigest returns a hex SHA-256 over a graph's CSR arrays. Two graphs
@@ -89,15 +90,15 @@ type CachedResult struct {
 }
 
 // Cache is a content-addressed LRU result cache, safe for concurrent
-// use. Capacity counts entries; Get refreshes recency.
+// use. Capacity counts entries; Get refreshes recency. Hits, misses and
+// evictions count into the cache.hits, cache.misses and cache.evicted
+// series of its registry.
 type Cache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recent
-	items   map[string]*list.Element
-	hits    int64
-	misses  int64
-	evicted int64
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recent
+	items map[string]*list.Element
+	reg   *obs.Registry
 }
 
 type cacheSlot struct {
@@ -105,10 +106,14 @@ type cacheSlot struct {
 	val *CachedResult
 }
 
-// NewCache returns an LRU cache holding up to capacity results;
-// capacity < 1 disables caching (every Get misses, Put drops).
-func NewCache(capacity int) *Cache {
-	return &Cache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+// NewCache returns an LRU cache holding up to capacity results, counting
+// into reg (nil counts nothing); capacity < 1 disables caching (every Get
+// misses, Put drops).
+func NewCache(capacity int, reg *obs.Registry) *Cache {
+	for _, name := range []string{"cache.hits", "cache.misses", "cache.evicted"} {
+		reg.Add(name, 0)
+	}
+	return &Cache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}, reg: reg}
 }
 
 // Get returns the cached result for key, refreshing its recency.
@@ -117,10 +122,10 @@ func (c *Cache) Get(key string) (*CachedResult, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.reg.Add("cache.misses", 1)
 		return nil, false
 	}
-	c.hits++
+	c.reg.Add("cache.hits", 1)
 	c.ll.MoveToFront(e)
 	return e.Value.(*cacheSlot).val, true
 }
@@ -158,7 +163,7 @@ func (c *Cache) Put(key string, val *CachedResult) {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*cacheSlot).key)
-		c.evicted++
+		c.reg.Add("cache.evicted", 1)
 	}
 }
 
@@ -182,11 +187,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns cumulative hit/miss/eviction counts.
-func (c *Cache) Stats() (hits, misses, evicted int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evicted
 }

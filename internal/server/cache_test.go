@@ -6,6 +6,7 @@ import (
 
 	"gpmetis"
 	"gpmetis/internal/graph/gio"
+	"gpmetis/internal/obs"
 )
 
 func graphText(t *testing.T, g *gpmetis.Graph) string {
@@ -90,7 +91,8 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	reg := &obs.Registry{}
+	c := NewCache(2, reg)
 	put := func(k string) { c.Put(k, &CachedResult{Result: JobResult{EdgeCut: len(k)}}) }
 	put("a")
 	put("b")
@@ -110,13 +112,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("cache holds %d entries, want 2", c.Len())
 	}
-	hits, misses, evicted := c.Stats()
+	hits, misses, evicted := reg.Get("cache.hits"), reg.Get("cache.misses"), reg.Get("cache.evicted")
 	if hits != 3 || misses != 1 || evicted != 1 {
-		t.Errorf("stats hits=%d misses=%d evicted=%d, want 3/1/1", hits, misses, evicted)
+		t.Errorf("stats hits=%v misses=%v evicted=%v, want 3/1/1", hits, misses, evicted)
 	}
 
 	// Capacity < 1 disables caching entirely.
-	off := NewCache(0)
+	off := NewCache(0, nil)
 	off.Put("x", &CachedResult{})
 	if _, ok := off.Get("x"); ok {
 		t.Error("zero-capacity cache must not store")

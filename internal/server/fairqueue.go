@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"gpmetis/internal/obs"
 )
 
 // quotaError marks a submission rejected because its tenant already
@@ -43,8 +45,10 @@ type fqItem struct {
 // virtual time: the replacement for the FIFO channel. Push computes the
 // job's tags from its tenant's weight and estimated modeled cost; Pop
 // blocks for the minimum finish tag. All tenant scheduling state
-// (lastFinish, queued) is guarded by mu.
+// (lastFinish, queued) is guarded by mu; each change of a tenant's
+// occupancy is mirrored into its tenant.queued series in reg.
 type fairQueue struct {
+	reg    *obs.Registry
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cap    int
@@ -55,8 +59,8 @@ type fairQueue struct {
 	closed bool
 }
 
-func newFairQueue(capacity int) *fairQueue {
-	q := &fairQueue{cap: capacity}
+func newFairQueue(capacity int, reg *obs.Registry) *fairQueue {
+	q := &fairQueue{cap: capacity, reg: reg}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -99,6 +103,7 @@ func (q *fairQueue) Push(j *Job, enforceQuota bool) error {
 	if t != nil {
 		t.lastFinish = it.finish
 		t.queued++
+		q.reg.SetWith("tenant.queued", t.labels, float64(t.queued))
 	}
 	heap.Push(&q.heap, it)
 	q.wall += it.wallCost
@@ -132,6 +137,7 @@ func (q *fairQueue) dequeuedLocked(it *fqItem) {
 	q.wall -= it.wallCost
 	if t := it.job.tenant; t != nil {
 		t.queued--
+		q.reg.SetWith("tenant.queued", t.labels, float64(t.queued))
 	}
 }
 
@@ -172,16 +178,6 @@ func (q *fairQueue) stats() (depth int, wallSeconds float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.heap), q.wall
-}
-
-// queuedOf reports one tenant's live occupancy.
-func (q *fairQueue) queuedOf(t *tenantState) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if t == nil {
-		return 0
-	}
-	return t.queued
 }
 
 // shedOverShare implements the brownout shed rule: remove queued jobs

@@ -126,7 +126,7 @@ func (s *Server) observeTerminal(j *Job) {
 	switch st.State {
 	case StateDone:
 		s.slo.Record(time.Duration(total*float64(time.Second)), false)
-		j.tenant.addCompleted()
+		s.tenantAdd(j.tenant, "tenant.completed", 1)
 		detail := ""
 		if st.Result != nil {
 			detail = fmt.Sprintf("cut=%d modeled=%.6fs", st.Result.EdgeCut, st.Result.ModeledSeconds)

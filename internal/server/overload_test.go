@@ -144,7 +144,7 @@ func TestWeightedFairDequeueOrder(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		done := true
-		for _, ts := range s.tenants.snapshot(s.fq.queuedOf) {
+		for _, ts := range s.tenants.snapshot() {
 			if ts.Name != DefaultTenant && ts.Completed != 20 {
 				done = false
 			}
@@ -153,11 +153,11 @@ func TestWeightedFairDequeueOrder(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("tenant completion counters never reached 20: %+v", s.tenants.snapshot(s.fq.queuedOf))
+			t.Fatalf("tenant completion counters never reached 20: %+v", s.tenants.snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	for _, ts := range s.tenants.snapshot(s.fq.queuedOf) {
+	for _, ts := range s.tenants.snapshot() {
 		if ts.Name != DefaultTenant && ts.ServedModeledSeconds <= 0 {
 			t.Errorf("tenant %s served %v modeled seconds, want > 0", ts.Name, ts.ServedModeledSeconds)
 		}
@@ -328,7 +328,7 @@ func TestOverloadShedsOnlyOverShareTenant(t *testing.T) {
 	if m := s.reg.Get("jobs.shed"); m != 4 {
 		t.Errorf("jobs.shed = %v, want 4", m)
 	}
-	for _, ts := range s.tenants.snapshot(s.fq.queuedOf) {
+	for _, ts := range s.tenants.snapshot() {
 		switch ts.Name {
 		case "free":
 			if ts.Shed != 4 {
@@ -666,7 +666,7 @@ func TestEstimatorEWMA(t *testing.T) {
 // weight-2 tenant's equal-cost jobs dequeue twice as often, ties break
 // by arrival, and Remove keeps the accounting straight.
 func TestFairQueueOrdering(t *testing.T) {
-	q := newFairQueue(16)
+	q := newFairQueue(16, nil)
 	ta := &tenantState{name: "a", cfg: TenantConfig{Weight: 2}.withDefaults()}
 	tb := &tenantState{name: "b", cfg: TenantConfig{Weight: 1}.withDefaults()}
 

@@ -151,6 +151,7 @@ func (p *pool) probe(slot int) {
 func (s *Server) slotProbeDone(slot int, modeledSeconds float64, ok bool) {
 	if s.pool.health[slot].probeResult(modeledSeconds, ok) {
 		s.reg.Add("devices.quarantined", -1)
+		s.reg.SetWith("slot_quarantined", slotLabels(slot), 0)
 		s.reg.Add("quarantine.reinstated", 1)
 		s.event(obs.EvReinstate, nil, slot, "probation served")
 		s.log.Info("device slot reinstated after probation", "slot", slot)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -32,12 +33,10 @@ type pool struct {
 	machines []*gpmetis.Machine
 	health   []*slotHealth
 
-	// Per-slot utilization, for the /metrics exposition and the ops
-	// view: cumulative wall seconds each slot spent running jobs, how
-	// many jobs it ran, and the job it is running right now ("" idle).
+	// slotRunning is the job each slot is running right now ("" idle),
+	// for the ops view. Per-slot utilization lives in the registry as
+	// slot_busy_seconds, slot_jobs and slot_quarantined, labeled {slot}.
 	statMu      sync.Mutex
-	slotBusy    []float64
-	slotJobs    []int64
 	slotRunning []string
 }
 
@@ -47,18 +46,17 @@ func newPool(s *Server, devices int, base *gpmetis.Machine) *pool {
 		m := *base // private clone per slot: no cross-job model sharing
 		p.machines = append(p.machines, &m)
 		p.health = append(p.health, newSlotHealth())
+		for _, name := range []string{"slot_busy_seconds", "slot_jobs", "slot_quarantined"} {
+			s.reg.AddWith(name, slotLabels(i), 0)
+		}
 	}
-	p.slotBusy = make([]float64, devices)
-	p.slotJobs = make([]int64, devices)
 	p.slotRunning = make([]string, devices)
 	return p
 }
 
-// slotStats snapshots the per-slot utilization counters.
-func (p *pool) slotStats() (busy []float64, jobs []int64) {
-	p.statMu.Lock()
-	defer p.statMu.Unlock()
-	return append([]float64(nil), p.slotBusy...), append([]int64(nil), p.slotJobs...)
+// slotLabels is the label set of one slot's series.
+func slotLabels(slot int) []obs.Label {
+	return []obs.Label{{Key: "slot", Value: strconv.Itoa(slot)}}
 }
 
 // slotOccupancy snapshots which job each slot is running ("" idle).
@@ -143,9 +141,9 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		})
 		p.s.reg.Add("devices.busy", -1)
 		p.s.reg.Observe("job.run_seconds", ran)
+		p.s.reg.AddWith("slot_busy_seconds", slotLabels(slot), ran)
+		p.s.reg.AddWith("slot_jobs", slotLabels(slot), 1)
 		p.statMu.Lock()
-		p.slotBusy[slot] += ran
-		p.slotJobs[slot]++
 		p.slotRunning[slot] = ""
 		p.statMu.Unlock()
 		// Feed the service-time estimator and the tenant's served-cost
@@ -153,7 +151,7 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		// coalesced followers cost nothing and would drag the EWMA to 0.
 		if st := job.Status(); st.State == StateDone && st.Result != nil {
 			p.s.est.observe(job.algo, job.g.NumVertices(), ran, st.Result.ModeledSeconds)
-			job.tenant.addServed(st.Result.ModeledSeconds)
+			p.s.tenantAdd(job.tenant, "tenant.served_modeled_seconds", st.Result.ModeledSeconds)
 			p.s.journalEstimator()
 		}
 	}
@@ -288,6 +286,7 @@ func (p *pool) runJob(job *Job, slot int) {
 			p.s.reg.Add("devices.faults", 1)
 			if p.health[slot].strike(p.s.cfg.QuarantineThreshold, p.s.cfg.QuarantineBackoff) {
 				p.s.reg.Add("devices.quarantined", 1)
+				p.s.reg.SetWith("slot_quarantined", slotLabels(slot), 1)
 				p.s.reg.Add("quarantine.entered", 1)
 				p.s.event(obs.EvQuarantine, nil, slot,
 					fmt.Sprintf("%d consecutive device faults", p.s.cfg.QuarantineThreshold))

@@ -197,12 +197,13 @@ type Server struct {
 // starts the device-pool workers.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	reg := &obs.Registry{}
 	s := &Server{
 		cfg:         cfg,
-		reg:         &obs.Registry{},
-		cache:       NewCache(cfg.CacheCap),
-		fq:          newFairQueue(cfg.QueueCap),
-		tenants:     newTenantTable(cfg.Tenants),
+		reg:         reg,
+		cache:       NewCache(cfg.CacheCap, reg),
+		fq:          newFairQueue(cfg.QueueCap, reg),
+		tenants:     newTenantTable(cfg.Tenants, reg),
 		est:         newEstimator(),
 		jobs:        map[string]*Job{},
 		inflight:    map[string]*Job{},
@@ -220,6 +221,11 @@ func New(cfg Config) *Server {
 	// Brownout gauges exist from the first scrape, not the first overload.
 	s.reg.Set("brownout.level", 0)
 	s.reg.Set("brownout.active", 0)
+	s.reg.Describe("build_info", "Build metadata; the value is always 1.")
+	s.reg.Describe("slo.latency_threshold_seconds", "Latency objective threshold in seconds.")
+	s.reg.Describe("slo.latency_burn_fast", "Latency burn rate over the fast window (>1 consumes budget).")
+	s.reg.Describe("slo.availability_burn_fast", "Availability burn rate over the fast window (>1 consumes budget).")
+	s.reg.Describe("slo.status", "Multi-window burn verdict: 0 ok, 1 warn, 2 breach.")
 	// Declare the lifecycle latency histograms eagerly so their series
 	// exist in /metrics from the first scrape, not the first job.
 	for _, h := range []string{
@@ -431,8 +437,7 @@ type RingHooks struct {
 	// Addr is this node's host:port, stamped as node on every JobStatus
 	// the server writes and as NodeTrace.Addr.
 	Addr string
-	// Status snapshots the ring for /healthz, /admin/status(.json) and
-	// the gpmetisd_cluster_* metric series.
+	// Status snapshots the ring for /healthz and /admin/status(.json).
 	Status func() *ClusterStatus
 	// Result, when non-nil, is called with the content key and result
 	// of every job that completes fresh on this node — not cache hits,
@@ -440,10 +445,6 @@ type RingHooks struct {
 	// job's watcher goroutine, so it must hand off (not perform) slow
 	// work. Replication hangs off it.
 	Result func(key string, res *JobResult)
-	// Prom, when non-nil, contributes extra samples and labeled
-	// histograms to the Prometheus exposition: the per-peer × per-RPC
-	// latency and error series.
-	Prom func() ([]obs.PromSample, []obs.PromHistogram)
 	// Route is offered every cacheable submission that was not itself
 	// forwarded, once it is resolved and holds its trace id. It may
 	// answer w itself (a peek hit, a forward, a replica) and return
@@ -452,8 +453,14 @@ type RingHooks struct {
 }
 
 // SetRing installs the ring tier's hooks; a zero RingHooks detaches
-// the ring.
-func (s *Server) SetRing(h RingHooks) { s.ring.Store(&h) }
+// the ring. A node identity replaces a standalone build_info series a
+// scrape may already have set.
+func (s *Server) SetRing(h RingHooks) {
+	s.ring.Store(&h)
+	if h.NodeID != "" {
+		s.reg.Delete("build_info", buildLabels(""))
+	}
+}
 
 // standalone is the zero hook set a server without a ring reads.
 var standalone RingHooks
@@ -631,13 +638,13 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 		})
 	}
 	job.tenant = s.tenants.state(req.Tenant)
-	job.tenant.addSubmitted()
+	s.tenantAdd(job.tenant, "tenant.submitted", 1)
 	s.reg.Add("jobs.submitted", 1)
 
 	// Token-bucket rate limit: the cheapest check runs first, before any
 	// cache or queue state is touched.
 	if ok, wait := job.tenant.allow(s.cfg.Now()); !ok {
-		job.tenant.addRejected()
+		s.tenantAdd(job.tenant, "tenant.rejected", 1)
 		s.reg.Add("jobs.rejected_ratelimit", 1)
 		s.event(obs.EvRejected, nil, -1, "rate limited: tenant "+job.tenant.name)
 		s.log.Warn("job rejected: tenant rate limited", "tenant", job.tenant.name)
@@ -689,7 +696,7 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 // (unmeetable deadline, tenant quota, full queue) and returns its wire
 // error, carrying a Retry-After derived from live load.
 func (s *Server) reject(j *Job, err error) error {
-	j.tenant.addRejected()
+	s.tenantAdd(j.tenant, "tenant.rejected", 1)
 	oe := &overloadError{msg: err.Error(), retryAfter: s.retryAfterSeconds(), wrapped: err}
 	var de *deadlineError
 	var qe *quotaError
@@ -831,7 +838,7 @@ func (s *Server) shedOverShare() {
 		s.reg.Add("queue.depth", -1)
 		s.reg.Add("jobs.shed", 1)
 		s.reg.Add("jobs.failed", 1)
-		j.tenant.addShed()
+		s.tenantAdd(j.tenant, "tenant.shed", 1)
 		j.finish(StateFailed, nil, "shed: brownout over-share shedding, resubmit later")
 		s.event(obs.EvShed, j, -1, "tenant "+j.tenant.name)
 		s.jlog(j).Warn("queued job shed by brownout", "tenant", j.tenant.name)
@@ -951,6 +958,7 @@ func (s *Server) handleReinstate(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.pool.health[slot].reinstate() {
 		s.reg.Add("devices.quarantined", -1)
+		s.reg.SetWith("slot_quarantined", slotLabels(slot), 0)
 		s.reg.Add("quarantine.reinstated", 1)
 		s.event(obs.EvReinstate, nil, slot, "forced via admin API")
 		s.log.Info("device slot force-reinstated via admin API", "slot", slot)
@@ -1057,187 +1065,59 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	obs.WriteChromeJSON(w, nt.ChromeEvents(1, "service (wall clock)", "partition (modeled clock)", nt.Anchor, nil))
 }
 
-// handleMetrics serves the Prometheus text exposition: every registry
-// counter and histogram under the gpmetisd_ prefix, plus build info,
-// cache and uptime gauges, and the per-slot utilization/quarantine
-// series.
+// handleMetrics serves the Prometheus text exposition of the registry
+// under the gpmetisd_ prefix, after setting the values read at scrape
+// time: build info, uptime, cache occupancy and hit rate, and the SLO
+// evaluation.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var extra []obs.PromSample
-	buildLabels := []obs.Label{
+	s.reg.SetWith("build_info", buildLabels(s.hooks().NodeID), 1)
+	s.reg.Set("uptime.seconds", time.Since(s.start).Seconds())
+	s.reg.Set("cache.entries", float64(s.cache.Len()))
+	s.reg.Set("cache.hit_rate", s.cacheHitRate())
+	slo := s.slo.Snapshot()
+	s.reg.Set("slo.latency_threshold_seconds", slo.LatencyThresholdSeconds)
+	s.reg.Set("slo.latency_target", slo.LatencyTarget)
+	s.reg.Set("slo.availability_target", slo.AvailabilityTarget)
+	s.reg.Set("slo.latency_burn_fast", slo.Fast.LatencyBurn)
+	s.reg.Set("slo.latency_burn_slow", slo.Slow.LatencyBurn)
+	s.reg.Set("slo.availability_burn_fast", slo.Fast.AvailabilityBurn)
+	s.reg.Set("slo.availability_burn_slow", slo.Slow.AvailabilityBurn)
+	s.reg.Set("slo.window_jobs_fast", float64(slo.Fast.Jobs))
+	s.reg.Set("slo.window_jobs_slow", float64(slo.Slow.Jobs))
+	s.reg.Set("slo.status", obs.StatusValue(slo.Status))
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	obs.WritePrometheus(w, s.reg, "gpmetisd_")
+}
+
+// buildLabels is the build_info label set. The node label, present only
+// on a ring member, is what lets fleet dashboards join build_info across
+// a ring scrape.
+func buildLabels(nodeID string) []obs.Label {
+	labels := []obs.Label{
 		{Key: "version", Value: Version},
 		{Key: "go_version", Value: runtime.Version()},
 	}
-	if id := s.hooks().NodeID; id != "" {
-		// The node label is what lets fleet dashboards join build_info
-		// across a ring scrape.
-		buildLabels = append(buildLabels, obs.Label{Key: "node", Value: id})
+	if nodeID != "" {
+		labels = append(labels, obs.Label{Key: "node", Value: nodeID})
 	}
-	extra = append(extra, obs.PromSample{
-		Name:   "build_info",
-		Labels: buildLabels,
-		Value:  1,
-		Help:   "Build metadata; the value is always 1.",
-	})
-	hits, misses, evicted := s.cache.Stats()
-	var hitRate float64
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
-	extra = append(extra,
-		obs.PromSample{Name: "cache.hits", Value: float64(hits)},
-		obs.PromSample{Name: "cache.misses", Value: float64(misses)},
-		obs.PromSample{Name: "cache.evicted", Value: float64(evicted)},
-		obs.PromSample{Name: "cache.entries", Value: float64(s.cache.Len())},
-		obs.PromSample{Name: "cache.hit_rate", Value: hitRate},
-		obs.PromSample{Name: "uptime.seconds", Value: time.Since(s.start).Seconds()},
-	)
-	slo := s.slo.Snapshot()
-	extra = append(extra,
-		obs.PromSample{Name: "slo.latency_threshold_seconds", Value: slo.LatencyThresholdSeconds,
-			Help: "Latency objective threshold in seconds."},
-		obs.PromSample{Name: "slo.latency_target", Value: slo.LatencyTarget},
-		obs.PromSample{Name: "slo.availability_target", Value: slo.AvailabilityTarget},
-		obs.PromSample{Name: "slo.latency_burn_fast", Value: slo.Fast.LatencyBurn,
-			Help: "Latency burn rate over the fast window (>1 consumes budget)."},
-		obs.PromSample{Name: "slo.latency_burn_slow", Value: slo.Slow.LatencyBurn},
-		obs.PromSample{Name: "slo.availability_burn_fast", Value: slo.Fast.AvailabilityBurn,
-			Help: "Availability burn rate over the fast window (>1 consumes budget)."},
-		obs.PromSample{Name: "slo.availability_burn_slow", Value: slo.Slow.AvailabilityBurn},
-		obs.PromSample{Name: "slo.window_jobs_fast", Value: float64(slo.Fast.Jobs)},
-		obs.PromSample{Name: "slo.window_jobs_slow", Value: float64(slo.Slow.Jobs)},
-		obs.PromSample{Name: "slo.status", Value: obs.StatusValue(slo.Status),
-			Help: "Multi-window burn verdict: 0 ok, 1 warn, 2 breach."},
-	)
-	busy, jobs := s.pool.slotStats()
-	for slot := range busy {
-		extra = append(extra, obs.PromSample{
-			Name:   "slot_busy_seconds",
-			Labels: []obs.Label{{Key: "slot", Value: strconv.Itoa(slot)}},
-			Value:  busy[slot],
-		})
-	}
-	for slot := range jobs {
-		extra = append(extra, obs.PromSample{
-			Name:   "slot_jobs",
-			Labels: []obs.Label{{Key: "slot", Value: strconv.Itoa(slot)}},
-			Value:  float64(jobs[slot]),
-		})
-	}
-	for slot, h := range s.pool.health {
-		var q float64
-		if h.quarantined() {
-			q = 1
-		}
-		extra = append(extra, obs.PromSample{
-			Name:   "slot_quarantined",
-			Labels: []obs.Label{{Key: "slot", Value: strconv.Itoa(slot)}},
-			Value:  q,
-		})
-	}
-	extra = append(extra, s.tenantSamples()...)
-	extra = append(extra, s.clusterSamples()...)
-	var hists []obs.PromHistogram
-	if fn := s.hooks().Prom; fn != nil {
-		var samples []obs.PromSample
-		samples, hists = fn()
-		extra = append(extra, samples...)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WritePrometheus(w, s.reg, "gpmetisd_", extra, hists)
+	return labels
 }
 
-// clusterSamples renders the gpmetisd_cluster_* series from the ring
-// tier's snapshot; empty on a standalone daemon.
-func (s *Server) clusterSamples() []obs.PromSample {
-	cs := s.clusterStatus()
-	if cs == nil {
-		return nil
+// cacheHitRate is hits over lookups, 0 before the first lookup.
+func (s *Server) cacheHitRate() float64 {
+	hits, misses := s.reg.Get("cache.hits"), s.reg.Get("cache.misses")
+	if hits+misses == 0 {
+		return 0
 	}
-	out := []obs.PromSample{
-		{Name: "cluster.node_id", Value: float64(cs.NodeID),
-			Help: "This node's ring identity."},
-		{Name: "cluster.ring_size", Value: float64(len(cs.Peers)),
-			Help: "Ring member count from peers.json."},
-		{Name: "cluster.forwards", Value: float64(cs.Forwards),
-			Help: "Submissions this node forwarded to their ring owner."},
-		{Name: "cluster.peek_hits", Value: float64(cs.PeekHits),
-			Help: "Cross-node cache peeks answered by a remote cache."},
-		{Name: "cluster.peek_misses", Value: float64(cs.PeekMisses),
-			Help: "Cross-node cache peeks the remote cache could not answer."},
-		{Name: "cluster.failovers_total", Value: float64(cs.Failovers),
-			Help: "Submissions routed to a ring successor because the owner was down."},
-		{Name: "cluster.net_modeled_seconds", Value: cs.NetModeledSeconds,
-			Help: "Modeled α+βn network seconds charged to cluster traffic."},
-		{Name: "cluster.net_messages", Value: float64(cs.NetMessages),
-			Help: "Inter-node messages charged against the modeled network."},
-		{Name: "cluster.replicas", Value: float64(cs.Replicas),
-			Help: "Configured replication factor (1 = replication off)."},
-		{Name: "cluster.replica_pushes", Value: float64(cs.ReplicaPushes),
-			Help: "Completed results this node pushed to ring replicas."},
-		{Name: "cluster.replica_stores", Value: float64(cs.ReplicaStores),
-			Help: "Replica entries this node stored on behalf of peers."},
-		{Name: "cluster.replica_hits", Value: float64(cs.ReplicaHits),
-			Help: "Failover reads answered from a replica instead of recomputed."},
-		{Name: "cluster.repair_pushed", Value: float64(cs.RepairPushed),
-			Help: "Cache entries pushed to peers by anti-entropy repair."},
-		{Name: "cluster.repair_pulled", Value: float64(cs.RepairPulled),
-			Help: "Cache entries pulled from peers by anti-entropy repair and read-repair."},
-	}
-	first := true
-	for _, p := range cs.Peers {
-		if p.Self {
-			continue // a node probing itself is not a signal
-		}
-		up := 0.0
-		if p.State == "up" {
-			up = 1
-		}
-		smp := obs.PromSample{
-			Name:   "cluster.node_up",
-			Labels: []obs.Label{{Key: "node", Value: strconv.Itoa(p.ID)}},
-			Value:  up,
-		}
-		if first {
-			smp.Help = "Per-peer health as seen by this node (1 up, 0 down)."
-			first = false
-		}
-		out = append(out, smp)
-	}
-	return out
+	return hits / (hits + misses)
 }
 
-// tenantSamples renders the per-tenant admission series, grouped by
-// metric name so each family shares one HELP/TYPE header.
-func (s *Server) tenantSamples() []obs.PromSample {
-	tenants := s.tenants.snapshot(s.fq.queuedOf)
-	var out []obs.PromSample
-	families := []struct {
-		name  string
-		help  string
-		value func(TenantStatus) float64
-	}{
-		{"tenant.weight", "Configured fair-share weight.", func(t TenantStatus) float64 { return t.Weight }},
-		{"tenant.queued", "Jobs currently held in the fair queue.", func(t TenantStatus) float64 { return float64(t.Queued) }},
-		{"tenant.submitted", "Jobs ever submitted.", func(t TenantStatus) float64 { return float64(t.Submitted) }},
-		{"tenant.completed", "Jobs that reached done.", func(t TenantStatus) float64 { return float64(t.Completed) }},
-		{"tenant.shed", "Queued jobs shed by the brownout ladder.", func(t TenantStatus) float64 { return float64(t.Shed) }},
-		{"tenant.rejected", "Submissions refused by admission control.", func(t TenantStatus) float64 { return float64(t.Rejected) }},
-		{"tenant.served_modeled_seconds", "Modeled GPU seconds served — the weighted-fairness currency.", func(t TenantStatus) float64 { return t.ServedModeledSeconds }},
+// tenantAdd bumps one of a tenant's counters. Jobs rebuilt terminal from
+// the journal carry no tenant.
+func (s *Server) tenantAdd(t *tenantState, name string, v float64) {
+	if t != nil {
+		s.reg.AddWith(name, t.labels, v)
 	}
-	for _, f := range families {
-		for i, t := range tenants {
-			smp := obs.PromSample{
-				Name:   f.name,
-				Labels: []obs.Label{{Key: "tenant", Value: t.Name}},
-				Value:  f.value(t),
-			}
-			if i == 0 {
-				smp.Help = f.help
-			}
-			out = append(out, smp)
-		}
-	}
-	return out
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {

@@ -30,7 +30,7 @@ func (s *Server) statusSnapshot() StatusResponse {
 		JobsCoalesced: int64(s.reg.Get("jobs.coalesced")),
 		JobsDegraded:  int64(s.reg.Get("jobs.degraded")),
 		SLO:           s.slo.Snapshot(),
-		Tenants:       s.tenants.snapshot(s.fq.queuedOf),
+		Tenants:       s.tenants.snapshot(),
 		Brownout: BrownoutStatus{
 			Level:   s.brown.Level(),
 			Engaged: int64(s.reg.Get("brownout.engaged")),
@@ -45,21 +45,18 @@ func (s *Server) statusSnapshot() StatusResponse {
 		st.LastEvent = lt.UTC().Format(time.RFC3339Nano)
 	}
 
-	hits, misses, _ := s.cache.Stats()
-	st.CacheHits, st.CacheMisses, st.CacheEntries = hits, misses, s.cache.Len()
-	if hits+misses > 0 {
-		st.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
+	st.CacheHits = int64(s.reg.Get("cache.hits"))
+	st.CacheMisses = int64(s.reg.Get("cache.misses"))
+	st.CacheEntries = s.cache.Len()
+	st.CacheHitRate = s.cacheHitRate()
 
-	busy, jobs := s.pool.slotStats()
-	running := s.pool.slotOccupancy()
-	for slot := range busy {
+	for slot, running := range s.pool.slotOccupancy() {
 		row := SlotStatus{
 			Slot:        slot,
 			State:       DeviceHealthy,
-			RunningJob:  running[slot],
-			Jobs:        jobs[slot],
-			BusySeconds: busy[slot],
+			RunningJob:  running,
+			Jobs:        int64(s.reg.GetWith("slot_jobs", slotLabels(slot))),
+			BusySeconds: s.reg.GetWith("slot_busy_seconds", slotLabels(slot)),
 		}
 		if s.pool.health[slot].quarantined() {
 			row.State = DeviceQuarantined

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"sync"
 	"time"
+
+	"gpmetis/internal/obs"
 )
 
 // DefaultTenant is the tenant name used when a submission carries none.
@@ -79,20 +82,17 @@ func LoadTenantsFile(path string) (TenantsConfig, error) {
 }
 
 // tenantState is one tenant's live admission state: its resolved
-// contract, token bucket, lifetime counters, and — guarded by the fair
-// queue's lock, not this one — its virtual-time tag and queued count.
+// contract, token bucket, the label set of its per-tenant series in the
+// server's registry, and — guarded by the fair queue's lock, not this
+// one — its virtual-time tag and queued count.
 type tenantState struct {
-	name string
-	cfg  TenantConfig
+	name   string
+	cfg    TenantConfig
+	labels []obs.Label
 
-	mu            sync.Mutex
-	tokens        float64
-	lastFill      time.Time
-	submitted     int64
-	completed     int64
-	shed          int64
-	rejected      int64
-	servedModeled float64
+	mu       sync.Mutex
+	tokens   float64
+	lastFill time.Time
 
 	// Scheduling state owned by fairQueue.mu (see fairqueue.go):
 	// lastFinish is the tenant's latest virtual finish tag, queued its
@@ -123,45 +123,17 @@ func (t *tenantState) allow(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(wait * float64(time.Second))
 }
 
-func (t *tenantState) addSubmitted() {
-	t.mu.Lock()
-	t.submitted++
-	t.mu.Unlock()
-}
-
-func (t *tenantState) addCompleted() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.completed++
-	t.mu.Unlock()
-}
-
-func (t *tenantState) addShed() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.shed++
-	t.mu.Unlock()
-}
-
-func (t *tenantState) addRejected() {
-	t.mu.Lock()
-	t.rejected++
-	t.mu.Unlock()
-}
-
-// addServed accounts modeled seconds actually served to this tenant —
-// the currency the fairness objective is stated in.
-func (t *tenantState) addServed(modeled float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.servedModeled += modeled
-	t.mu.Unlock()
+// tenantSeries are the per-tenant registry series, each labeled
+// {tenant=name}, with their HELP text. Every tenant has all of them
+// from the moment it is first seen.
+var tenantSeries = []struct{ name, help string }{
+	{"tenant.weight", "Configured fair-share weight."},
+	{"tenant.queued", "Jobs currently held in the fair queue."},
+	{"tenant.submitted", "Jobs ever submitted."},
+	{"tenant.completed", "Jobs that reached done."},
+	{"tenant.shed", "Queued jobs shed by the brownout ladder."},
+	{"tenant.rejected", "Submissions refused by admission control."},
+	{"tenant.served_modeled_seconds", "Modeled GPU seconds served — the weighted-fairness currency."},
 }
 
 // tenantTable resolves tenant names to live states, minting states
@@ -169,26 +141,43 @@ func (t *tenantState) addServed(modeled float64) {
 // default contract) and per-tenant metrics.
 type tenantTable struct {
 	mu     sync.Mutex
+	reg    *obs.Registry
 	def    TenantConfig
 	byName map[string]*tenantState
 }
 
-func newTenantTable(cfg TenantsConfig) *tenantTable {
+func newTenantTable(cfg TenantsConfig, reg *obs.Registry) *tenantTable {
 	tt := &tenantTable{
+		reg:    reg,
 		def:    TenantConfig{}.withDefaults(),
 		byName: map[string]*tenantState{},
+	}
+	for _, ts := range tenantSeries {
+		reg.Describe(ts.name, ts.help)
 	}
 	if dc, ok := cfg[DefaultTenant]; ok {
 		tt.def = dc.withDefaults()
 	}
-	tt.byName[DefaultTenant] = &tenantState{name: DefaultTenant, cfg: tt.def}
+	tt.mint(DefaultTenant, tt.def)
 	for name, tc := range cfg {
 		if name == DefaultTenant {
 			continue
 		}
-		tt.byName[name] = &tenantState{name: name, cfg: tc.withDefaults()}
+		tt.mint(name, tc.withDefaults())
 	}
 	return tt
+}
+
+// mint adds a tenant and declares its series; the caller holds tt.mu or
+// owns tt exclusively.
+func (tt *tenantTable) mint(name string, cfg TenantConfig) *tenantState {
+	t := &tenantState{name: name, cfg: cfg, labels: []obs.Label{{Key: "tenant", Value: name}}}
+	for _, ts := range tenantSeries {
+		tt.reg.AddWith(ts.name, t.labels, 0)
+	}
+	tt.reg.SetWith("tenant.weight", t.labels, cfg.Weight)
+	tt.byName[name] = t
+	return t
 }
 
 // state returns the live state for a tenant name ("" means the default
@@ -206,45 +195,33 @@ func (tt *tenantTable) state(name string) *tenantState {
 	if len(tt.byName) >= maxTenants {
 		return tt.byName[DefaultTenant]
 	}
-	t := &tenantState{name: name, cfg: tt.def}
-	tt.byName[name] = t
-	return t
+	return tt.mint(name, tt.def)
 }
 
 // snapshot renders every known tenant's status, sorted by name, for the
-// ops view and the per-tenant Prometheus series.
-func (tt *tenantTable) snapshot(queuedOf func(*tenantState) int) []TenantStatus {
+// ops view, reading its numbers from the registry.
+func (tt *tenantTable) snapshot() []TenantStatus {
 	tt.mu.Lock()
 	states := make([]*tenantState, 0, len(tt.byName))
 	for _, t := range tt.byName {
 		states = append(states, t)
 	}
 	tt.mu.Unlock()
+	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
 	out := make([]TenantStatus, 0, len(states))
 	for _, t := range states {
-		t.mu.Lock()
-		st := TenantStatus{
+		get := func(name string) float64 { return tt.reg.GetWith(name, t.labels) }
+		out = append(out, TenantStatus{
 			Name:                 t.name,
 			Weight:               t.cfg.Weight,
 			MaxQueued:            t.cfg.MaxQueued,
-			Queued:               queuedOf(t),
-			Submitted:            t.submitted,
-			Completed:            t.completed,
-			Shed:                 t.shed,
-			Rejected:             t.rejected,
-			ServedModeledSeconds: t.servedModeled,
-		}
-		t.mu.Unlock()
-		out = append(out, st)
+			Queued:               int(get("tenant.queued")),
+			Submitted:            int64(get("tenant.submitted")),
+			Completed:            int64(get("tenant.completed")),
+			Shed:                 int64(get("tenant.shed")),
+			Rejected:             int64(get("tenant.rejected")),
+			ServedModeledSeconds: get("tenant.served_modeled_seconds"),
+		})
 	}
-	sortTenantStatuses(out)
 	return out
-}
-
-func sortTenantStatuses(ts []TenantStatus) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Name < ts[j-1].Name; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

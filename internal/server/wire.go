@@ -248,7 +248,8 @@ type ClusterPeerStatus struct {
 }
 
 // ClusterStatus is the ring tier's self-description, surfaced on
-// /healthz and /admin/status.json and by the cluster Prometheus series.
+// /healthz and /admin/status.json; its counts are read from the
+// registry's cluster series.
 // The server package defines it as plain data so internal/cluster can
 // depend on server without a cycle: the cluster node injects a snapshot
 // callback as RingHooks.Status.
@@ -296,8 +297,9 @@ type SlotStatus struct {
 	BusySeconds float64 `json:"busy_seconds"`
 }
 
-// TenantStatus is one tenant's row in the ops view and the per-tenant
-// Prometheus series: its contract plus lifetime admission counters.
+// TenantStatus is one tenant's row in the ops view: its contract plus
+// its lifetime admission counters, read from the per-tenant registry
+// series.
 type TenantStatus struct {
 	Name      string  `json:"name"`
 	Weight    float64 `json:"weight"`

@@ -2,6 +2,9 @@ package gpmetis
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +33,91 @@ func TestPublicAPIAllAlgorithms(t *testing.T) {
 				t.Errorf("imbalance %.3f too high", imb)
 			}
 		})
+	}
+}
+
+// oracleGraphs are the adversarial shapes of the partition oracle, 12
+// vertices each.
+func oracleGraphs(t *testing.T) map[string]*Graph {
+	t.Helper()
+	const n = 12
+	build := func(edges func(add func(u, v int))) *Graph {
+		b := NewBuilder(n)
+		edges(func(u, v int) {
+			if err := b.AddEdge(u, v, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	path := func(add func(u, v int), lo, hi int) {
+		for v := lo; v+1 < hi; v++ {
+			add(v, v+1)
+		}
+	}
+	return map[string]*Graph{
+		"disconnected": build(func(add func(u, v int)) { path(add, 0, n/2); path(add, n/2, n) }),
+		"isolated":     build(func(add func(u, v int)) { path(add, 0, n/3) }),
+		"star": build(func(add func(u, v int)) {
+			for v := 1; v < n; v++ {
+				add(0, v)
+			}
+		}),
+		"clique": build(func(add func(u, v int)) {
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					add(u, v)
+				}
+			}
+		}),
+		"path": build(func(add func(u, v int)) { path(add, 0, n) }),
+	}
+}
+
+// TestPartitionOracle checks the partitioner's contract for all eight
+// algorithms on adversarial graphs at k=1 and k=n: a run either fails
+// with one of the exported typed errors or returns a part id in [0,k)
+// for every vertex, an EdgeCut equal to the recomputed cut, and a Part
+// that a repeat run with the same seed reproduces exactly.
+func TestPartitionOracle(t *testing.T) {
+	typed := []error{ErrBadK, ErrBadImbalance, ErrEmptyGraph, ErrBadOption, ErrGraphTooLarge}
+	for name, g := range oracleGraphs(t) {
+		for _, k := range []int{1, g.NumVertices()} {
+			for _, algo := range []Algorithm{GPMetis, Metis, MtMetis, ParMetis, PTScotch, Gmetis, Jostle, Spectral} {
+				t.Run(fmt.Sprintf("%s/k=%d/%s", name, k, algo), func(t *testing.T) {
+					o := Options{Algorithm: algo, Seed: 3}
+					res, err := Partition(g, k, o)
+					if err != nil {
+						if !slices.ContainsFunc(typed, func(e error) bool { return errors.Is(err, e) }) {
+							t.Fatalf("untyped error: %v", err)
+						}
+						return
+					}
+					if len(res.Part) != g.NumVertices() {
+						t.Fatalf("partition vector has %d entries, want %d", len(res.Part), g.NumVertices())
+					}
+					for v, p := range res.Part {
+						if p < 0 || p >= k {
+							t.Fatalf("vertex %d in part %d, want [0,%d)", v, p, k)
+						}
+					}
+					if cut := EdgeCut(g, res.Part); res.EdgeCut != cut {
+						t.Errorf("EdgeCut %d, recomputed %d", res.EdgeCut, cut)
+					}
+					again, err := Partition(g, k, o)
+					if err != nil {
+						t.Fatalf("repeat run failed: %v", err)
+					}
+					if !slices.Equal(again.Part, res.Part) {
+						t.Errorf("repeat run with the same seed changed the partition:\n%v\n%v", res.Part, again.Part)
+					}
+				})
+			}
+		}
 	}
 }
 
