@@ -45,15 +45,16 @@
 // writes a flat JSON metrics report; -report prints a per-level table on
 // stderr. All three are available for the gp and mt algorithms.
 //
-// -profile (gp only) turns on the kernel-level profiler: the run records
-// one sample per kernel launch and prints the top -profile-top kernels as
-// a roofline table on stderr — modeled seconds, coalescing efficiency,
-// warp divergence, atomic serialization, achieved bandwidth, the dominant
-// cost-model term, and rule-derived optimization hints. -profile-json
-// writes the full report (per-kernel rollups, machine roofline
-// parameters, reconciliation against the GPU timeline) as JSON and
-// implies profiling. Both work with -server too: the job is submitted
-// with profiling on and the report is downloaded from the daemon.
+// -profile (gp only) turns on the kernel-level profiler: the run rolls
+// the trace span of every kernel launch up per kernel and prints the top
+// -profile-top kernels as a roofline table on stderr — modeled seconds,
+// coalescing efficiency, warp divergence, atomic serialization, achieved
+// bandwidth, the dominant cost-model term, and rule-derived optimization
+// hints. -profile-json writes the full report (per-kernel rollups,
+// machine roofline parameters, reconciliation against the GPU timeline)
+// as JSON and implies profiling. Both work with -server too: the job is
+// submitted with profiling on and the report is downloaded from the
+// daemon.
 //
 // -faults injects deterministic failures into the modeled substrate; a
 // scenario is ';'-separated site:key=val[,key=val] entries, e.g.

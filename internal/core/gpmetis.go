@@ -14,14 +14,6 @@ import (
 	"gpmetis/internal/prof"
 )
 
-// PhaseStats attributes a slice of the device activity to one named
-// pipeline segment (upload, coarsen.L0, handoff, uncoarsen.L0, ...),
-// captured as deltas between Stats snapshots.
-type PhaseStats struct {
-	Name  string
-	Stats gpu.Stats
-}
-
 // FaultEvent records one fault the pipeline absorbed instead of failing:
 // a contraction falling back to sort-merge, a degradation to the CPU
 // pipeline, a multi-GPU shard redistribution.
@@ -58,15 +50,11 @@ type Result struct {
 	MatchConflicts, MatchAttempts int
 	// KernelStats aggregates the simulated device activity.
 	KernelStats gpu.Stats
-	// LevelStats breaks KernelStats into per-segment deltas; the entries
-	// sum to KernelStats, making per-level attribution possible without
-	// resetting the run-total counters.
-	LevelStats []PhaseStats
 	// Profile is the per-kernel roofline report, non-nil only when
-	// Options.Profiler was set. Its KernelSeconds reconcile exactly with
+	// Options.Profile was set. Its KernelSeconds reconcile exactly with
 	// the GPU portion of Timeline for unfaulted, un-resumed single-GPU
 	// runs; fault retries and pre-crash phases of a resumed run charge
-	// GPU time outside any observed launch.
+	// GPU time outside any traced launch.
 	Profile *prof.Report
 	// Degraded reports that a GPU-side fault forced the run onto the
 	// mt-metis CPU pipeline (Options.Degrade); the partition is still
@@ -113,8 +101,6 @@ type run struct {
 	met  *obs.Registry
 	off  float64
 
-	lastStats gpu.Stats
-
 	levels []gpuLevel // GPU coarsening levels, finest first
 	cur    devGraph   // current coarsest graph on the device
 	part   []int      // current partition vector
@@ -140,6 +126,10 @@ func partitionRun(g *graph.Graph, k int, o Options, m *perfmodel.Machine, parent
 	}
 	if o.Faults != nil && o.Retry == (fault.RetryPolicy{}) {
 		o.Retry = fault.DefaultRetryPolicy()
+	}
+	if o.Profile && o.Tracer == nil {
+		// The profile is a reduction over the run's kernel spans.
+		o.Tracer = obs.New()
 	}
 	res := &Result{}
 	d := gpu.NewDevice(m, &res.Timeline)
@@ -177,12 +167,6 @@ func partitionRun(g *graph.Graph, k int, o Options, m *perfmodel.Machine, parent
 		}
 	}
 	d.SetFaults(o.Faults, o.Retry)
-	// Like the injector, the profiler attaches after restore: rebuilding
-	// device state replays no kernels, so a resumed profile holds only the
-	// launches this process actually ran.
-	if o.Profiler != nil {
-		d.SetLaunchObserver(o.Profiler)
-	}
 
 	if resumedFrom < checkpoint.PhaseCPUDone {
 		if err := r.guard(func() error { return r.coarsenGPU(resumedFrom == checkpoint.PhaseCoarsen) }); err != nil {
@@ -226,15 +210,6 @@ func (r *run) guard(stage func() error) (err error) {
 	return stage()
 }
 
-// segment closes one per-segment stats window and returns its delta.
-func (r *run) segment(name string) gpu.Stats {
-	cur := r.d.Stats()
-	delta := cur.Sub(r.lastStats)
-	r.lastStats = cur
-	r.res.LevelStats = append(r.res.LevelStats, PhaseStats{Name: name, Stats: delta})
-	return delta
-}
-
 // event records one absorbed fault in the result, the metrics registry,
 // and (as an instant span) the trace.
 func (r *run) event(site fault.Site, action string, level int, detail string) {
@@ -268,7 +243,6 @@ func (r *run) canceled() error {
 }
 
 func (r *run) coarsenGPU(resumed bool) error {
-	r.o.Profiler.SetSegment("upload", -1)
 	if !resumed {
 		// Initially, the graph information is copied to the GPU's global
 		// memory (Section III).
@@ -277,7 +251,6 @@ func (r *run) coarsenGPU(resumed bool) error {
 			return fmt.Errorf("core: input graph exceeds device memory: %w", err)
 		}
 		r.d.ToDevice("h2d.graph", dg.bytes())
-		r.segment("upload")
 		r.cur = dg
 	}
 
@@ -289,9 +262,7 @@ func (r *run) coarsenGPU(resumed bool) error {
 		}
 		cur := r.cur
 		lvlIdx := len(r.levels)
-		if r.o.Profiler.Enabled() {
-			r.o.Profiler.SetSegment(fmt.Sprintf("coarsen.L%d", lvlIdx), lvlIdx)
-		}
+		before := d.Stats()
 		fineN := cur.g.NumVertices()
 		lvlSpan := r.sink.Begin(obs.SpanCoarsenLevel, r.res.Timeline.Total(),
 			obs.Str("side", "gpu"),
@@ -316,7 +287,6 @@ func (r *run) coarsenGPU(resumed bool) error {
 			// Matching stalled (pathological input); hand off early.
 			d.Free(matchArr)
 			r.sink.End(lvlSpan, r.res.Timeline.Total(), obs.Bool("stalled", true))
-			r.segment(fmt.Sprintf("coarsen.L%d", lvlIdx))
 			break
 		}
 		cmapArr, err := d.Malloc(len(cmap), 4)
@@ -346,13 +316,12 @@ func (r *run) coarsenGPU(resumed bool) error {
 		r.levels = append(r.levels, gpuLevel{fine: cur, cmap: cmap, cmapArr: cmapArr, coarse: cdg})
 		r.cur = cdg
 
-		delta := r.segment(fmt.Sprintf("coarsen.L%d", lvlIdx))
 		var rate float64
 		if attempts > 0 {
 			rate = float64(conflicts) / float64(attempts)
 		}
 		if lvlSpan != nil {
-			lvlSpan.Set(delta.Attrs("gpu.")...)
+			lvlSpan.Set(d.Stats().Sub(before).Attrs("gpu.")...)
 		}
 		r.sink.End(lvlSpan, r.res.Timeline.Total(),
 			obs.Int("coarse_vertices", int64(coarseN)),
@@ -418,14 +387,12 @@ func (r *run) mtOptions(span *obs.Span) mtmetis.Options {
 // uncoarsenGPU returns to the GPU for the remaining un-coarsening levels
 // (pipeline step 4) and downloads the final partition.
 func (r *run) uncoarsenGPU() error {
-	r.o.Profiler.SetSegment("handoff", -1)
 	d := r.d
 	cpartArr, err := d.Malloc(r.cur.g.NumVertices(), 4)
 	if err != nil {
 		return fmt.Errorf("core: partition vector: %w", err)
 	}
 	d.ToDevice("h2d.part", int64(4*r.cur.g.NumVertices()))
-	r.segment("handoff")
 	r.cpart = cpartArr
 	return r.uncoarsenFrom(len(r.levels))
 }
@@ -440,9 +407,7 @@ func (r *run) uncoarsenFrom(top int) error {
 			return err
 		}
 		lvl := r.levels[i]
-		if r.o.Profiler.Enabled() {
-			r.o.Profiler.SetSegment(fmt.Sprintf("uncoarsen.L%d", i), i)
-		}
+		before := d.Stats()
 		lvlSpan := r.sink.Begin(obs.SpanUncoarsenLevel, r.res.Timeline.Total(),
 			obs.Str("side", "gpu"),
 			obs.Int("level", int64(i)),
@@ -478,9 +443,8 @@ func (r *run) uncoarsenFrom(top int) error {
 		lvl.coarse.free(d)
 		r.cpart = partArr
 
-		delta := r.segment(fmt.Sprintf("uncoarsen.L%d", i))
 		if lvlSpan != nil {
-			lvlSpan.Set(delta.Attrs("gpu.")...)
+			lvlSpan.Set(d.Stats().Sub(before).Attrs("gpu.")...)
 		}
 		r.sink.End(lvlSpan, r.res.Timeline.Total(),
 			obs.Int("moves", int64(ref.moves)),
@@ -505,14 +469,12 @@ func (r *run) uncoarsenFrom(top int) error {
 // runs the final paranoid verification, and seals the result.
 func (r *run) finish() (*Result, error) {
 	res := r.res
-	r.o.Profiler.SetSegment("download", -1)
 	// Final balance safety net on the CPU ("the balance of partitions is
 	// guaranteed by continuing the refinement at the finer graph levels";
 	// we enforce the bound explicitly at the finest level).
 	var acct perfmodel.ThreadCost
 	metis.BalancePartition(r.g, r.part, r.k, r.o.UBFactor, &acct)
 	res.Timeline.Append("balance", perfmodel.LocCPU, r.m.CPUPhaseSeconds([]perfmodel.ThreadCost{acct}))
-	r.segment("download")
 
 	// Everything the pipeline allocated must be released by now; a leak
 	// here means a lost handle that would exhaust the 6 GB device over
@@ -531,8 +493,8 @@ func (r *run) finish() (*Result, error) {
 	res.Part = r.part
 	res.EdgeCut = graph.EdgeCut(r.g, r.part)
 	res.KernelStats = r.d.Stats()
-	if r.o.Profiler.Enabled() {
-		res.Profile = r.o.Profiler.Report(res.Timeline.TotalAt(perfmodel.LocGPU), false)
+	if r.o.Profile {
+		res.Profile = prof.NewReport(r.m, r.o.Tracer, r.root, res.Timeline.TotalAt(perfmodel.LocGPU))
 	}
 	r.met.Add("pcie.bytes_to_device", float64(res.KernelStats.BytesToDevice))
 	r.met.Add("pcie.bytes_to_host", float64(res.KernelStats.BytesToHost))

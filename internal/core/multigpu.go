@@ -286,7 +286,7 @@ func PartitionMulti(g *graph.Graph, k, devices int, o Options, m *perfmodel.Mach
 	res.CPULevels = sub.CPULevels
 	res.MatchConflicts += sub.MatchConflicts
 	res.MatchAttempts += sub.MatchAttempts
-	// Only the single-GPU tail is profiled (see Options.Profiler); its
+	// Only the single-GPU tail is profiled (see Options.Profile); its
 	// report's timeline total covers the tail alone, not the fleet stage.
 	res.Profile = sub.Profile
 	part := sub.Part

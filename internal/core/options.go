@@ -34,7 +34,6 @@ import (
 	"gpmetis/internal/fault"
 	"gpmetis/internal/graph"
 	"gpmetis/internal/obs"
-	"gpmetis/internal/prof"
 )
 
 // Sentinel errors, distinguishable with errors.Is. Usage errors (bad k,
@@ -147,15 +146,14 @@ type Options struct {
 	// The nil default disables tracing at the cost of one pointer check
 	// per hook point.
 	Tracer *obs.Tracer
-	// Profiler, when non-nil, records one sample per kernel launch —
-	// name, pipeline segment, grid size, modeled seconds, counter deltas
-	// — for the per-kernel roofline report (Result.Profile; see
-	// internal/prof). Single-GPU runs only: the multi-GPU fleet stage
-	// does not attach it (its per-device timelines charge maxima, so
-	// per-launch sums would not reconcile), though the single-GPU tail of
-	// a multi-GPU run still profiles. Nil disables profiling at the cost
-	// of one pointer check per launch.
-	Profiler *prof.Profiler
+	// Profile builds the per-kernel roofline report (Result.Profile; see
+	// internal/prof) from the kernel launch spans of the run's trace,
+	// tracing into a private tracer when Tracer is nil. Single-GPU runs
+	// only: the multi-GPU fleet stage's kernel spans are auxiliary (its
+	// per-device timelines charge maxima, so per-launch sums would not
+	// reconcile), though the single-GPU tail of a multi-GPU run still
+	// profiles.
+	Profile bool
 	// Faults, when non-nil, injects deterministic failures at the
 	// substrate's named sites (see internal/fault). Nil disables all
 	// fault paths at zero cost.

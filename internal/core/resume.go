@@ -165,7 +165,6 @@ func (r *run) restore(st *checkpoint.State) error {
 	}
 	r.res.Timeline.Restore(st.Timeline, st.Clock)
 	d.RestoreStats(st.Stats)
-	r.lastStats = st.Stats
 	r.o.Faults.RestoreCounters(st.Fault)
 	return nil
 }

@@ -97,29 +97,55 @@ func TestTraceLevelSpansMatchLevelCounts(t *testing.T) {
 }
 
 // TestLevelStatsSumToRunTotal is the per-level stats hygiene regression:
-// the per-segment deltas must add back up to the device's run totals, so
-// attribution never loses or double-counts activity.
+// each GPU level span's gpu.* counters must equal the sum of the kernel
+// launch spans beneath it, and the kernel spans of the whole run must add
+// up to the device's run totals, so attribution never loses or
+// double-counts activity.
 func TestLevelStatsSumToRunTotal(t *testing.T) {
-	res, _ := tracedRun(t)
-	if len(res.LevelStats) == 0 {
-		t.Fatal("no per-level stats recorded")
-	}
-	var sum gpu.Stats
-	for _, ls := range res.LevelStats {
-		sum = sum.Add(ls.Stats)
-	}
-	if sum != res.KernelStats {
-		t.Errorf("per-level stats sum %+v != run total %+v", sum, res.KernelStats)
-	}
-	// Every named pipeline segment appears.
-	names := map[string]bool{}
-	for _, ls := range res.LevelStats {
-		names[ls.Name] = true
-	}
-	for _, want := range []string{"upload", "coarsen.L0", "handoff", "uncoarsen.L0", "download"} {
-		if !names[want] {
-			t.Errorf("missing segment %q in LevelStats (have %v)", want, names)
+	res, tr := tracedRun(t)
+	spans := tr.Spans()
+	var run gpu.Stats
+	perLevel := map[*obs.Span]gpu.Stats{}
+	for _, sp := range spans {
+		st, _, ok := gpu.LaunchStats(sp)
+		if !ok {
+			continue
 		}
+		run = run.Add(st)
+		for p := sp.Parent(); p != nil; p = p.Parent() {
+			if p.Name == obs.SpanCoarsenLevel || p.Name == obs.SpanUncoarsenLevel {
+				perLevel[p] = perLevel[p].Add(st)
+				break
+			}
+		}
+	}
+	want := res.KernelStats
+	want.BytesToDevice, want.BytesToHost = 0, 0
+	if run != want {
+		t.Errorf("kernel spans sum to %+v,\nrun totals are    %+v", run, want)
+	}
+	levels := 0
+	for _, sp := range spans {
+		if _, ok := sp.Attr("gpu.kernels"); !ok {
+			continue
+		}
+		levels++
+		sum := perLevel[sp]
+		if sum.Kernels == 0 {
+			t.Errorf("%s level %v: no kernel spans beneath it", sp.Name, sp.Attrs())
+		}
+		for _, a := range sum.Attrs("gpu.") {
+			if a.Key == "gpu.bytes_to_device" || a.Key == "gpu.bytes_to_host" {
+				continue // transfers are not launches
+			}
+			if got, _ := sp.Attr(a.Key); got.IntV != a.IntV {
+				t.Errorf("%s span %d: %s = %d, kernel spans beneath it sum to %d",
+					sp.Name, sp.ID, a.Key, got.IntV, a.IntV)
+			}
+		}
+	}
+	if want := 2 * res.GPULevels; levels != want {
+		t.Errorf("%d level spans carry gpu.* counters, want %d (coarsen + uncoarsen per GPU level)", levels, want)
 	}
 }
 

@@ -62,9 +62,8 @@ type Device struct {
 	// when only the computational result matters (tests, examples).
 	Accounting bool
 
-	stats     Stats
-	sink      *obs.TimelineSink
-	launchObs LaunchObserver
+	stats Stats
+	sink  *obs.TimelineSink
 
 	inj   *fault.Injector
 	retry fault.RetryPolicy
@@ -187,18 +186,6 @@ func (s Stats) AtomicSerializationRatio() float64 {
 // Every modeled machine uses 32-wide warps (perfmodel.Default and the
 // paper's GTX Titan); the per-warp segSlot arrays hard-code it too.
 const warpSize = 32
-
-// LaunchObserver receives one callback per kernel launch with that
-// launch's modeled duration and counter deltas. It is the profiler's hook
-// into the device (see internal/prof); a nil observer costs one pointer
-// check per launch and nothing else.
-type LaunchObserver interface {
-	ObserveLaunch(name string, threads int, seconds float64, delta Stats)
-}
-
-// SetLaunchObserver installs (or, with nil, removes) the per-launch
-// observer.
-func (d *Device) SetLaunchObserver(o LaunchObserver) { d.launchObs = o }
 
 // Stats returns the activity counters accumulated so far.
 func (d *Device) Stats() Stats { return d.stats }

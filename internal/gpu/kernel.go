@@ -584,79 +584,146 @@ func (d *Device) launch(name string, nThreads int, fp *Footprint, k Kernel) floa
 		fp.recorded, fp.nThreads = true, nThreads
 	}
 
-	sec := d.kernelSeconds(nThreads, warpInstr, maxWarpInstr, transactions, atomicSerial)
+	delta := Stats{
+		Kernels:          1,
+		Threads:          int64(nThreads),
+		WarpInstructions: warpInstr,
+		LaneInstructions: laneInstr,
+		Transactions:     transactions,
+		Accesses:         accesses,
+		AtomicOps:        atomicOps,
+		AtomicSerial:     atomicSerial,
+	}
+	sec := d.kernelSeconds(delta, maxWarpInstr)
 	if d.sink == nil {
 		d.tl.Append(name, perfmodel.LocGPU, sec)
 	} else {
 		// Per-launch span with this launch's stats delta, so every level
 		// of the trace attributes its own kernel work.
-		sp := d.sink.Leaf(name, d.tl.Total(), sec,
-			obs.Str("loc", perfmodel.LocGPU.String()),
-			obs.Int("threads", int64(nThreads)),
-			obs.Int("warp_instructions", warpInstr),
-			obs.Int("lane_instructions", laneInstr),
-			obs.Int("transactions", transactions),
-			obs.Int("accesses", accesses),
-			obs.Int("atomic_ops", atomicOps),
-			obs.Int("atomic_serial", atomicSerial))
 		var id int64
-		if sp != nil {
+		if sp := TraceLaunch(d.sink, name, d.tl.Total(), sec, delta); sp != nil {
 			id = sp.ID
 		}
 		d.tl.AppendTagged(name, perfmodel.LocGPU, sec, id)
 	}
-
-	d.stats.Kernels++
-	d.stats.Threads += int64(nThreads)
-	d.stats.WarpInstructions += warpInstr
-	d.stats.LaneInstructions += laneInstr
-	d.stats.Transactions += transactions
-	d.stats.Accesses += accesses
-	d.stats.AtomicOps += atomicOps
-	d.stats.AtomicSerial += atomicSerial
-	if d.launchObs != nil {
-		d.launchObs.ObserveLaunch(name, nThreads, sec, Stats{
-			Kernels:          1,
-			Threads:          int64(nThreads),
-			WarpInstructions: warpInstr,
-			LaneInstructions: laneInstr,
-			Transactions:     transactions,
-			Accesses:         accesses,
-			AtomicOps:        atomicOps,
-			AtomicSerial:     atomicSerial,
-		})
-	}
+	d.stats = d.stats.Add(delta)
 	return sec
 }
 
-// kernelSeconds converts one launch's charged work into modeled time:
-// launch overhead plus a roofline max of
-//
-//	compute:  warp-instructions * WarpSize lanes / device lane throughput
-//	memory:   transactions * 128B / device bandwidth
-//	latency:  per-warp transaction latency divided by the warp slots
-//	          available to hide it
-//
-// plus serialized atomic time, floored by the critical path of the
-// longest single warp (a nearly-empty launch cannot finish faster than
-// its slowest warp).
-func (d *Device) kernelSeconds(nThreads int, warpInstr, maxWarpInstr, transactions, atomicSerial int64) float64 {
-	g := d.m.GPU
-	laneThroughput := float64(g.SMs) * float64(g.CoresPerSM) * g.ClockHz
-	compute := float64(warpInstr) * float64(g.WarpSize) / laneThroughput
-	memory := float64(transactions) * float64(g.TransactionBytes) / g.MemBytesPerSec
-	hiding := float64(g.SMs * g.WarpSlotsPerSM)
-	latency := float64(transactions) * g.MemLatencySec / hiding
-	body := compute
-	if memory > body {
-		body = memory
+// Kernel launch span attributes: TraceLaunch writes them, LaunchStats
+// reads them back. "loc" is shared with every other timeline phase span;
+// the seconds attribute carries the launch's exact charge, which the
+// span's End-Start difference only approximates in floating point.
+const (
+	attrLoc              = "loc"
+	attrSeconds          = "seconds"
+	attrThreads          = "threads"
+	attrWarpInstructions = "warp_instructions"
+	attrLaneInstructions = "lane_instructions"
+	attrTransactions     = "transactions"
+	attrAccesses         = "accesses"
+	attrAtomicOps        = "atomic_ops"
+	attrAtomicSerial     = "atomic_serial"
+)
+
+// TraceLaunch records one kernel launch as a leaf span under the sink's
+// current parent: its modeled seconds and its counter delta s. It is the
+// span every launch on a traced device emits; LaunchStats reads it back.
+func TraceLaunch(sink *obs.TimelineSink, name string, start, seconds float64, s Stats) *obs.Span {
+	return sink.Leaf(name, start, seconds,
+		obs.Str(attrLoc, perfmodel.LocGPU.String()),
+		obs.Float(attrSeconds, seconds),
+		obs.Int(attrThreads, s.Threads),
+		obs.Int(attrWarpInstructions, s.WarpInstructions),
+		obs.Int(attrLaneInstructions, s.LaneInstructions),
+		obs.Int(attrTransactions, s.Transactions),
+		obs.Int(attrAccesses, s.Accesses),
+		obs.Int(attrAtomicOps, s.AtomicOps),
+		obs.Int(attrAtomicSerial, s.AtomicSerial))
+}
+
+// LaunchStats reads a kernel launch back from the span TraceLaunch wrote:
+// its counter delta (Kernels = 1, no PCIe bytes) and its modeled seconds.
+// ok is false for every other span, including fault-retry phases, which
+// are GPU-located but carry no launch counters.
+func LaunchStats(sp *obs.Span) (s Stats, seconds float64, ok bool) {
+	var onGPU bool
+	for _, a := range sp.Attrs() {
+		switch a.Key {
+		case attrLoc:
+			onGPU = a.StrV == perfmodel.LocGPU.String()
+		case attrSeconds:
+			seconds, ok = a.FloatV, true
+		case attrThreads:
+			s.Threads = a.IntV
+		case attrWarpInstructions:
+			s.WarpInstructions = a.IntV
+		case attrLaneInstructions:
+			s.LaneInstructions = a.IntV
+		case attrTransactions:
+			s.Transactions = a.IntV
+		case attrAccesses:
+			s.Accesses = a.IntV
+		case attrAtomicOps:
+			s.AtomicOps = a.IntV
+		case attrAtomicSerial:
+			s.AtomicSerial = a.IntV
+		}
 	}
-	if latency > body {
-		body = latency
+	if !onGPU || !ok {
+		return Stats{}, 0, false
+	}
+	s.Kernels = 1
+	return s, seconds, true
+}
+
+// Roofline is the cost model's decomposition of charged kernel work into
+// modeled seconds, one term per wall a kernel can run into:
+//
+//	Compute: warp-instructions * WarpSize lanes / device lane throughput
+//	Memory:  transactions * 128B / device bandwidth
+//	Latency: per-warp transaction latency divided by the warp slots
+//	         available to hide it
+//	Atomic:  serialized atomic time, spread over the SMs
+//	Launch:  fixed per-launch overhead
+type Roofline struct {
+	Compute, Memory, Latency, Atomic, Launch float64
+}
+
+// RooflineTerms computes the roofline terms of the work in s on the
+// machine's GPU. A launch charges Launch plus the max of Compute, Memory,
+// and Latency (floored by its slowest warp) plus Atomic; the profiler
+// applies the same terms to a kernel's summed counters.
+func RooflineTerms(m *perfmodel.Machine, s Stats) Roofline {
+	g := m.GPU
+	laneThroughput := float64(g.SMs) * float64(g.CoresPerSM) * g.ClockHz
+	hiding := float64(g.SMs * g.WarpSlotsPerSM)
+	return Roofline{
+		Compute: float64(s.WarpInstructions) * float64(g.WarpSize) / laneThroughput,
+		Memory:  float64(s.Transactions) * float64(g.TransactionBytes) / g.MemBytesPerSec,
+		Latency: float64(s.Transactions) * g.MemLatencySec / hiding,
+		Atomic:  float64(s.AtomicSerial) * g.AtomicSec / float64(g.SMs),
+		Launch:  float64(s.Kernels) * g.LaunchSec,
+	}
+}
+
+// kernelSeconds converts one launch's charged work into modeled time:
+// launch overhead plus the roofline max of the compute, memory, and
+// latency terms, plus serialized atomic time, floored by the critical
+// path of the longest single warp (a nearly-empty launch cannot finish
+// faster than its slowest warp).
+func (d *Device) kernelSeconds(s Stats, maxWarpInstr int64) float64 {
+	t := RooflineTerms(d.m, s)
+	body := t.Compute
+	if t.Memory > body {
+		body = t.Memory
+	}
+	if t.Latency > body {
+		body = t.Latency
 	}
 	// Critical path of the slowest warp: instructions at one per cycle.
-	if crit := float64(maxWarpInstr) / g.ClockHz; crit > body {
+	if crit := float64(maxWarpInstr) / d.m.GPU.ClockHz; crit > body {
 		body = crit
 	}
-	return g.LaunchSec + body + float64(atomicSerial)*g.AtomicSec/float64(g.SMs)
+	return t.Launch + body + t.Atomic
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"gpmetis/internal/obs"
+	"gpmetis/internal/perfmodel"
 )
 
 // Report is the exportable form of one run's kernel profile: the
@@ -22,8 +25,6 @@ type Report struct {
 	// In an unfaulted single-GPU run it equals KernelSeconds exactly; a
 	// difference is fault-retry time charged outside any launch.
 	GPUTimelineSeconds float64 `json:"gpu_timeline_seconds"`
-	// Samples is the raw per-launch record, in launch order.
-	Samples []Sample `json:"samples,omitempty"`
 }
 
 // MachineSummary carries the machine parameters a reader of the report
@@ -38,16 +39,14 @@ type MachineSummary struct {
 	WarpSize             int     `json:"warp_size"`
 }
 
-// Report assembles the exportable profile. gpuTimelineSeconds is the
-// run timeline's GPU portion (Timeline.TotalAt(LocGPU)); withSamples
-// includes the raw launch record (large for big runs).
-func (p *Profiler) Report(gpuTimelineSeconds float64, withSamples bool) *Report {
-	if p == nil {
-		return nil
-	}
-	m := p.machine
+// NewReport assembles the exportable profile of one run from tracer t:
+// the kernel launch spans beneath the run's root span that are not
+// auxiliary, classified against machine m. gpuTimelineSeconds is the run
+// timeline's GPU portion (Timeline.TotalAt(LocGPU)).
+func NewReport(m *perfmodel.Machine, t *obs.Tracer, root *obs.Span, gpuTimelineSeconds float64) *Report {
+	kernels, seconds := profiles(m, t, root)
 	lane := float64(m.GPU.SMs) * float64(m.GPU.CoresPerSM) * m.GPU.ClockHz
-	r := &Report{
+	return &Report{
 		Schema: "gpmetis-profile-v1",
 		Machine: MachineSummary{
 			LaneThroughputOpsPerSec: lane,
@@ -56,14 +55,10 @@ func (p *Profiler) Report(gpuTimelineSeconds float64, withSamples bool) *Report 
 			LaunchSec:               m.GPU.LaunchSec,
 			WarpSize:                m.GPU.WarpSize,
 		},
-		Kernels:            p.Profiles(),
-		KernelSeconds:      p.KernelSeconds(),
+		Kernels:            kernels,
+		KernelSeconds:      seconds,
 		GPUTimelineSeconds: gpuTimelineSeconds,
 	}
-	if withSamples {
-		r.Samples = p.Samples()
-	}
-	return r
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -9,14 +9,16 @@ import (
 	"gpmetis/internal/core"
 	"gpmetis/internal/gpu"
 	"gpmetis/internal/graph/gen"
+	"gpmetis/internal/obs"
 	"gpmetis/internal/perfmodel"
 	"gpmetis/internal/prof"
 )
 
-// profiledRun partitions a mid-sized Delaunay mesh with the profiler
-// attached and returns both, so the property tests below see every
-// kernel of a real end-to-end run (GPU coarsening, handoff, refinement).
-func profiledRun(t *testing.T) (*prof.Profiler, *core.Result) {
+// profiledRun partitions a mid-sized Delaunay mesh with profiling on and
+// returns the run's tracer with the result, so the property tests below
+// see every kernel span of a real end-to-end run (GPU coarsening,
+// handoff, refinement).
+func profiledRun(t *testing.T) (*obs.Tracer, *core.Result) {
 	t.Helper()
 	g, err := gen.Delaunay(5000, 3)
 	if err != nil {
@@ -25,28 +27,52 @@ func profiledRun(t *testing.T) (*prof.Profiler, *core.Result) {
 	m := perfmodel.Default()
 	o := core.DefaultOptions()
 	o.GPUThreshold = 256
-	o.Profiler = prof.New(m)
+	o.Tracer = obs.New()
+	o.Profile = true
 	res, err := core.Partition(g, 16, o, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o.Profiler, res
+	return o.Tracer, res
+}
+
+// launch is one kernel launch read back from its trace span.
+type launch struct {
+	name    string
+	seconds float64
+	stats   gpu.Stats
+}
+
+// launches returns every kernel launch span the tracer recorded, in
+// launch order.
+func launches(tr *obs.Tracer) []launch {
+	var out []launch
+	for _, sp := range tr.Spans() {
+		if st, sec, ok := gpu.LaunchStats(sp); ok {
+			out = append(out, launch{sp.Name, sec, st})
+		}
+	}
+	return out
 }
 
 // TestReportReconcilesWithTimeline pins the profiler's core accounting
 // guarantee: in an unfaulted single-GPU run every GPU-located timeline
-// phase comes from exactly one observed launch, so the summed sample
+// phase comes from exactly one kernel launch span, so the summed launch
 // seconds equal the timeline's GPU portion bit for bit — not within a
 // tolerance, exactly.
 func TestReportReconcilesWithTimeline(t *testing.T) {
-	p, res := profiledRun(t)
+	tr, res := profiledRun(t)
 	gpuSec := res.Timeline.TotalAt(perfmodel.LocGPU)
-	if got := p.KernelSeconds(); got != gpuSec {
-		t.Errorf("KernelSeconds() = %v, timeline GPU portion = %v (diff %g)",
+	var got float64
+	for _, l := range launches(tr) {
+		got += l.seconds
+	}
+	if got != gpuSec {
+		t.Errorf("launch spans sum to %v, timeline GPU portion = %v (diff %g)",
 			got, gpuSec, got-gpuSec)
 	}
 	if res.Profile == nil {
-		t.Fatal("Result.Profile is nil with a profiler attached")
+		t.Fatal("Result.Profile is nil with profiling on")
 	}
 	if res.Profile.KernelSeconds != res.Profile.GPUTimelineSeconds {
 		t.Errorf("report does not reconcile: kernel %v vs timeline %v",
@@ -57,8 +83,8 @@ func TestReportReconcilesWithTimeline(t *testing.T) {
 	}
 }
 
-// TestSampleInvariants property-checks every kernel launch of a full
-// partition against the counter invariants the cost model maintains.
+// TestKernelSpanInvariants property-checks every kernel launch span of a
+// full partition against the counter invariants the cost model maintains.
 //
 // Two non-obvious bounds, pinned deliberately: atomics charge their
 // transaction slots without raw accesses, so Transactions is bounded by
@@ -68,126 +94,123 @@ func TestReportReconcilesWithTimeline(t *testing.T) {
 // divergent warp mixing loads and atomics at one access index can pile
 // loads into an atomic slot (so the ceiling is Accesses+AtomicOps, not
 // AtomicOps alone).
-func TestSampleInvariants(t *testing.T) {
-	p, _ := profiledRun(t)
-	samples := p.Samples()
-	if len(samples) == 0 {
-		t.Fatal("no samples recorded")
+func TestKernelSpanInvariants(t *testing.T) {
+	tr, _ := profiledRun(t)
+	ls := launches(tr)
+	if len(ls) == 0 {
+		t.Fatal("no kernel launch spans recorded")
 	}
-	for i, s := range samples {
-		if s.Kernel == "" {
-			t.Fatalf("sample %d: empty kernel name", i)
+	for i, l := range ls {
+		name, st := l.name, l.stats
+		if name == "" {
+			t.Fatalf("launch %d: empty kernel name", i)
 		}
-		if s.Seconds <= 0 {
-			t.Errorf("%s: non-positive modeled seconds %v", s.Kernel, s.Seconds)
+		if l.seconds <= 0 {
+			t.Errorf("%s: non-positive modeled seconds %v", name, l.seconds)
 		}
-		st := s.Stats
-		if st.Kernels != 1 {
-			t.Errorf("%s: per-launch delta has Kernels = %d", s.Kernel, st.Kernels)
-		}
-		if s.Threads <= 0 || st.Threads != int64(s.Threads) {
-			t.Errorf("%s: threads %d vs stats %d", s.Kernel, s.Threads, st.Threads)
+		if st.Threads <= 0 {
+			t.Errorf("%s: launch of %d threads", name, st.Threads)
 		}
 		// Each warp's charged instructions are the max over its lanes:
 		// at most the lane sum, at least a WarpSize-th of it.
 		if st.WarpInstructions > st.LaneInstructions {
 			t.Errorf("%s: warp instructions %d exceed lane instructions %d",
-				s.Kernel, st.WarpInstructions, st.LaneInstructions)
+				name, st.WarpInstructions, st.LaneInstructions)
 		}
 		if 32*st.WarpInstructions < st.LaneInstructions {
 			t.Errorf("%s: lane instructions %d exceed 32x warp instructions %d",
-				s.Kernel, st.LaneInstructions, st.WarpInstructions)
+				name, st.LaneInstructions, st.WarpInstructions)
 		}
 		if st.AtomicSerial < 0 || st.AtomicSerial > st.Accesses+st.AtomicOps {
 			t.Errorf("%s: atomic serialization %d outside [0, %d]",
-				s.Kernel, st.AtomicSerial, st.Accesses+st.AtomicOps)
+				name, st.AtomicSerial, st.Accesses+st.AtomicOps)
 		}
 		if st.AtomicOps == 0 && st.AtomicSerial != 0 {
 			t.Errorf("%s: serialization %d charged without atomics",
-				s.Kernel, st.AtomicSerial)
+				name, st.AtomicSerial)
 		}
 		// Coalescing merges, never splits: a transaction needs at least
 		// one raw access or one atomic behind it.
 		if st.Transactions > st.Accesses+st.AtomicOps {
 			t.Errorf("%s: transactions %d exceed accesses %d + atomics %d",
-				s.Kernel, st.Transactions, st.Accesses, st.AtomicOps)
+				name, st.Transactions, st.Accesses, st.AtomicOps)
 		}
 		if st.Transactions < 0 || st.Accesses < 0 || st.AtomicOps < 0 {
-			t.Errorf("%s: negative counters %+v", s.Kernel, st)
+			t.Errorf("%s: negative counters %+v", name, st)
 		}
-		// Launches move no PCIe bytes; transfers are not launches.
-		if st.BytesToDevice != 0 || st.BytesToHost != 0 {
-			t.Errorf("%s: launch charged transfer bytes %+v", s.Kernel, st)
-		}
-		for name, v := range map[string]float64{
+		for ratio, v := range map[string]float64{
 			"coalescing": st.CoalescingEfficiency(),
 			"divergence": st.DivergenceFactor(),
 			"atomicser":  st.AtomicSerializationRatio(),
 		} {
 			if v < 0 || v != v {
-				t.Errorf("%s: %s ratio = %v", s.Kernel, name, v)
+				t.Errorf("%s: %s ratio = %v", name, ratio, v)
 			}
 		}
 		if f := st.DivergenceFactor(); st.LaneInstructions > 0 && (f < 1 || f > 32) {
-			t.Errorf("%s: divergence factor %v outside [1, 32]", s.Kernel, f)
+			t.Errorf("%s: divergence factor %v outside [1, 32]", name, f)
 		}
 	}
 }
 
-// TestSampleDeltasSumToRunTotals checks the per-launch deltas are a
-// complete decomposition: summed across every sample they equal the
-// device's run-total Stats on all launch-charged counters. (Transfer
-// bytes are charged by uploads/downloads, not launches, so those two
-// fields stay zero in the sample sum.)
-func TestSampleDeltasSumToRunTotals(t *testing.T) {
-	p, res := profiledRun(t)
-	var sum gpu.Stats
-	for _, s := range p.Samples() {
-		sum = sum.Add(s.Stats)
+// TestKernelSpansSumToRunTotals checks the kernel launch spans are a
+// complete decomposition: summed across every launch they equal the
+// device's run-total Stats on all launch-charged counters, and so do the
+// report's per-kernel rollups. (Transfer bytes are charged by
+// uploads/downloads, not launches, so those two fields stay zero.)
+func TestKernelSpansSumToRunTotals(t *testing.T) {
+	tr, res := profiledRun(t)
+	var spans, kernels gpu.Stats
+	for _, l := range launches(tr) {
+		spans = spans.Add(l.stats)
+	}
+	launched := 0
+	for _, k := range res.Profile.Kernels {
+		kernels = kernels.Add(k.Stats)
+		launched += k.Launches
 	}
 	want := res.KernelStats
 	want.BytesToDevice = 0
 	want.BytesToHost = 0
-	if sum != want {
-		t.Errorf("sample deltas sum to %+v,\nrun totals are   %+v", sum, want)
+	if spans != want {
+		t.Errorf("launch spans sum to %+v,\nrun totals are     %+v", spans, want)
+	}
+	if kernels != want || launched != want.Kernels {
+		t.Errorf("report kernels sum to %+v over %d launches,\nrun totals are      %+v",
+			kernels, launched, want)
 	}
 }
 
-// TestSegmentsAttributed checks the pipeline moves the segment cursor:
-// launches land in level-shaped coarsen/uncoarsen segments with their
-// level recorded.
-func TestSegmentsAttributed(t *testing.T) {
-	p, res := profiledRun(t)
-	if res.GPULevels == 0 {
-		t.Fatal("run did no GPU coarsening; segment test needs levels")
-	}
-	var coarsen, uncoarsen bool
-	for _, s := range p.Samples() {
-		switch {
-		case strings.HasPrefix(s.Segment, "coarsen.L"):
-			coarsen = true
-			if s.Level < 0 {
-				t.Errorf("segment %s has level %d", s.Segment, s.Level)
-			}
-		case strings.HasPrefix(s.Segment, "uncoarsen.L"):
-			uncoarsen = true
-			if s.Level < 0 {
-				t.Errorf("segment %s has level %d", s.Segment, s.Level)
-			}
-		}
-	}
-	if !coarsen || !uncoarsen {
-		t.Errorf("missing segments: coarsen=%v uncoarsen=%v", coarsen, uncoarsen)
+// TestReportScopedToRunRoot checks the reduction reads only the run's own
+// kernel spans: launches under another root, auxiliary per-device
+// launches, and GPU-located spans without launch counters are all left
+// out.
+func TestReportScopedToRunRoot(t *testing.T) {
+	tr := obs.New()
+	other := obs.NewTimelineSink(tr.Root("other", "host", 0), 0)
+	run := tr.Root("gpmetis.run", "host", 0)
+	sink := obs.NewTimelineSink(run, 0)
+	st := gpu.Stats{Kernels: 1, Threads: 64, WarpInstructions: 10, LaneInstructions: 300}
+	gpu.TraceLaunch(sink, "mine", 0, 2e-5, st)
+	gpu.TraceLaunch(other, "theirs", 0, 3e-5, st)
+	aux := obs.NewTimelineSink(run.Child("device", 0).MarkAux(), 0)
+	gpu.TraceLaunch(aux, "aux", 0, 4e-5, st)
+	sink.Leaf("fault.retry.gpu.kernel", 2e-5, 5e-5, obs.Str("loc", perfmodel.LocGPU.String()))
+	rep := prof.NewReport(perfmodel.Default(), tr, run, 2e-5)
+	if len(rep.Kernels) != 1 || rep.Kernels[0].Kernel != "mine" || rep.KernelSeconds != 2e-5 {
+		t.Errorf("report over the run root = %d kernels, %v s (%+v); want only \"mine\", 2e-05 s",
+			len(rep.Kernels), rep.KernelSeconds, rep.Kernels)
 	}
 }
 
-// observe feeds one synthetic launch into a fresh profiler and returns
+// observe traces one synthetic launch under a fresh run root and returns
 // its single-kernel profile.
 func observe(t *testing.T, st gpu.Stats, sec float64) prof.KernelProfile {
 	t.Helper()
-	p := prof.New(perfmodel.Default())
-	p.ObserveLaunch("synthetic", int(st.Threads), sec, st)
-	ks := p.Profiles()
+	tr := obs.New()
+	root := tr.Root("run", "host", 0)
+	gpu.TraceLaunch(obs.NewTimelineSink(root, 0), "synthetic", 0, sec, st)
+	ks := prof.NewReport(perfmodel.Default(), tr, root, sec).Kernels
 	if len(ks) != 1 {
 		t.Fatalf("got %d profiles, want 1", len(ks))
 	}
@@ -261,8 +284,7 @@ func TestHints(t *testing.T) {
 // TestTable checks the human-readable rendering: header, per-kernel rows,
 // the exact total, and the truncation footer for top-N.
 func TestTable(t *testing.T) {
-	p, res := profiledRun(t)
-	_ = p
+	_, res := profiledRun(t)
 	rep := res.Profile
 	full := rep.Table(0)
 	for _, want := range []string{"KERNEL", "BOUND", "TOTAL", "coarsen.match.r0"} {
@@ -309,46 +331,5 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if back.Machine.RidgePointOpsPerByte <= 0 {
 		t.Errorf("machine summary lost ridge point: %+v", back.Machine)
-	}
-}
-
-// TestDisabledNoAlloc pins the disabled-path contract: a nil *Profiler
-// swallows every call without allocating, so un-profiled runs pay one
-// pointer check per launch and nothing else.
-func TestDisabledNoAlloc(t *testing.T) {
-	var p *prof.Profiler
-	st := gpu.Stats{Kernels: 1, Threads: 4096}
-	allocs := testing.AllocsPerRun(1000, func() {
-		p.SetSegment("coarsen.L0", 0)
-		p.ObserveLaunch("coarsen.match.r0", 4096, 1e-5, st)
-		if p.Enabled() || p.KernelSeconds() != 0 || p.Samples() != nil {
-			t.Fatal("nil profiler not inert")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("disabled profiler path allocates %v per launch, want 0", allocs)
-	}
-}
-
-// BenchmarkObserveLaunchDisabled measures the per-launch overhead a
-// disabled profiler adds to the hot launch path (expected: nanoseconds,
-// zero allocations).
-func BenchmarkObserveLaunchDisabled(b *testing.B) {
-	var p *prof.Profiler
-	st := gpu.Stats{Kernels: 1, Threads: 4096}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.ObserveLaunch("coarsen.match.r0", 4096, 1e-5, st)
-	}
-}
-
-// BenchmarkObserveLaunchEnabled is the enabled counterpart, for sizing
-// the profiling tax itself.
-func BenchmarkObserveLaunchEnabled(b *testing.B) {
-	p := prof.New(perfmodel.Default())
-	st := gpu.Stats{Kernels: 1, Threads: 4096}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.ObserveLaunch("coarsen.match.r0", 4096, 1e-5, st)
 	}
 }

@@ -1,3 +1,16 @@
+// Package prof is the kernel-level profiler of the GP-metis pipeline. It
+// reads no hook of its own: every kernel launch on a traced device
+// already emits one leaf span holding its name, grid size, modeled
+// seconds, and counter delta (gpu.TraceLaunch), and the profile is one
+// reduction over those spans — rolled up per kernel and classified
+// against the modeled machine's roofline.
+//
+// The profiler reuses the cost model's own decomposition
+// (gpu.RooflineTerms): a kernel's modeled duration is launch overhead
+// plus the max of its compute, memory-bandwidth, and latency-hiding
+// terms, plus serialized atomic time. Re-deriving those terms from the
+// recorded counters tells you *why* a kernel is slow (memory-bound at 41%
+// coalescing vs compute-bound with 3x divergence), not just that it is.
 package prof
 
 import (
@@ -5,6 +18,7 @@ import (
 	"sort"
 
 	"gpmetis/internal/gpu"
+	"gpmetis/internal/obs"
 	"gpmetis/internal/perfmodel"
 )
 
@@ -39,7 +53,7 @@ type KernelProfile struct {
 	Stats gpu.Stats `json:"stats"`
 
 	// Roofline decomposition, in seconds, re-derived from Stats with the
-	// cost model's own formulas (gpu.Device.kernelSeconds). The terms do
+	// cost model's own formulas (gpu.RooflineTerms). The terms do
 	// not sum to Seconds — the model takes the max of the first three per
 	// launch — they show which wall the kernel ran into.
 	ComputeSeconds float64 `json:"compute_seconds"`
@@ -70,33 +84,17 @@ type KernelProfile struct {
 	Hints []string `json:"hints,omitempty"`
 }
 
-// rooflineTerms re-derives the cost model's per-launch decomposition from
-// one launch's counters, mirroring gpu.Device.kernelSeconds term by term
-// (minus the slowest-warp critical-path floor, which needs per-warp data
-// the counters do not keep).
-func rooflineTerms(m *perfmodel.Machine, s gpu.Stats) (compute, memory, latency, atomic, launch float64) {
-	g := m.GPU
-	laneThroughput := float64(g.SMs) * float64(g.CoresPerSM) * g.ClockHz
-	compute = float64(s.WarpInstructions) * float64(g.WarpSize) / laneThroughput
-	memory = float64(s.Transactions) * float64(g.TransactionBytes) / g.MemBytesPerSec
-	hiding := float64(g.SMs * g.WarpSlotsPerSM)
-	latency = float64(s.Transactions) * g.MemLatencySec / hiding
-	atomic = float64(s.AtomicSerial) * g.AtomicSec / float64(g.SMs)
-	launch = float64(s.Kernels) * g.LaunchSec
-	return
-}
-
 // classify names the dominant roofline term.
-func classify(compute, memory, latency, atomic, launch float64) Bound {
-	bound, max := BoundCompute, compute
+func classify(r gpu.Roofline) Bound {
+	bound, max := BoundCompute, r.Compute
 	for _, c := range []struct {
 		b Bound
 		v float64
 	}{
-		{BoundMemory, memory},
-		{BoundLatency, latency},
-		{BoundAtomic, atomic},
-		{BoundLaunch, launch},
+		{BoundMemory, r.Memory},
+		{BoundLatency, r.Latency},
+		{BoundAtomic, r.Atomic},
+		{BoundLaunch, r.Launch},
 	} {
 		if c.v > max {
 			bound, max = c.b, c.v
@@ -154,43 +152,37 @@ func hints(k *KernelProfile) []string {
 	return h
 }
 
-// Profiles rolls the samples up by kernel name, classifies each against
-// the machine's roofline, and returns them sorted by descending seconds.
-func (p *Profiler) Profiles() []KernelProfile {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	samples := append([]Sample(nil), p.samples...)
-	m := p.machine
-	p.mu.Unlock()
-	return aggregate(m, samples)
-}
-
-// aggregate is the pure rollup behind Profiles, shared with report
-// rebuilding in tests.
-func aggregate(m *perfmodel.Machine, samples []Sample) []KernelProfile {
+// profiles rolls the kernel launch spans beneath root up by kernel name,
+// classifies each against the machine's roofline, and returns them sorted
+// by descending seconds, with the summed seconds of every launch.
+func profiles(m *perfmodel.Machine, t *obs.Tracer, root *obs.Span) ([]KernelProfile, float64) {
 	byName := map[string]*KernelProfile{}
-	var order []string
-	for i := range samples {
-		s := &samples[i]
-		k, ok := byName[s.Kernel]
+	var total float64
+	for _, sp := range t.Spans() {
+		if sp.Aux || !beneath(sp, root) {
+			continue
+		}
+		st, sec, ok := gpu.LaunchStats(sp)
 		if !ok {
-			k = &KernelProfile{Kernel: s.Kernel}
-			byName[s.Kernel] = k
-			order = append(order, s.Kernel)
+			continue
+		}
+		k, ok := byName[sp.Name]
+		if !ok {
+			k = &KernelProfile{Kernel: sp.Name}
+			byName[sp.Name] = k
 		}
 		k.Launches++
-		k.Threads += int64(s.Threads)
-		k.Seconds += s.Seconds
-		k.Stats = k.Stats.Add(s.Stats)
+		k.Threads += st.Threads
+		k.Seconds += sec
+		k.Stats = k.Stats.Add(st)
+		total += sec
 	}
-	out := make([]KernelProfile, 0, len(order))
-	for _, name := range order {
-		k := byName[name]
+	out := make([]KernelProfile, 0, len(byName))
+	for _, k := range byName {
+		r := gpu.RooflineTerms(m, k.Stats)
 		k.ComputeSeconds, k.MemorySeconds, k.LatencySeconds, k.AtomicSeconds, k.LaunchSeconds =
-			rooflineTerms(m, k.Stats)
-		k.Bound = classify(k.ComputeSeconds, k.MemorySeconds, k.LatencySeconds, k.AtomicSeconds, k.LaunchSeconds)
+			r.Compute, r.Memory, r.Latency, r.Atomic, r.Launch
+		k.Bound = classify(r)
 		k.CoalescingEfficiency = k.Stats.CoalescingEfficiency()
 		k.DivergenceFactor = k.Stats.DivergenceFactor()
 		k.AtomicSerializationRatio = k.Stats.AtomicSerializationRatio()
@@ -211,5 +203,15 @@ func aggregate(m *perfmodel.Machine, samples []Sample) []KernelProfile {
 		}
 		return out[i].Kernel < out[j].Kernel
 	})
-	return out
+	return out, total
+}
+
+// beneath reports whether root is a proper ancestor of sp.
+func beneath(sp, root *obs.Span) bool {
+	for p := sp.Parent(); p != nil; p = p.Parent() {
+		if p == root {
+			return true
+		}
+	}
+	return false
 }

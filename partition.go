@@ -301,10 +301,10 @@ type Options struct {
 	// Nil disables instrumentation entirely.
 	Tracer *Tracer
 	// Profile enables the kernel-level profiler (GPMetis only; other
-	// algorithms launch no kernels and ignore it). The run then records
-	// one sample per kernel launch and returns the per-kernel roofline
-	// report in Result.Profile. With Devices > 1 only the single-GPU tail
-	// of the pipeline is profiled.
+	// algorithms launch no kernels and ignore it). The run then rolls its
+	// kernel launch spans up into the per-kernel roofline report in
+	// Result.Profile, tracing privately when Tracer is nil. With
+	// Devices > 1 only the single-GPU tail of the pipeline is profiled.
 	Profile bool
 	// Faults, when non-nil, injects deterministic failures at the
 	// pipeline's fault sites (GPMetis single- and multi-GPU, ParMetis,
@@ -422,9 +422,7 @@ func Partition(g *Graph, k int, o Options) (*Result, error) {
 			co.CPUThreads = o.Threads
 		}
 		co.Tracer = o.Tracer
-		if o.Profile {
-			co.Profiler = prof.New(m)
-		}
+		co.Profile = o.Profile
 		co.Faults = o.Faults
 		co.Degrade = o.Degrade
 		co.Verify = o.Verify
