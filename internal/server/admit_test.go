@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpmetis"
 	"gpmetis/internal/obs"
@@ -123,8 +124,10 @@ func heldLeader(t *testing.T, cfg Config, n int) (s *Server, leader *Job, follow
 	return s, leader, followers, release, runs
 }
 
-// serverGoroutines counts goroutines running a Server method.
-func serverGoroutines() int {
+// serverGoroutines returns the stack of every goroutine with a Server
+// method on it, one entry per goroutine. A goroutine merely created by
+// one (its "created by" line) does not count.
+func serverGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -134,7 +137,16 @@ func serverGoroutines() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	return strings.Count(string(buf), "gpmetis/internal/server.(*Server)")
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "gpmetis/internal/server.(*Server)") {
+				out = append(out, g)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestCloseWaitsForFollowers releases a held leader with followers
@@ -143,14 +155,22 @@ func serverGoroutines() int {
 // run a Server method, and no journal append may fail.
 func TestCloseWaitsForFollowers(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		before := serverGoroutines()
+		before := len(serverGoroutines())
 		s, _, _, release, _ := heldLeader(t, Config{
 			QueueCap: 16, CacheCap: 8, JournalPath: filepath.Join(t.TempDir(), "journal.jsonl"),
 		}, 8)
 		close(release)
 		s.Close()
-		if n := serverGoroutines(); n > before {
-			t.Fatalf("round %d: %d goroutines still run a Server method after Close, want at most %d", round, n, before)
+		// Close returns once every goroutine it tracks has run its
+		// deferred wg.Done, but a goroutine can still be unwinding its
+		// closure just after that call: give those a moment to exit.
+		gs := serverGoroutines()
+		for deadline := time.Now().Add(time.Second); len(gs) > before && time.Now().Before(deadline); gs = serverGoroutines() {
+			time.Sleep(time.Millisecond)
+		}
+		if len(gs) > before {
+			t.Fatalf("round %d: %d goroutines still run a Server method after Close, want at most %d:\n%s",
+				round, len(gs), before, strings.Join(gs, "\n\n"))
 		}
 		if n := s.reg.Get("journal.errors"); n != 0 {
 			t.Fatalf("round %d: journal.errors = %v after Close, want 0", round, n)

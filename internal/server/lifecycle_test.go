@@ -378,9 +378,17 @@ func TestOpsEndpoints(t *testing.T) {
 		}
 	}
 
-	// /slo: three completed jobs, no failures, status ok.
+	// /slo: three completed jobs, no failures, status ok. A job turns
+	// done before its watcher records the SLO sample, latency, and done
+	// event, so wait until the watcher has seen all three.
 	var slo obs.SLOSnapshot
-	getJSON(t, ts.URL+"/slo", &slo)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		slo = obs.SLOSnapshot{}
+		getJSON(t, ts.URL+"/slo", &slo)
+		if slo.TotalJobs >= 3 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if slo.TotalJobs != 3 || slo.TotalFailed != 0 || slo.Status != obs.SLOOk {
 		t.Errorf("/slo = %d jobs, %d failed, %q; want 3, 0, ok", slo.TotalJobs, slo.TotalFailed, slo.Status)
 	}
