@@ -91,12 +91,13 @@ func (n *Node) UpdatePeers(peers []Peer) error {
 	for _, p := range sorted {
 		if p.ID != n.self.ID && n.health[p.ID] == nil {
 			n.health[p.ID] = newNodeHealth(n.reg, p.ID)
+			n.declarePeerSeries(p.ID)
 		}
 	}
 	for id := range n.health {
 		if !present[id] {
 			delete(n.health, id)
-			n.reg.Delete("cluster.node_up", peerLabels(id))
+			n.deletePeerSeries(id)
 		}
 	}
 	size := len(sorted)

@@ -286,7 +286,9 @@ func TestClusterRPCMetricsEager(t *testing.T) {
 // metrics-lint invariant (see the server's TestMetricsLintFreshScrape):
 // every name in a fresh node's registry — the server's own series, the
 // cluster counters, peer gauges and the per-peer RPC histograms — is on
-// its very first /metrics scrape.
+// its very first /metrics scrape. A peers.json reload keeps it so: the
+// next scrape has every RPC series of an added peer and none of a
+// removed one.
 func TestClusterMetricsLintFreshScrape(t *testing.T) {
 	nodes := startTestRing(t, 3)
 	reg := nodes[0].srv.Metrics()
@@ -313,6 +315,31 @@ func TestClusterMetricsLintFreshScrape(t *testing.T) {
 		check(name, "_bucket")
 		check(name, "_sum")
 		check(name, "_count")
+	}
+
+	const added, removed = 9, 2
+	peers := []Peer{{ID: added, Addr: "127.0.0.1:1"}}
+	for _, rn := range nodes {
+		if rn.peer.ID != removed {
+			peers = append(peers, rn.peer)
+		}
+	}
+	if err := nodes[0].node.UpdatePeers(peers); err != nil {
+		t.Fatal(err)
+	}
+	text = scrapeMetrics(t, nodes[0].base())
+	for _, rpc := range rpcTypes {
+		for _, series := range []string{"gpmetisd_cluster_rpc_seconds_count", "gpmetisd_cluster_rpc_errors_total"} {
+			if want := fmt.Sprintf(`%s{peer="%d",rpc="%s"} 0`, series, added, rpc); !strings.Contains(text, want) {
+				t.Errorf("after a reload adding peer %d, /metrics lacks %q", added, want)
+			}
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, fmt.Sprintf(`peer="%d"`, removed)) || strings.Contains(line, fmt.Sprintf(`node="%d"`, removed)) {
+			t.Errorf("after a reload removing peer %d, /metrics still has %s", removed, line)
+			break
+		}
 	}
 }
 

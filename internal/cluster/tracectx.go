@@ -64,12 +64,11 @@ var clusterSeries = []struct{ name, help string }{
 }
 
 // declareMetrics describes and declares the node's series in its
-// server's registry: the unlabeled ones and, eagerly so that every
-// (peer, rpc) series exists on a fresh scrape, each peer's RPC latency
-// histograms and error counters. Peer up gauges come with their health
-// entries (newNodeHealth). The real-wall RPC series
-// sit beside the modeled α+βn accounting of NetModel: the model says
-// what the traffic should cost, these say what it did cost.
+// server's registry: the unlabeled ones and each peer's RPC series
+// (declarePeerSeries). Peer up gauges come with their health entries
+// (newNodeHealth). The real-wall RPC series sit beside the modeled α+βn
+// accounting of NetModel: the model says what the traffic should cost,
+// these say what it did cost.
 func (n *Node) declareMetrics() {
 	for _, cs := range clusterSeries {
 		n.reg.Describe(cs.name, cs.help)
@@ -82,13 +81,28 @@ func (n *Node) declareMetrics() {
 	n.reg.Set("cluster.replicas", float64(n.cfg.Replicas))
 	n.reg.Set("cluster.ring_size", float64(len(n.peersAll)))
 	for _, p := range n.peersAll {
-		if p.ID == n.self.ID {
-			continue
+		if p.ID != n.self.ID {
+			n.declarePeerSeries(p.ID)
 		}
-		for _, rpc := range rpcTypes {
-			n.reg.DeclareHistogramWith("cluster.rpc_seconds", rpcLabels(p.ID, rpc), rpcBuckets)
-			n.reg.AddWith("cluster.rpc_errors_total", rpcLabels(p.ID, rpc), 0)
-		}
+	}
+}
+
+// declarePeerSeries eagerly declares peer id's RPC latency histograms and
+// error counters, so every (peer, rpc) series exists on a fresh scrape.
+func (n *Node) declarePeerSeries(id int) {
+	for _, rpc := range rpcTypes {
+		n.reg.DeclareHistogramWith("cluster.rpc_seconds", rpcLabels(id, rpc), rpcBuckets)
+		n.reg.AddWith("cluster.rpc_errors_total", rpcLabels(id, rpc), 0)
+	}
+}
+
+// deletePeerSeries drops every per-peer series of id — its up gauge and
+// its RPC series — once id is no longer a configured member.
+func (n *Node) deletePeerSeries(id int) {
+	n.reg.Delete("cluster.node_up", peerLabels(id))
+	for _, rpc := range rpcTypes {
+		n.reg.Delete("cluster.rpc_seconds", rpcLabels(id, rpc))
+		n.reg.Delete("cluster.rpc_errors_total", rpcLabels(id, rpc))
 	}
 }
 
