@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check fmt-check vet staticcheck race determinism bench bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check fmt-check vet staticcheck race determinism bench bench-build bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,17 @@ staticcheck:
 	fi
 
 # check is the PR gate: formatting, static analysis, the race detector,
-# the determinism repeats, the metrics-exposition lint, and the
-# perf-regression gate against the committed baseline.
-check: fmt-check vet staticcheck race determinism metrics-lint perf-gate
+# the determinism repeats, the metrics-exposition lint, the benchmark
+# module's build, and the perf-regression gate against the committed
+# baseline.
+check: fmt-check vet staticcheck race determinism metrics-lint bench-build perf-gate
+
+# bench-build vets and tests the perfbench module. It has its own go.mod,
+# so neither `go build ./...` nor `go vet ./...` at the root compiles it;
+# without this target a change to an API it uses goes unnoticed until the
+# benchmark runs.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # determinism repeats the bit-identity checks at one and two host CPUs:
 # the golden outputs of GP-metis and mt-metis, the seed-determinism tests
