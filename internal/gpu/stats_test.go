@@ -1,11 +1,6 @@
 package gpu
 
-import (
-	"testing"
-
-	"gpmetis/internal/obs"
-	"gpmetis/internal/perfmodel"
-)
+import "testing"
 
 // TestStatsRatioZeroGuards pins the zero-denominator contract: every
 // derived ratio returns 0 (not NaN, not a panic) on empty counters, so
@@ -57,44 +52,5 @@ func TestStatsAddSubRoundTrip(t *testing.T) {
 	}
 	if got := a.Sub(a); got != (Stats{}) {
 		t.Errorf("a.Sub(a) = %+v, want zero", got)
-	}
-}
-
-// TestLaunchStatsReadsBackTraceLaunch pins the kernel-span contract the
-// profiler reduces over: LaunchStats returns exactly the counters and
-// seconds TraceLaunch wrote, and rejects GPU-located spans that are not
-// launches (fault-retry phases), transfers, and structural spans.
-func TestLaunchStatsReadsBackTraceLaunch(t *testing.T) {
-	tr := obs.New()
-	root := tr.Root("run", "host", 0)
-	sink := obs.NewTimelineSink(root, 0.5)
-	want := Stats{Kernels: 1, Threads: 4096, WarpInstructions: 700, LaneInstructions: 20000,
-		Transactions: 300, Accesses: 9000, AtomicOps: 40, AtomicSerial: 12}
-	sp := TraceLaunch(sink, "k", 0.1, 1e-5/3, want)
-	got, sec, ok := LaunchStats(sp)
-	if !ok || got != want || sec != 1e-5/3 {
-		t.Errorf("LaunchStats = %+v, %v, %v; want %+v, %v, true", got, sec, ok, want, 1e-5/3)
-	}
-	retry := sink.Leaf("fault.retry.gpu.kernel", 0.2, 1e-5,
-		obs.Str("loc", perfmodel.LocGPU.String()), obs.Int("attempt", 1))
-	xfer := sink.Leaf("h2d.graph", 0.3, 1e-5,
-		obs.Str("loc", perfmodel.LocPCIe.String()), obs.Int("bytes", 64))
-	for _, sp := range []*obs.Span{root, retry, xfer} {
-		if _, _, ok := LaunchStats(sp); ok {
-			t.Errorf("LaunchStats accepted non-launch span %q", sp.Name)
-		}
-	}
-}
-
-// TestKernelSecondsIsRooflineTerms pins kernelSeconds to the shared
-// roofline terms: launch plus the larger body term plus atomic time.
-func TestKernelSecondsIsRooflineTerms(t *testing.T) {
-	m := perfmodel.Default()
-	d := NewDevice(m, &perfmodel.Timeline{})
-	s := Stats{Kernels: 1, WarpInstructions: 1 << 20, Transactions: 1 << 16, AtomicSerial: 1 << 10}
-	r := RooflineTerms(m, s)
-	want := r.Launch + max(r.Compute, r.Memory, r.Latency) + r.Atomic
-	if got := d.kernelSeconds(s, 0); got != want {
-		t.Errorf("kernelSeconds = %v, roofline terms give %v", got, want)
 	}
 }

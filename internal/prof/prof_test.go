@@ -183,8 +183,8 @@ func TestKernelSpansSumToRunTotals(t *testing.T) {
 
 // TestReportScopedToRunRoot checks the reduction reads only the run's own
 // kernel spans: launches under another root, auxiliary per-device
-// launches, and GPU-located spans without launch counters are all left
-// out.
+// launches, and GPU-located spans without launch counters (fault-retry
+// phases) are all left out.
 func TestReportScopedToRunRoot(t *testing.T) {
 	tr := obs.New()
 	other := obs.NewTimelineSink(tr.Root("other", "host", 0), 0)
