@@ -183,39 +183,11 @@ func runRemoteOn(base string, a remoteArgs, body []byte) (*outcome, error) {
 // retrySleep is the backoff clock, a seam for the retry test.
 var retrySleep = time.Sleep
 
-// shedBreaker is the client's retry budget: a sliding window over recent
-// submit attempts. Once enough attempts have been observed and more than
-// half of them were shed by the daemon (any 429-class rejection), the
-// breaker trips and the client stops re-submitting instead of feeding an
-// overloaded daemon more retries.
-type shedBreaker struct {
-	window []bool // true = the attempt was shed/rejected with 429
-}
-
-const (
-	breakerWindow      = 10 // attempts remembered
-	breakerMinAttempts = 4  // evidence required before the breaker may trip
-)
-
-func (b *shedBreaker) record(shed bool) {
-	b.window = append(b.window, shed)
-	if len(b.window) > breakerWindow {
-		b.window = b.window[len(b.window)-breakerWindow:]
-	}
-}
-
-func (b *shedBreaker) tripped() bool {
-	if len(b.window) < breakerMinAttempts {
-		return false
-	}
-	shed := 0
-	for _, s := range b.window {
-		if s {
-			shed++
-		}
-	}
-	return shed*2 > len(b.window)
-}
+// retryBudget caps the refused submit attempts in a row, whatever
+// -retries allows: once the daemon has refused this many, the client
+// stops re-submitting instead of feeding an overloaded daemon more
+// retries.
+const retryBudget = 4
 
 // submitJob posts the job to the daemon. A retryable rejection — any
 // 429 (queue full, tenant quota, rate limit), or a 503 whose code is
@@ -225,10 +197,9 @@ func (b *shedBreaker) tripped() bool {
 // re-stampede in lockstep. Other 503 codes are terminal. Two circuit
 // breakers cut the loop short: a deadline_unmeetable rejection is
 // terminal (re-submitting the same deadline cannot make it meetable),
-// and the retry budget trips once more than half of the recent
-// attempts were shed.
+// and the retry budget ends the loop after retryBudget refusals in a
+// row.
 func submitJob(base string, body []byte, retries int) (server.JobStatus, error) {
-	var budget shedBreaker
 	for attempt := 0; ; attempt++ {
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -252,11 +223,10 @@ func submitJob(base string, body []byte, retries int) (server.JobStatus, error) 
 				"daemon rejected the job (%s): %s (relax -deadline or retry after %v)",
 				e.Code, e.Error, floor)
 		}
-		budget.record(true)
-		if budget.tripped() {
+		if attempt+1 >= retryBudget {
 			return server.JobStatus{}, fmt.Errorf(
-				"retry budget exhausted: daemon shed %d consecutive submissions (%s); backing off for good",
-				len(budget.window), e.Code)
+				"retry budget exhausted: daemon refused %d consecutive submissions (%s); backing off for good",
+				attempt+1, e.Code)
 		}
 		if attempt >= retries {
 			if e.Code == server.CodeOverloaded || e.Code == "" {

@@ -97,10 +97,10 @@ func TestSubmitGivesUpAfterRetries(t *testing.T) {
 	}
 }
 
-// TestSubmitRetryBudgetTrips: with a large -retries, the shed-rate
-// breaker still cuts the loop once it has enough evidence (4 attempts)
-// that the daemon is shedding everything — the client must not keep
-// hammering an overloaded daemon just because retries allow it.
+// TestSubmitRetryBudgetTrips: with a large -retries, the retry budget
+// still cuts the loop after 4 refused attempts in a row — the client
+// must not keep hammering an overloaded daemon just because retries
+// allow it.
 func TestSubmitRetryBudgetTrips(t *testing.T) {
 	posts := 0
 	mux := http.NewServeMux()
@@ -122,9 +122,8 @@ func TestSubmitRetryBudgetTrips(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Fatalf("err = %v, want the retry-budget error", err)
 	}
-	if posts != breakerMinAttempts {
-		t.Errorf("posted %d times, want %d (breaker trips at min evidence when everything is shed)",
-			posts, breakerMinAttempts)
+	if posts != 4 {
+		t.Errorf("posted %d times, want 4 (the retry budget)", posts)
 	}
 }
 

@@ -13,10 +13,7 @@
 //	         [-log-level info] [-log-format text] [-drain-timeout 15s] \
 //	         [-slo-latency 2s] [-slo-latency-target 0.95] \
 //	         [-slo-availability-target 0.99] [-events 256] \
-//	         [-tenants tenants.json] [-brownout-wait 500ms] \
-//	         [-brownout-target 0.9] [-brownout-fast-window 15s] \
-//	         [-brownout-off] \
-//	         [-debug-addr 127.0.0.1:6060] \
+//	         [-tenants tenants.json] [-debug-addr 127.0.0.1:6060] \
 //	         [-peers peers.json -node-id 0] [-vnodes 64] [-cluster-probe 1s] \
 //	         [-replicas 2] [-anti-entropy 5s]
 //
@@ -68,10 +65,12 @@
 // saturation while an idle queue serves everyone immediately. Unlisted
 // tenants (and jobs submitted without a tenant) run under "default".
 //
-// Sustained queue-wait pressure engages the brownout ladder: it sheds
-// queued jobs from tenants over their fair share of the queue. Both
-// transitions appear in the flight recorder as
-// brownout_begin/brownout_end and on /metrics as gpmetisd_brownout_*.
+// A fresh submission that finds the queue full pushes out one queued
+// job of a tenant over its weighted share of the queue, provided the
+// submitter's own tenant is under its share; otherwise it gets the 429
+// "overloaded". The evicted job fails with a retryable "shed: ..."
+// error, counted in gpmetisd_jobs_shed and gpmetisd_tenant_shed and
+// recorded as a "shed" event in the flight recorder.
 //
 // -journal makes the daemon durable: every accepted job and its outcome
 // is fsynced to the given JSONL file, and a restarted daemon replays it
@@ -174,10 +173,6 @@ func main() {
 	eventBuf := flag.Int("events", 256, "lifecycle flight-recorder capacity (recent events retained)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this private address (empty = off)")
 	tenantsFile := flag.String("tenants", "", "JSON file of per-tenant weights, queue quotas, and rate limits")
-	brownoutWait := flag.Duration("brownout-wait", 500*time.Millisecond, "queue-wait threshold feeding the brownout ladder")
-	brownoutTarget := flag.Float64("brownout-target", 0.9, "fraction of dequeues that must wait less than -brownout-wait")
-	brownoutFast := flag.Duration("brownout-fast-window", 15*time.Second, "brownout fast burn-rate window")
-	brownoutOff := flag.Bool("brownout-off", false, "disable brownout shedding entirely")
 	peersFile := flag.String("peers", "", "cluster peers.json; joins the ring described in it")
 	nodeID := flag.Int("node-id", -1, "this node's id in -peers (required with -peers)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default, must match across the ring)")
@@ -227,12 +222,6 @@ func main() {
 		Logger:              logger,
 		EventBuffer:         *eventBuf,
 		Tenants:             tenants,
-		Brownout: server.BrownoutConfig{
-			QueueWait:  *brownoutWait,
-			Target:     *brownoutTarget,
-			FastWindow: *brownoutFast,
-			Disable:    *brownoutOff,
-		},
 		SLO: obs.SLOConfig{
 			LatencyThreshold:   *sloLatency,
 			LatencyTarget:      *sloLatencyTarget,

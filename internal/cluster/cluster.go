@@ -507,12 +507,11 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, traceID string) (*http.
 	if err != nil {
 		return nil, nil, fi, err
 	}
-	req.ForwardNetSeconds = n.net.Charge(len(payload))
-	fi.netSeconds = req.ForwardNetSeconds
-	// Re-marshal with the charge embedded; the size delta is noise next to
-	// the graph text that dominates the payload.
-	payload, err = json.Marshal(&req)
-	if err != nil {
+	// The charge covers the body without itself, so it cannot be known
+	// when the body is encoded. Append it as the object's last member
+	// instead of encoding the graph text a second time.
+	fi.netSeconds = n.net.Charge(len(payload))
+	if payload, err = appendNetSeconds(payload, fi.netSeconds); err != nil {
 		return nil, nil, fi, err
 	}
 	hreq, err := http.NewRequest(http.MethodPost, "http://"+p.Addr+"/jobs", bytes.NewReader(payload))
@@ -532,6 +531,21 @@ func (n *Node) forward(p Peer, req server.SubmitRequest, traceID string) (*http.
 	}
 	n.net.Charge(len(b))
 	return resp, b, fi, nil
+}
+
+// appendNetSeconds adds "forward_net_seconds" as the last member of the
+// JSON object payload, which must not already carry it. A zero charge is
+// omitted, as the field's omitempty tag would.
+func appendNetSeconds(payload []byte, sec float64) ([]byte, error) {
+	if sec == 0 {
+		return payload, nil
+	}
+	num, err := json.Marshal(sec)
+	if err != nil {
+		return nil, err
+	}
+	payload = append(payload[:len(payload)-1], `,"forward_net_seconds":`...)
+	return append(append(payload, num...), '}'), nil
 }
 
 // proxyOrLocal serves job lookups: jobs this node forwarded are fetched

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -676,5 +678,89 @@ func TestClusterRejectsLikeStandalone(t *testing.T) {
 					name, rn.peer.ID, got.StatusCode, ge.Code, want.StatusCode, we.Code)
 			}
 		}
+	}
+}
+
+// TestClusterForwardChargeCoversBodyWithoutCharge: a forward is charged
+// α+βn for its body without the charge itself, and that charge reaches
+// the owner bit for bit: it is the forward's net seconds on the entry
+// and the net_modeled_seconds of the owner's cluster-forward span.
+func TestClusterForwardChargeCoversBodyWithoutCharge(t *testing.T) {
+	owner := server.New(server.Config{Devices: 1, QueueCap: 4, CacheCap: 4, Logger: obs.DiscardLogger()})
+	defer owner.Close()
+	var mu sync.Mutex
+	var body []byte
+	inner := owner.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/jobs" {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			body = b
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(b))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	ownerPeer := Peer{ID: 1, Addr: strings.TrimPrefix(ts.URL, "http://")}
+
+	entrySrv := server.New(server.Config{Devices: 1, QueueCap: 4, CacheCap: 4, Logger: obs.DiscardLogger()})
+	defer entrySrv.Close()
+	entry, err := New(Config{
+		NodeID: 0, Peers: []Peer{{ID: 0, Addr: "127.0.0.1:1"}, ownerPeer}, Server: entrySrv,
+		Replicas: 1, ProbeInterval: -1, AntiEntropyInterval: -1, Logger: obs.DiscardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer entry.Close()
+
+	req := server.SubmitRequest{Graph: clusterGraphText(t, mustGrid(t, 20, 20)), K: 4, Seed: 3}
+	resp, answer, fi, err := entry.forward(ownerPeer, req, obs.NewTraceID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode >= 400 {
+		t.Fatalf("forward: HTTP %d %s", resp.StatusCode, answer)
+	}
+	var st server.JobStatus
+	if err := json.Unmarshal(answer, &st); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	sentBody := body
+	mu.Unlock()
+	var sent server.SubmitRequest
+	if err := json.Unmarshal(sentBody, &sent); err != nil {
+		t.Fatalf("forward body is not a SubmitRequest: %v", err)
+	}
+	charged := sent.ForwardNetSeconds
+	sent.ForwardNetSeconds = 0
+	bare, err := json.Marshal(&sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewNetModel(nil, &obs.Registry{}).Charge(len(bare))
+	if charged != want || fi.netSeconds != want {
+		t.Errorf("forward charge: body carries %v, entry recorded %v, want Charge(%d bytes) = %v",
+			charged, fi.netSeconds, len(bare), want)
+	}
+
+	// Read the trace once the run is over: the modeled spans of a running
+	// job are still being written.
+	clusterPoll(t, ts.URL, st.ID)
+	var got any
+	for _, ev := range fetchChromeTrace(t, ts.URL, st.ID).TraceEvents {
+		if ev.Ph == "X" && ev.Name == "cluster-forward" {
+			got = ev.Args["net_modeled_seconds"]
+		}
+	}
+	if got != want {
+		t.Errorf("owner's cluster-forward span net_modeled_seconds = %v, want %v", got, want)
 	}
 }

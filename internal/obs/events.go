@@ -27,13 +27,11 @@ const (
 	EvQuarantine    = "quarantine"
 	EvReinstate     = "reinstate"
 	EvRecovered     = "recovered"
-	// Overload-control events: the brownout ladder engaging (level > 0)
-	// and fully disengaging, a queued job shed by the ladder, and a queued
-	// job whose deadline expired eagerly before any worker popped it.
-	EvBrownoutBegin = "brownout_begin"
-	EvBrownoutEnd   = "brownout_end"
-	EvShed          = "shed"
-	EvQueueExpired  = "queue_expired"
+	// Overload-control events: a queued job pushed out of the full queue
+	// by another tenant's submission, and a queued job whose deadline
+	// expired eagerly before any worker popped it.
+	EvShed         = "shed"
+	EvQueueExpired = "queue_expired"
 	// Cluster-tier events: a submission forwarded to its ring owner, a
 	// cross-node cache peek answered remotely, an owner failure routed to
 	// a ring successor, and peer health transitions as seen by this node.

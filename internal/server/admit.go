@@ -25,11 +25,13 @@ const (
 // second time.
 //
 // A hit finishes the job from the cache. A live leader makes the job its
-// coalesced follower. A miss queues the job; deadline admission and the
-// tenant quota apply only to fresh submissions, since replay and
-// takeover re-admit work that was accepted once. A rejected job gives
-// its claim back and has its context released. The caller indexes an
-// admitted job and watches it to its end.
+// coalesced follower. A miss queues the job; deadline admission, the
+// tenant quota and push-out at a full queue apply only to fresh
+// submissions, since replay and takeover re-admit work that was
+// accepted once. A job pushed out to make room is shed here, outside
+// the queue lock. A rejected job gives its claim back and has its
+// context released. The caller indexes an admitted job and watches it
+// to its end.
 func (s *Server) admit(j *Job, fresh bool) (outcome string, leader *Job, err error) {
 	if j.key != "" {
 		t0 := time.Now()
@@ -75,9 +77,10 @@ func (s *Server) admit(j *Job, fresh bool) (outcome string, leader *Job, err err
 			}
 		}
 	}
+	var victim *Job
 	if err == nil {
 		j.queuedAt = time.Now()
-		err = s.fq.Push(j, fresh)
+		victim, err = s.fq.Push(j, fresh)
 	}
 	if err != nil {
 		s.release(j)
@@ -86,6 +89,9 @@ func (s *Server) admit(j *Job, fresh bool) (outcome string, leader *Job, err err
 	}
 	s.reg.Add("queue.depth", 1)
 	s.watchQueued(j)
+	if victim != nil {
+		s.shed(victim, j.tenant)
+	}
 	return admitQueued, nil, nil
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gpmetis/internal/obs"
@@ -65,24 +64,32 @@ func newFairQueue(capacity int, reg *obs.Registry) *fairQueue {
 	return q
 }
 
-// Push admits a job, computing its fair-queueing tags. It fails with
-// ErrQueueFull at capacity and, when enforceQuota is set, with a
-// quotaError once the tenant holds MaxQueued slots. Re-admissions that
-// were already accepted once (journal recovery, coalesced followers
-// re-enqueued after their leader aborted) pass enforceQuota=false:
-// accepted jobs cannot be lost to a quota.
-func (q *fairQueue) Push(j *Job, enforceQuota bool) error {
+// Push admits a job, computing its fair-queueing tags. Only fresh
+// submissions are held to the tenant quota (a quotaError once the
+// tenant holds MaxQueued slots) and may push out queued work: journal
+// recovery and coalesced followers re-enqueued after their leader
+// aborted were accepted once and cannot be lost to a quota, nor may
+// they evict anyone. A fresh push that meets a full queue evicts one
+// over-share job (see pushOutLocked) and returns it as victim, for the
+// caller to fail outside the lock; with no victim to take it fails
+// with ErrQueueFull.
+func (q *fairQueue) Push(j *Job, fresh bool) (victim *Job, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return ErrQueueFull
-	}
-	if len(q.heap) >= q.cap {
-		return ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	t := j.tenant
-	if enforceQuota && t != nil && t.cfg.MaxQueued > 0 && t.queued >= t.cfg.MaxQueued {
-		return &quotaError{tenant: t.name, limit: t.cfg.MaxQueued}
+	overQuota := fresh && t != nil && t.cfg.MaxQueued > 0 && t.queued >= t.cfg.MaxQueued
+	if len(q.heap) >= q.cap {
+		if !fresh || overQuota {
+			return nil, ErrQueueFull
+		}
+		if victim = q.pushOutLocked(t); victim == nil {
+			return nil, ErrQueueFull
+		}
+	} else if overQuota {
+		return nil, &quotaError{tenant: t.name, limit: t.cfg.MaxQueued}
 	}
 	weight, last := 1.0, 0.0
 	if t != nil {
@@ -108,7 +115,72 @@ func (q *fairQueue) Push(j *Job, enforceQuota bool) error {
 	heap.Push(&q.heap, it)
 	q.wall += it.wallCost
 	q.cond.Signal()
-	return nil
+	return victim, nil
+}
+
+// pushOutLocked is the shed rule, applied only where shedding matters:
+// a full queue that would otherwise refuse the pusher. A tenant's share
+// is max(1, cap·weight/ΣW), with ΣW over the tenants holding queued work
+// plus the pusher's. If the pusher's tenant holds fewer jobs than its
+// share, one job is evicted from the lowest-weight tenant (name breaks
+// ties) holding more than its share: its least-entitled job, the one
+// with the latest finish tag (seq breaks ties). Tenants within their
+// share are never evicted.
+//
+// The victim was never served, so virtual time does not advance to its
+// start tag, and its tenant's last finish tag rolls back when the victim
+// held it. Advancing would push the pusher's start tag past every job
+// still queued ahead of the victim.
+func (q *fairQueue) pushOutLocked(pusher *tenantState) *Job {
+	if pusher == nil {
+		return nil
+	}
+	sumW := pusher.cfg.Weight
+	seen := map[*tenantState]bool{pusher: true}
+	for _, it := range q.heap {
+		if t := it.job.tenant; t != nil && !seen[t] {
+			seen[t] = true
+			sumW += t.cfg.Weight
+		}
+	}
+	share := func(t *tenantState) int {
+		return max(1, int(float64(q.cap)*t.cfg.Weight/sumW))
+	}
+	if pusher.queued >= share(pusher) {
+		return nil
+	}
+	var v *fqItem
+	for _, it := range q.heap {
+		if t := it.job.tenant; t != nil && t.queued > share(t) && (v == nil || evictsBefore(it, v)) {
+			v = it
+		}
+	}
+	if v == nil {
+		return nil
+	}
+	heap.Remove(&q.heap, v.index)
+	q.leftLocked(v)
+	if t := v.job.tenant; t.lastFinish == v.finish {
+		t.lastFinish = v.start
+	}
+	return v.job
+}
+
+// evictsBefore orders push-out candidates: lower tenant weight first,
+// then tenant name, then, within a tenant, later finish tag and later
+// arrival.
+func evictsBefore(a, b *fqItem) bool {
+	ta, tb := a.job.tenant, b.job.tenant
+	if ta != tb {
+		if ta.cfg.Weight != tb.cfg.Weight {
+			return ta.cfg.Weight < tb.cfg.Weight
+		}
+		return ta.name < tb.name
+	}
+	if a.finish != b.finish {
+		return a.finish > b.finish
+	}
+	return a.seq > b.seq
 }
 
 // Pop blocks until a job is available and returns the one with the
@@ -127,13 +199,19 @@ func (q *fairQueue) Pop() *Job {
 	return it.job
 }
 
-// dequeuedLocked applies the accounting shared by Pop, Remove, and
-// shedding: virtual time advances to the departed item's start tag and
-// the tenant's occupancy drops.
+// dequeuedLocked applies the accounting shared by Pop and Remove:
+// virtual time advances to the departed item's start tag, and the item
+// leaves the queue's books.
 func (q *fairQueue) dequeuedLocked(it *fqItem) {
 	if it.start > q.vtime {
 		q.vtime = it.start
 	}
+	q.leftLocked(it)
+}
+
+// leftLocked takes a departed item off the books: the queued wall
+// estimate and its tenant's occupancy drop.
+func (q *fairQueue) leftLocked(it *fqItem) {
 	q.wall -= it.wallCost
 	if t := it.job.tenant; t != nil {
 		t.queued--
@@ -178,68 +256,6 @@ func (q *fairQueue) stats() (depth int, wallSeconds float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.heap), q.wall
-}
-
-// shedOverShare implements the brownout shed rule: remove queued jobs
-// only from tenants holding more than their weighted fair share of the
-// queue's capacity (share ∝ weight / Σ weights over tenants with queued
-// work, floor 1), trimming each such tenant down to its share. Victims
-// come from the lowest-weight tenants first and, within a tenant, the
-// least-entitled jobs (largest finish tag) first. Tenants inside their
-// share are never shed — the ladder escalates to degrade instead.
-func (q *fairQueue) shedOverShare() []*Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	byTenant := map[*tenantState][]*fqItem{}
-	sumW := 0.0
-	for _, it := range q.heap {
-		t := it.job.tenant
-		if t == nil {
-			continue
-		}
-		if _, seen := byTenant[t]; !seen {
-			sumW += t.cfg.Weight
-		}
-		byTenant[t] = append(byTenant[t], it)
-	}
-	if sumW == 0 {
-		return nil
-	}
-	// Deterministic tenant order: weight ascending, then name.
-	tenants := make([]*tenantState, 0, len(byTenant))
-	for t := range byTenant {
-		tenants = append(tenants, t)
-	}
-	sort.Slice(tenants, func(i, j int) bool {
-		if tenants[i].cfg.Weight != tenants[j].cfg.Weight {
-			return tenants[i].cfg.Weight < tenants[j].cfg.Weight
-		}
-		return tenants[i].name < tenants[j].name
-	})
-	var victims []*Job
-	for _, t := range tenants {
-		share := int(float64(q.cap) * t.cfg.Weight / sumW)
-		if share < 1 {
-			share = 1
-		}
-		items := byTenant[t]
-		excess := len(items) - share
-		if excess <= 0 {
-			continue
-		}
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].finish != items[j].finish {
-				return items[i].finish > items[j].finish
-			}
-			return items[i].seq > items[j].seq
-		})
-		for _, it := range items[:excess] {
-			heap.Remove(&q.heap, it.index)
-			q.dequeuedLocked(it)
-			victims = append(victims, it.job)
-		}
-	}
-	return victims
 }
 
 // fqHeap is the min-heap over finish tags backing fairQueue.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,8 +27,7 @@ func submitBody(t *testing.T, req SubmitRequest) io.Reader {
 	return bytes.NewReader(b)
 }
 
-// fakeClock is an injectable wall clock for admission control (token
-// buckets, brownout windows).
+// fakeClock is an injectable wall clock for the tenants' token buckets.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -70,8 +70,7 @@ func countEvents(s *Server, typ string) int {
 func TestWeightedFairDequeueOrder(t *testing.T) {
 	s := New(Config{
 		Devices: 1, QueueCap: 64, CacheCap: 8,
-		Tenants:  TenantsConfig{"paid": {Weight: 3}, "free": {Weight: 1}},
-		Brownout: BrownoutConfig{Disable: true},
+		Tenants: TenantsConfig{"paid": {Weight: 3}, "free": {Weight: 1}},
 	})
 	defer s.Close()
 
@@ -164,18 +163,22 @@ func TestWeightedFairDequeueOrder(t *testing.T) {
 	}
 }
 
-// TestBrownoutKeepsCacheHits: a request cached before the ladder
-// engaged is still answered from the cache while it is engaged. The
-// ladder must not rewrite a request's options, since every option is
-// part of the cache key.
-func TestBrownoutKeepsCacheHits(t *testing.T) {
-	s := New(Config{
-		Devices: 1, QueueCap: 8, CacheCap: 8,
-		// A 1ns queue-wait objective makes every real dequeue a violation,
-		// so three warmup dequeues deterministically arm the ladder.
-		Brownout: BrownoutConfig{QueueWait: time.Nanosecond, MinSamples: 3},
-	})
+// TestCacheHitWhileQueueFull: a request cached earlier is answered from
+// the cache while the queue is full. Hits never queue, so overload must
+// not turn them into misses or refusals.
+func TestCacheHitWhileQueueFull(t *testing.T) {
+	s := New(Config{Devices: 1, QueueCap: 2, CacheCap: 8})
 	defer s.Close()
+	var gateOn atomic.Bool
+	release := make(chan struct{})
+	var gate sync.Once
+	s.beforeRun = func(*Job) {
+		if gateOn.Load() {
+			gate.Do(func() { <-release })
+		}
+	}
+	defer close(release)
+
 	g, err := gpmetis.Grid2D(20, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -188,58 +191,56 @@ func TestBrownoutKeepsCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-first.Done()
-	for i := int64(0); i < 3; i++ {
-		j, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 200 + i, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-j.Done()
+
+	// Hold the worker, then fill the queue.
+	gateOn.Store(true)
+	if _, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 100, NoCache: true}); err != nil {
+		t.Fatal(err)
 	}
-	if lvl := s.brown.Level(); lvl == brownoutOff {
-		t.Fatal("brownout ladder not engaged after warmup")
+	waitForDepthDrain(t, s, 0)
+	for i := int64(1); i <= 2; i++ {
+		if _, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 100 + i, NoCache: true}); err != nil {
+			t.Fatalf("fill #%d: %v", i, err)
+		}
+	}
+	if _, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 103, NoCache: true}); OverloadCode(err) != CodeOverloaded {
+		t.Fatalf("submit to the full queue: err %v, want code %q", err, CodeOverloaded)
 	}
 
 	again := req
 	j, err := s.Submit(&again)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("cached resubmit at a full queue: %v", err)
 	}
 	<-j.Done()
 	st := j.Status()
-	if !st.Cached {
-		t.Fatalf("resubmit under brownout level %d: cached=%v state=%s, want a cache hit",
-			s.brown.Level(), st.Cached, st.State)
+	if !st.Cached || st.State != StateDone {
+		t.Fatalf("resubmit at a full queue: cached=%v state=%s, want a cache hit", st.Cached, st.State)
 	}
 	if st.Result.EdgeCut != first.Status().Result.EdgeCut {
 		t.Errorf("cached edge cut %d, want %d", st.Result.EdgeCut, first.Status().Result.EdgeCut)
 	}
 }
 
-// TestOverloadShedsOnlyOverShareTenant is the overload e2e: with the
-// brownout ladder engaged, a burst that overfills the queue must shed
-// only the tenant holding more than its fair share, the in-share
-// tenant's jobs must all complete, and the brownout transitions must
-// appear as paired begin/end flight-recorder events.
-func TestOverloadShedsOnlyOverShareTenant(t *testing.T) {
-	clock := newFakeClock()
+// TestPushOutAtFullQueue is the overload e2e: a full queue makes room
+// for a tenant under its weighted share by pushing out the over-share
+// tenant's latest job. With the worker held and the queue (cap 8) full
+// of "free" (weight 1) work, each of two "paid" (weight 3) submissions
+// is admitted and evicts one free job; free's share is 8·1/4 = 2, so a
+// further free submission gets the 429 "overloaded".
+func TestPushOutAtFullQueue(t *testing.T) {
 	s := New(Config{
 		Devices: 1, QueueCap: 8, CacheCap: 8,
 		Tenants: TenantsConfig{"paid": {Weight: 3}, "free": {Weight: 1}},
-		// A 1ns queue-wait objective makes every real dequeue a violation,
-		// so three warmup dequeues deterministically arm the ladder.
-		Brownout: BrownoutConfig{QueueWait: time.Nanosecond, MinSamples: 3},
-		Now:      clock.Now,
 	})
 	defer s.Close()
-
-	var gateOn atomic.Bool
 	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // a failed check must not leave Close waiting on the held worker
 	var gate sync.Once
-	s.beforeRun = func(*Job) {
-		if gateOn.Load() {
-			gate.Do(func() { <-release })
-		}
-	}
+	s.beforeRun = func(*Job) { gate.Do(func() { <-release }) }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	g, err := gpmetis.Grid2D(20, 20)
 	if err != nil {
@@ -247,27 +248,6 @@ func TestOverloadShedsOnlyOverShareTenant(t *testing.T) {
 	}
 	text := graphText(t, g)
 
-	// Three warmup dequeues put three queue-wait violations in the fast
-	// window; the third dequeue's tick engages the ladder.
-	for i := int64(0); i < 3; i++ {
-		j, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 200 + i, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-j.Done()
-	}
-	if lvl := s.brown.Level(); lvl != brownoutShed {
-		t.Fatalf("brownout level %d after warmup, want %d", lvl, brownoutShed)
-	}
-	if countEvents(s, obs.EvBrownoutBegin) == 0 {
-		t.Error("no brownout_begin event after the ladder engaged")
-	}
-
-	// Saturate: hold the worker, then burst 6 free-tenant jobs and 2
-	// paid. At the tick after the first paid submission the queue holds
-	// both tenants, so free's share is cap*1/4 = 2 and its 4 over-share
-	// jobs are shed; paid (share 6) is untouched.
-	gateOn.Store(true)
 	blocker, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 300, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -275,86 +255,57 @@ func TestOverloadShedsOnlyOverShareTenant(t *testing.T) {
 	waitForDepthDrain(t, s, 0)
 
 	var free, paid []*Job
-	for i := int64(0); i < 6; i++ {
+	for i := int64(0); i < 8; i++ {
 		j, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 400 + i, NoCache: true, Tenant: "free"})
 		if err != nil {
 			t.Fatalf("free #%d: %v", i, err)
 		}
 		free = append(free, j)
 	}
-	for i := int64(0); i < 2; i++ {
-		j, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 500 + i, NoCache: true, Tenant: "paid"})
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 500 + int64(i), NoCache: true, Tenant: "paid"})
 		if err != nil {
-			t.Fatalf("paid #%d: %v", i, err)
+			t.Fatalf("paid #%d refused at the full queue: %v", i, err)
 		}
 		paid = append(paid, j)
-	}
-
-	shed := 0
-	for _, j := range free {
-		if st := j.Status(); st.State == StateFailed {
-			shed++
-			if !strings.HasPrefix(st.Error, "shed") {
-				t.Errorf("shed job %s error %q, want a shed: message", st.ID, st.Error)
-			}
+		// The victim is free's latest job, failed before Submit returns.
+		st := free[7-i].Status()
+		if st.State != StateFailed || !strings.HasPrefix(st.Error, "shed") {
+			t.Errorf("after paid #%d, free #%d: %s (%q), want failed with a shed: error", i, 7-i, st.State, st.Error)
 		}
 	}
-	if shed != 4 {
-		t.Errorf("%d free jobs shed, want 4 (6 queued, share 2)", shed)
+	_, apiErr, code := httpSubmit(t, ts.URL, SubmitRequest{Graph: text, K: 4, Seed: 600, NoCache: true, Tenant: "free"})
+	if apiErr == nil || code != http.StatusTooManyRequests || apiErr.Code != CodeOverloaded {
+		t.Fatalf("free submission at a full queue over its share: HTTP %d %+v, want 429 %q", code, apiErr, CodeOverloaded)
 	}
-	for _, j := range paid {
-		if st := j.Status(); st.State == StateFailed {
-			t.Errorf("in-share paid job %s was shed: %s", st.ID, st.Error)
+
+	if m := s.reg.Get("jobs.shed"); m != 2 {
+		t.Errorf("jobs.shed = %v, want 2", m)
+	}
+	if m := s.reg.Get("jobs.failed"); m != 2 {
+		t.Errorf("jobs.failed = %v, want 2", m)
+	}
+	if m := s.reg.Get("queue.depth"); m != 8 {
+		t.Errorf("queue.depth = %v, want 8", m)
+	}
+	if n := countEvents(s, obs.EvShed); n != 2 {
+		t.Errorf("%d shed events, want 2", n)
+	}
+	for _, tst := range s.tenants.snapshot() {
+		want := map[string]int64{"free": 2}[tst.Name]
+		if tst.Shed != want {
+			t.Errorf("tenant %s shed = %d, want %d", tst.Name, tst.Shed, want)
 		}
 	}
 
-	// Drain: every surviving job completes — shedding must only have
-	// touched the over-share tail.
-	close(release)
+	// Drain: every job that was not pushed out completes.
+	unblock()
 	<-blocker.Done()
-	for _, j := range paid {
+	for _, j := range append(paid, free[:6]...) {
 		<-j.Done()
 		if st := j.Status(); st.State != StateDone {
-			t.Errorf("paid job %s: %s (%s), want done", st.ID, st.State, st.Error)
+			t.Errorf("job %s (%s): %s (%s), want done", st.ID, st.Tenant, st.State, st.Error)
 		}
-	}
-	for _, j := range free {
-		<-j.Done()
-		if st := j.Status(); st.State != StateDone && st.State != StateFailed {
-			t.Errorf("free job %s: %s, want done or shed", st.ID, st.State)
-		}
-	}
-
-	if m := s.reg.Get("jobs.shed"); m != 4 {
-		t.Errorf("jobs.shed = %v, want 4", m)
-	}
-	for _, ts := range s.tenants.snapshot() {
-		switch ts.Name {
-		case "free":
-			if ts.Shed != 4 {
-				t.Errorf("free tenant shed = %d, want 4", ts.Shed)
-			}
-		case "paid":
-			if ts.Shed != 0 {
-				t.Errorf("paid tenant shed = %d, want 0", ts.Shed)
-			}
-		}
-	}
-
-	// Recovery: step the clock past both burn windows so they empty, and
-	// the next tick must disengage the ladder with a paired end event.
-	clock.Advance(10 * time.Minute)
-	last, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 600, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-last.Done()
-	if lvl := s.brown.Level(); lvl != brownoutOff {
-		t.Errorf("brownout level %d after the windows cleared, want 0", lvl)
-	}
-	begins, ends := countEvents(s, obs.EvBrownoutBegin), countEvents(s, obs.EvBrownoutEnd)
-	if begins == 0 || begins != ends {
-		t.Errorf("brownout events not paired: %d begin, %d end", begins, ends)
 	}
 }
 
@@ -362,7 +313,7 @@ func TestOverloadShedsOnlyOverShareTenant(t *testing.T) {
 // must fail at expiry time — freeing its queue slot — not when a worker
 // eventually pops it.
 func TestQueuedDeadlineExpiresEagerly(t *testing.T) {
-	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8, Brownout: BrownoutConfig{Disable: true}})
+	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8})
 	defer s.Close()
 	release := make(chan struct{})
 	var gate sync.Once
@@ -414,7 +365,7 @@ func TestQueuedDeadlineExpiresEagerly(t *testing.T) {
 // queued work's estimated wall seconds over the device count, and the
 // draining 503 must carry the same live hint.
 func TestDynamicRetryAfter(t *testing.T) {
-	s := New(Config{Devices: 1, QueueCap: 2, CacheCap: 8, Brownout: BrownoutConfig{Disable: true}})
+	s := New(Config{Devices: 1, QueueCap: 2, CacheCap: 8})
 	defer s.Close()
 	release := make(chan struct{})
 	var gate sync.Once
@@ -476,7 +427,7 @@ func TestDynamicRetryAfter(t *testing.T) {
 // deadline the queued work cannot meet is rejected up front with the
 // typed code instead of burning a queue slot and failing later.
 func TestDeadlineUnmeetableRejection(t *testing.T) {
-	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8, Brownout: BrownoutConfig{Disable: true}})
+	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8})
 	defer s.Close()
 	release := make(chan struct{})
 	var gate sync.Once
@@ -537,9 +488,8 @@ func TestTenantRateLimit(t *testing.T) {
 	clock := newFakeClock()
 	s := New(Config{
 		Devices: 1, QueueCap: 8, CacheCap: 8,
-		Tenants:  TenantsConfig{"rl": {RatePerSec: 1, Burst: 1}},
-		Brownout: BrownoutConfig{Disable: true},
-		Now:      clock.Now,
+		Tenants: TenantsConfig{"rl": {RatePerSec: 1, Burst: 1}},
+		Now:     clock.Now,
 	})
 	defer s.Close()
 
@@ -579,8 +529,7 @@ func TestTenantRateLimit(t *testing.T) {
 func TestTenantQuota(t *testing.T) {
 	s := New(Config{
 		Devices: 1, QueueCap: 8, CacheCap: 8,
-		Tenants:  TenantsConfig{"capped": {MaxQueued: 1}},
-		Brownout: BrownoutConfig{Disable: true},
+		Tenants: TenantsConfig{"capped": {MaxQueued: 1}},
 	})
 	defer s.Close()
 	release := make(chan struct{})
@@ -672,7 +621,7 @@ func TestFairQueueOrdering(t *testing.T) {
 
 	mk := func(ts *tenantState) *Job {
 		j := &Job{tenant: ts, estModeled: 1.0, estWall: 2.0}
-		if err := q.Push(j, true); err != nil {
+		if _, err := q.Push(j, true); err != nil {
 			t.Fatal(err)
 		}
 		return j
@@ -713,5 +662,103 @@ func TestFairQueueOrdering(t *testing.T) {
 	}
 	if got := q.Pop(); got != y {
 		t.Error("Pop after Remove returned the removed job")
+	}
+}
+
+// TestFairQueuePushOut pins push-out at the queue level: only a fresh
+// push from a tenant under its share evicts, the victim is the
+// lowest-weight over-share tenant's latest job, and eviction neither
+// advances virtual time nor leaves the victim's finish tag charged to
+// its tenant, so the pusher is served ahead of the work left queued.
+func TestFairQueuePushOut(t *testing.T) {
+	q := newFairQueue(4, nil)
+	paid := &tenantState{name: "paid", cfg: TenantConfig{Weight: 3}.withDefaults()}
+	free := &tenantState{name: "free", cfg: TenantConfig{Weight: 1}.withDefaults()}
+	mk := func(ts *tenantState) *Job { return &Job{tenant: ts, estModeled: 1.0, estWall: 1.0} }
+
+	var frees []*Job
+	for i := 0; i < 4; i++ {
+		j := mk(free)
+		if _, err := q.Push(j, true); err != nil {
+			t.Fatal(err)
+		}
+		frees = append(frees, j)
+	}
+	// Re-admissions never evict, and neither does a tenant at its share:
+	// alone in the queue, free's share is all 4 slots.
+	if _, err := q.Push(mk(paid), false); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("re-admission at a full queue: err %v, want ErrQueueFull", err)
+	}
+	if _, err := q.Push(mk(free), true); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("free push at its own full share: err %v, want ErrQueueFull", err)
+	}
+
+	p := mk(paid)
+	victim, err := q.Push(p, true)
+	if err != nil {
+		t.Fatalf("paid push at a full queue: %v", err)
+	}
+	if victim != frees[3] {
+		t.Fatal("victim is not free's latest job")
+	}
+	if free.queued != 3 || free.lastFinish != 3 {
+		t.Errorf("free after eviction: queued %d lastFinish %v, want 3 and 3", free.queued, free.lastFinish)
+	}
+	if depth, wall := q.stats(); depth != 4 || wall != 4.0 {
+		t.Errorf("stats = (%d, %v), want (4, 4)", depth, wall)
+	}
+	// paid's finish tag is 1/3: it dequeues before every free job.
+	want := []*Job{p, frees[0], frees[1], frees[2]}
+	for i, w := range want {
+		if got := q.Pop(); got != w {
+			t.Fatalf("pop %d: got tenant %s, want tenant %s", i, got.tenant.name, w.tenant.name)
+		}
+	}
+}
+
+// TestFairQueuePushOutConcurrent races fresh pushes from two tenants
+// against a popper on a small queue: every admitted job is either
+// popped or pushed out exactly once, and the books balance once the
+// queue drains.
+func TestFairQueuePushOutConcurrent(t *testing.T) {
+	q := newFairQueue(4, nil)
+	paid := &tenantState{name: "paid", cfg: TenantConfig{Weight: 3}.withDefaults()}
+	free := &tenantState{name: "free", cfg: TenantConfig{Weight: 1}.withDefaults()}
+
+	var admitted, shed, pops atomic.Int64
+	popped := make(chan struct{})
+	go func() {
+		defer close(popped)
+		for q.Pop() != nil {
+			pops.Add(1)
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, ts := range []*tenantState{paid, free, paid, free} {
+		wg.Add(1)
+		go func(ts *tenantState) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				victim, err := q.Push(&Job{tenant: ts, estModeled: 1.0, estWall: 1.0}, true)
+				switch {
+				case err == nil:
+					admitted.Add(1)
+				case !errors.Is(err, ErrQueueFull):
+					t.Errorf("push: %v", err)
+				}
+				if victim != nil {
+					shed.Add(1)
+				}
+			}
+		}(ts)
+	}
+	wg.Wait()
+	q.Close()
+	<-popped
+	if a, p, v := admitted.Load(), pops.Load(), shed.Load(); a != p+v {
+		t.Errorf("%d admitted, %d popped + %d pushed out, want equal", a, p, v)
+	}
+	if depth, wall := q.stats(); depth != 0 || wall != 0 || paid.queued != 0 || free.queued != 0 {
+		t.Errorf("after drain: depth %d wall %v queued paid %d free %d, want all 0", depth, wall, paid.queued, free.queued)
 	}
 }

@@ -118,8 +118,6 @@ func (p *pool) worker(ctx context.Context, slot int) {
 		wait := pop.Sub(job.queuedAt).Seconds()
 		p.s.reg.Add("queue.wait_seconds", wait)
 		p.s.reg.Observe("job.queue_seconds", wait)
-		p.s.brown.observeWait(pop.Sub(job.queuedAt))
-		p.s.brownoutTick()
 		job.addLifeSpan(lifeQueueWait, job.queuedAt, pop, nil)
 		job.markRunning(slot, wait)
 		p.s.event(obs.EvScheduled, job, slot, "")

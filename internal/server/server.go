@@ -82,12 +82,8 @@ type Config struct {
 	// tenant runs under the built-in default contract (weight 1, no
 	// quota, no rate limit). See LoadTenantsFile for the JSON form.
 	Tenants TenantsConfig
-	// Brownout tunes the overload ladder (queue-wait objective and burn
-	// window); zero fields take the BrownoutConfig
-	// defaults. Set Brownout.Disable to pin the ladder off.
-	Brownout BrownoutConfig
-	// Now is the wall clock behind admission control (token buckets, the
-	// brownout window); nil means time.Now. Injectable for tests.
+	// Now is the wall clock behind the tenants' token-bucket rate
+	// limits; nil means time.Now. Injectable for tests.
 	Now func() time.Time
 	// JobIDPrefix prefixes generated job IDs (default "j"). Cluster nodes
 	// set a per-node prefix ("n0-j", "n1-j", ...) so IDs are unique across
@@ -150,13 +146,8 @@ type Server struct {
 	fq      *fairQueue
 	tenants *tenantTable
 	est     *estimator
-	brown   *brownout
 	pool    *pool
 	journal *Journal
-
-	// brownMu serializes brownout level transitions and shed passes so
-	// the begin/end events pair up and victims are shed exactly once.
-	brownMu sync.Mutex
 
 	log      *slog.Logger
 	slo      *obs.SLO
@@ -212,15 +203,11 @@ func New(cfg Config) *Server {
 	}
 	s.log = cfg.Logger
 	s.slo = obs.NewSLO(cfg.SLO)
-	s.brown = newBrownout(cfg.Brownout, cfg.Now)
 	s.events = obs.NewEventRing(cfg.EventBuffer)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.reg.Set("devices.total", float64(cfg.Devices))
 	s.reg.Set("queue.cap", float64(cfg.QueueCap))
 	s.reg.Set("draining", 0)
-	// Brownout gauges exist from the first scrape, not the first overload.
-	s.reg.Set("brownout.level", 0)
-	s.reg.Set("brownout.active", 0)
 	s.reg.Describe("build_info", "Build metadata; the value is always 1.")
 	s.reg.Describe("slo.latency_threshold_seconds", "Latency objective threshold in seconds.")
 	s.reg.Describe("slo.latency_burn_fast", "Latency burn rate over the fast window (>1 consumes budget).")
@@ -686,9 +673,6 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 	// The submit record precedes the outcome record the watcher appends.
 	s.journalSubmit(job)
 	s.spawnWatch(job)
-	if outcome == admitQueued {
-		s.brownoutTick()
-	}
 	return job, nil
 }
 
@@ -795,54 +779,17 @@ func (s *Server) watchQueued(j *Job) {
 	}()
 }
 
-// brownoutTick re-evaluates the overload ladder and applies its policy:
-// level transitions emit paired brownout_begin/brownout_end events, and
-// any level above off runs a shed pass over the queue. Ticks run at
-// every admission and every dequeue; brownMu serializes them so events
-// pair up and victims are shed exactly once.
-func (s *Server) brownoutTick() {
-	if s.brown.disabled {
-		return
-	}
-	s.brownMu.Lock()
-	defer s.brownMu.Unlock()
-	prev, level := s.brown.evaluate()
-	s.reg.Set("brownout.level", float64(level))
-	if level > brownoutOff {
-		s.reg.Set("brownout.active", 1)
-	} else {
-		s.reg.Set("brownout.active", 0)
-	}
-	switch {
-	case prev == brownoutOff && level > brownoutOff:
-		s.reg.Add("brownout.engaged", 1)
-		s.event(obs.EvBrownoutBegin, nil, -1, fmt.Sprintf("level %d", level))
-		s.log.Warn("brownout engaged: queue-wait burn over budget", "level", level)
-	case prev > brownoutOff && level == brownoutOff:
-		s.event(obs.EvBrownoutEnd, nil, -1, "")
-		s.log.Info("brownout ended: queue-wait burn back under budget")
-	}
-	if level >= brownoutShed {
-		s.shedOverShare()
-	}
-}
-
-// shedOverShare shears queued work of tenants holding more than their
-// weighted fair share of the queue (see fairQueue.shedOverShare) and
-// fails the victims with a retryable shed error. In-quota tenants are
-// never shed; deadline admission refuses work that cannot finish in
-// time.
-func (s *Server) shedOverShare() {
-	victims := s.fq.shedOverShare()
-	for _, j := range victims {
-		s.reg.Add("queue.depth", -1)
-		s.reg.Add("jobs.shed", 1)
-		s.reg.Add("jobs.failed", 1)
-		s.tenantAdd(j.tenant, "tenant.shed", 1)
-		j.finish(StateFailed, nil, "shed: brownout over-share shedding, resubmit later")
-		s.event(obs.EvShed, j, -1, "tenant "+j.tenant.name)
-		s.jlog(j).Warn("queued job shed by brownout", "tenant", j.tenant.name)
-	}
+// shed fails a queued job that a fresh submission from tenant by pushed
+// out of the full queue (see fairQueue.Push) with a retryable shed
+// error. It runs outside the queue lock.
+func (s *Server) shed(j *Job, by *tenantState) {
+	s.reg.Add("queue.depth", -1)
+	s.reg.Add("jobs.shed", 1)
+	s.reg.Add("jobs.failed", 1)
+	s.tenantAdd(j.tenant, "tenant.shed", 1)
+	j.finish(StateFailed, nil, "shed: pushed out of the full queue by tenant "+by.name+", resubmit later")
+	s.event(obs.EvShed, j, -1, "tenant "+j.tenant.name+" pushed out by "+by.name)
+	s.jlog(j).Warn("queued job shed: pushed out of the full queue", "tenant", j.tenant.name, "by", by.name)
 }
 
 // admitAttrs builds the admit span's trace args.
@@ -984,8 +931,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		st := s.status(job)
 		code := http.StatusAccepted
-		if st.State == StateDone {
-			code = http.StatusOK // cache hit: born done
+		if st.Cached {
+			// A cache hit is born done. A fresh job that finished before
+			// this status was read is still answered 202.
+			code = http.StatusOK
 		}
 		writeJSON(w, code, st)
 	case errors.As(err, &oe):
@@ -1155,7 +1104,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		ModeledSeconds: s.reg.Get("modeled.seconds"),
 		SLOStatus:      s.slo.Snapshot().Status,
 		EventsTotal:    s.events.Total(),
-		BrownoutLevel:  s.brown.Level(),
 	}
 	if lt := s.events.LastTime(); !lt.IsZero() {
 		h.LastEvent = lt.UTC().Format(time.RFC3339Nano)

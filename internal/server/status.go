@@ -31,12 +31,7 @@ func (s *Server) statusSnapshot() StatusResponse {
 		JobsDegraded:  int64(s.reg.Get("jobs.degraded")),
 		SLO:           s.slo.Snapshot(),
 		Tenants:       s.tenants.snapshot(),
-		Brownout: BrownoutStatus{
-			Level:   s.brown.Level(),
-			Engaged: int64(s.reg.Get("brownout.engaged")),
-			Shed:    int64(s.reg.Get("jobs.shed")),
-		},
-		EventsTotal: s.events.Total(),
+		EventsTotal:   s.events.Total(),
 	}
 	if s.Draining() {
 		st.Status = "draining"
@@ -120,7 +115,7 @@ th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
 <h1>gpmetisd {{.Version}} &mdash; <span class="{{.Status}}">{{.Status}}</span>
 <span class="muted">(up {{secs .UptimeSeconds}}, refreshes every 2s)</span></h1>
 
-<h2>Queue &amp; jobs {{if .Brownout.Level}}&mdash; <span class="breach">brownout level {{.Brownout.Level}}</span>{{end}}</h2>
+<h2>Queue &amp; jobs</h2>
 <table>
 <tr><th>queue</th><th>submitted</th><th>completed</th><th>failed</th><th>canceled</th><th>rejected</th><th>shed</th><th>coalesced</th><th>degraded</th><th>modeled</th></tr>
 <tr><td>{{.QueueDepth}}/{{.QueueCap}}</td><td>{{.JobsSubmitted}}</td><td>{{.JobsCompleted}}</td><td>{{.JobsFailed}}</td><td>{{.JobsCanceled}}</td><td>{{.JobsRejected}}</td><td>{{.JobsShed}}</td><td>{{.JobsCoalesced}}</td><td>{{.JobsDegraded}}</td><td>{{secs .ModeledSeconds}}</td></tr>

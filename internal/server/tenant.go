@@ -131,7 +131,7 @@ var tenantSeries = []struct{ name, help string }{
 	{"tenant.queued", "Jobs currently held in the fair queue."},
 	{"tenant.submitted", "Jobs ever submitted."},
 	{"tenant.completed", "Jobs that reached done."},
-	{"tenant.shed", "Queued jobs shed by the brownout ladder."},
+	{"tenant.shed", "Queued jobs pushed out of the full queue by another tenant's submission."},
 	{"tenant.rejected", "Submissions refused by admission control."},
 	{"tenant.served_modeled_seconds", "Modeled GPU seconds served — the weighted-fairness currency."},
 }

@@ -223,9 +223,6 @@ type HealthResponse struct {
 	LastEvent string `json:"last_event,omitempty"`
 	// EventsTotal counts lifecycle events ever recorded.
 	EventsTotal int64 `json:"events_total"`
-	// BrownoutLevel is the overload ladder's current rung (0 normal,
-	// 1 shedding).
-	BrownoutLevel int `json:"brownout_level"`
 	// Cluster is the ring tier's view of this node (nil on a standalone
 	// daemon): node identity, membership, and routing counters.
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
@@ -314,18 +311,6 @@ type TenantStatus struct {
 	ServedModeledSeconds float64 `json:"served_modeled_seconds"`
 }
 
-// BrownoutStatus is the overload ladder's posture in /admin/status.json
-// and /healthz.
-type BrownoutStatus struct {
-	// Level is the current rung: 0 normal, 1 shedding over-share queued
-	// work.
-	Level int `json:"level"`
-	// Engaged counts level transitions from 0 to a higher rung; Shed
-	// counts queued jobs shed by the ladder.
-	Engaged int64 `json:"engaged"`
-	Shed    int64 `json:"shed"`
-}
-
 // LatencySummary carries interpolated percentiles of one latency
 // histogram, in seconds.
 type LatencySummary struct {
@@ -371,10 +356,8 @@ type StatusResponse struct {
 
 	SLO obs.SLOSnapshot `json:"slo"`
 
-	// Tenants lists every known tenant's admission state; Brownout is the
-	// overload ladder's posture.
-	Tenants  []TenantStatus `json:"tenants,omitempty"`
-	Brownout BrownoutStatus `json:"brownout"`
+	// Tenants lists every known tenant's admission state.
+	Tenants []TenantStatus `json:"tenants,omitempty"`
 
 	EventsTotal int64  `json:"events_total"`
 	LastEvent   string `json:"last_event,omitempty"`

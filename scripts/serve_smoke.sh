@@ -4,9 +4,9 @@
 # Boots gpmetisd on a random port with a multi-tenant config, submits a
 # job through the gpmetis client, asserts it completes, resubmits the
 # identical job, and asserts the second run is a cache hit with the same
-# result. Then it walks the overload-control surface: per-tenant and
-# brownout metric series, and a forced 429 carrying a dynamic
-# Retry-After. Run via `make serve-smoke` or directly from the repo root.
+# result. Then it walks the overload-control surface: the per-tenant
+# metric series, and a forced 429 carrying a dynamic Retry-After. Run
+# via `make serve-smoke` or directly from the repo root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,8 +94,8 @@ for series in 'gpmetisd_tenant_weight{tenant="default"}' \
               'gpmetisd_tenant_weight{tenant="paid"} 3' \
               'gpmetisd_tenant_submitted{tenant="paid"}' \
               'gpmetisd_tenant_queued{tenant="paid"}' \
-              'gpmetisd_tenant_served_modeled_seconds' \
-              'gpmetisd_brownout_level' 'gpmetisd_brownout_active'; do
+              'gpmetisd_tenant_shed{tenant="paid"} 0' \
+              'gpmetisd_tenant_served_modeled_seconds'; do
     grep -qF "$series" "$workdir/metrics.prom" || { echo "serve-smoke: FAIL /metrics missing $series"; exit 1; }
 done
 
