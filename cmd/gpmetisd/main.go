@@ -11,9 +11,8 @@
 //	         [-journal jobs.jsonl] [-checkpoint-dir ckpt/] \
 //	         [-quarantine-threshold 3] [-quarantine-backoff 0.002] \
 //	         [-log-level info] [-log-format text] [-drain-timeout 15s] \
-//	         [-slo-latency 2s] [-slo-latency-target 0.95] \
-//	         [-slo-availability-target 0.99] [-events 256] \
-//	         [-tenants tenants.json] [-debug-addr 127.0.0.1:6060] \
+//	         [-events 256] [-tenants tenants.json] \
+//	         [-debug-addr 127.0.0.1:6060] \
 //	         [-peers peers.json -node-id 0] [-vnodes 64] [-cluster-probe 1s] \
 //	         [-replicas 2] [-anti-entropy 5s]
 //
@@ -37,11 +36,10 @@
 //	GET    /metrics         Prometheus text exposition: queue depth, wait
 //	                        and latency histograms, cache hit rate, jobs
 //	                        by outcome, per-slot utilization, build info
-//	GET    /healthz         liveness, occupancy, SLO posture, build info
-//	GET    /slo             SLO evaluation: burn rates over both windows
-//	GET    /admin/status    live ops view (self-refreshing HTML); the
-//	                        JSON behind it at /admin/status.json feeds
-//	                        the gpmetis -top terminal client
+//	GET    /healthz         liveness, occupancy, build info
+//	GET    /admin/status.json  the ops view's data: queue, jobs by
+//	                        outcome, tenants, cache, slots, latency
+//	                        quantiles, ring state; gpmetis -top renders it
 //	GET    /admin/events    flight recorder: recent lifecycle events
 //	GET    /admin/devices   device-pool quarantine states
 //	POST   /admin/devices/{slot}/reinstate  force a slot back into service
@@ -96,7 +94,7 @@
 // job's content digest — identical submissions land on the node that
 // already caches them, non-owned submissions are forwarded after a
 // cross-node cache peek, and a down owner fails over to the next live
-// ring successor. Ring state appears on /healthz and /admin/status, and
+// ring successor. Ring state appears on /healthz and /admin/status.json, and
 // routing counters as gpmetisd_cluster_* on /metrics. Every node of the
 // ring must run with the same peers.json and -vnodes.
 //
@@ -120,9 +118,9 @@
 // submitted to a non-owner node keeps one trace id end to end —
 // GET /jobs/{id}/trace on the entry node returns a single Chrome trace
 // document with one pid per node, the owner's spans parented under
-// the entry node's cluster-forward span. GET /admin/cluster/status (.json for data)
-// fans out to every live peer and renders the whole fleet on one page
-// (gpmetis -top -cluster is the terminal flavor), and per-peer RPC
+// the entry node's cluster-forward span. GET /admin/cluster/status.json
+// fans out to every live peer and returns the whole fleet in one
+// document (gpmetis -top -cluster renders it), and per-peer RPC
 // latency/error histograms appear as gpmetisd_cluster_rpc_* on
 // /metrics alongside the modeled α+βn network charge.
 //
@@ -165,11 +163,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	logFormat := flag.String("log-format", obs.LogText, "log encoding: text or json")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight jobs on SIGTERM")
-	sloLatency := flag.Duration("slo-latency", 2*time.Second, "latency SLO threshold per job")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.95, "fraction of jobs that must finish within -slo-latency")
-	sloAvailability := flag.Float64("slo-availability-target", 0.99, "fraction of jobs that must not fail")
-	sloFastWindow := flag.Duration("slo-fast-window", 5*time.Minute, "fast burn-rate window")
-	sloSlowWindow := flag.Duration("slo-slow-window", time.Hour, "slow burn-rate window")
 	eventBuf := flag.Int("events", 256, "lifecycle flight-recorder capacity (recent events retained)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this private address (empty = off)")
 	tenantsFile := flag.String("tenants", "", "JSON file of per-tenant weights, queue quotas, and rate limits")
@@ -222,13 +215,6 @@ func main() {
 		Logger:              logger,
 		EventBuffer:         *eventBuf,
 		Tenants:             tenants,
-		SLO: obs.SLOConfig{
-			LatencyThreshold:   *sloLatency,
-			LatencyTarget:      *sloLatencyTarget,
-			AvailabilityTarget: *sloAvailability,
-			FastWindow:         *sloFastWindow,
-			SlowWindow:         *sloSlowWindow,
-		},
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -277,7 +263,7 @@ func main() {
 			os.Exit(2)
 		}
 		handler = node.Handler(handler)
-		fmt.Printf("gpmetisd: cluster node %d of %d-node ring (peers=%s); fleet view at /admin/cluster/status\n",
+		fmt.Printf("gpmetisd: cluster node %d of %d-node ring (peers=%s); fleet view at /admin/cluster/status.json\n",
 			*nodeID, len(peers), *peersFile)
 	} else if *nodeID >= 0 {
 		fmt.Fprintln(os.Stderr, "gpmetisd: -node-id requires -peers")

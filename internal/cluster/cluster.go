@@ -130,7 +130,7 @@ type Node struct {
 
 // New builds the node, declares its gpmetisd_cluster_* series in the
 // server's registry, installs its status snapshot on the server
-// (/healthz, /admin/status), and starts the health prober.
+// (/healthz, /admin/status.json), and starts the health prober.
 func New(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -318,7 +318,7 @@ func (n *Node) Status() *server.ClusterStatus {
 //	GET  /internal/trace/{trace_id} this node's spans under a trace (stitching)
 //	POST /internal/ring/leave      a member announced its departure
 //	POST /internal/ring/join       a departed member announced its return
-//	GET  /admin/cluster/status     federated fleet view (HTML; .json for data)
+//	GET  /admin/cluster/status.json  federated fleet view, for gpmetis -top -cluster
 //	POST /admin/decommission       retire this node: push cache, announce leave
 //	POST /admin/rejoin             announce return and run catch-up repair
 //	GET/DELETE /jobs/{id}[...]     proxied to the owner for forwarded jobs
@@ -333,7 +333,6 @@ func (n *Node) Handler(inner http.Handler) http.Handler {
 	mux.HandleFunc("PUT /internal/cache/{digest}", n.handleReplicaPut)
 	mux.HandleFunc("POST /internal/cache/summary", n.handleSummary)
 	mux.HandleFunc("GET /internal/trace/{trace_id}", n.handleTraceFetch)
-	mux.HandleFunc("GET /admin/cluster/status", n.handleFleetHTML)
 	mux.HandleFunc("GET /admin/cluster/status.json", n.handleFleetJSON)
 	mux.HandleFunc("POST /internal/ring/leave", n.handleLeave)
 	mux.HandleFunc("POST /internal/ring/join", n.handleJoin)

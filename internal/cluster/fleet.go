@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
 	"io"
 	"net/http"
 	"sort"
@@ -103,81 +102,4 @@ func (n *Node) fetchPeerStatus(p Peer) (*server.StatusResponse, float64, error) 
 
 func (n *Node) handleFleetJSON(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, n.fleetSnapshot())
-}
-
-// fleetTmpl renders the federated fleet view in the same idiom as the
-// per-node ops page: static HTML, refreshes itself, no JavaScript.
-var fleetTmpl = template.Must(template.New("fleet").Funcs(template.FuncMap{
-	"secs": func(v float64) string { return fmt.Sprintf("%.3fs", v) },
-	"ms":   func(v float64) string { return fmt.Sprintf("%.1fms", v*1000) },
-	"pct1": func(v float64) string { return fmt.Sprintf("%.1f%%", v) },
-	"burn": func(v float64) string { return fmt.Sprintf("%.2f", v) },
-	"quarantined": func(slots []server.SlotStatus) int {
-		q := 0
-		for _, s := range slots {
-			if s.State == server.DeviceQuarantined {
-				q++
-			}
-		}
-		return q
-	},
-}).Parse(`<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta http-equiv="refresh" content="2">
-<title>gpmetisd fleet</title>
-<style>
-body { font-family: ui-monospace, Menlo, Consolas, monospace; margin: 1.5rem; background: #111; color: #ddd; }
-h1 { font-size: 1.1rem; } h2 { font-size: 0.95rem; margin-top: 1.4rem; }
-table { border-collapse: collapse; margin-top: 0.4rem; }
-td, th { border: 1px solid #333; padding: 0.25rem 0.6rem; text-align: right; }
-th { background: #1c1c1c; } td:first-child, th:first-child { text-align: left; }
-.ok { color: #6c6; } .warn { color: #fc6; } .breach, .down { color: #f66; }
-.muted { color: #777; }
-</style>
-</head>
-<body>
-<h1>gpmetisd fleet &mdash; seen from node {{.Node}}{{if .Replicas}}, RF={{.Replicas}}{{end}}
-<span class="muted">(refreshes every 2s)</span></h1>
-
-<h2>Nodes</h2>
-<table>
-<tr><th>node</th><th>addr</th><th>state</th><th>rtt</th><th>ring share</th><th>queue</th><th>completed</th><th>failed</th><th>SLO</th><th>fast burn</th><th>slow burn</th><th>quarantined</th><th>cache</th></tr>
-{{range .Nodes}}<tr>
-<td>{{.ID}}{{if .Self}} (self){{end}}</td><td>{{.Addr}}</td>
-{{if .Left}}<td class="muted">left</td>{{else if .Up}}<td class="ok">up</td>{{else}}<td class="down">down</td>{{end}}
-<td>{{if .Self}}<span class="muted">&mdash;</span>{{else if .Up}}{{ms .RTTSeconds}}{{else}}<span class="muted">&mdash;</span>{{end}}</td>
-<td>{{pct1 .OwnershipPct}}</td>
-{{with .Status}}
-<td>{{.QueueDepth}}/{{.QueueCap}}</td><td>{{.JobsCompleted}}</td><td>{{.JobsFailed}}</td>
-<td class="{{.SLO.Status}}">{{.SLO.Status}}</td><td>{{burn .SLO.Fast.LatencyBurn}}</td><td>{{burn .SLO.Slow.LatencyBurn}}</td>
-<td{{if quarantined .Slots}} class="warn"{{end}}>{{quarantined .Slots}}</td>
-<td>{{.CacheEntries}}</td>
-{{else}}
-<td colspan="8" class="muted">{{if .Left}}decommissioned{{else}}{{.Error}}{{end}}</td>
-{{end}}
-</tr>
-{{end}}</table>
-
-<h2>Cluster traffic (as reported by each node)</h2>
-<table>
-<tr><th>node</th><th>forwards</th><th>peek hits</th><th>peek misses</th><th>failovers</th><th>replica pushes</th><th>repair pushed</th><th>repair pulled</th><th>net modeled</th></tr>
-{{range .Nodes}}{{with .Status}}{{with .Cluster}}<tr>
-<td>{{.NodeID}}</td><td>{{.Forwards}}</td><td>{{.PeekHits}}</td><td>{{.PeekMisses}}</td><td>{{.Failovers}}</td>
-<td>{{.ReplicaPushes}}</td><td>{{.RepairPushed}}</td><td>{{.RepairPulled}}</td><td>{{secs .NetModeledSeconds}}</td>
-</tr>
-{{end}}{{end}}{{end}}</table>
-
-<p class="muted">data: <a href="/admin/cluster/status.json">/admin/cluster/status.json</a> &middot;
-per-node: <a href="/admin/status">/admin/status</a> &middot; <a href="/metrics">/metrics</a></p>
-</body>
-</html>
-`))
-
-func (n *Node) handleFleetHTML(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := fleetTmpl.Execute(w, n.fleetSnapshot()); err != nil {
-		n.log.Error("fleet page render failed", "error", err.Error())
-	}
 }

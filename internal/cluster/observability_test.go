@@ -557,8 +557,8 @@ func rpcCountNonZero(text, rpc string) bool {
 }
 
 // TestClusterFleetStatus: the federated view lists every ring member as
-// up, with status snapshots, ownership shares summing to ~100%, and a
-// working HTML rendering; both answers come from one fan-out node.
+// up, with status snapshots and ownership shares summing to ~100%, all
+// from one fan-out node.
 func TestClusterFleetStatus(t *testing.T) {
 	nodes := startTestRing(t, 3)
 
@@ -594,17 +594,6 @@ func TestClusterFleetStatus(t *testing.T) {
 	}
 	if share < 99.9 || share > 100.1 {
 		t.Errorf("ownership shares sum to %.3f%%, want ~100%%", share)
-	}
-
-	htmlResp, err := http.Get(nodes[1].base() + "/admin/cluster/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := new(bytes.Buffer)
-	page.ReadFrom(htmlResp.Body)
-	htmlResp.Body.Close()
-	if htmlResp.StatusCode != http.StatusOK || !strings.Contains(page.String(), "gpmetisd fleet") {
-		t.Errorf("fleet HTML page: HTTP %d, body %.120q", htmlResp.StatusCode, page.String())
 	}
 }
 

@@ -93,7 +93,7 @@ func WallUS(origin, t time.Time) float64 {
 // the args of every root span (ParentID == 0) — the hook the serving
 // layer uses to parent the partition trace under its lifecycle run span.
 func TraceEvents(t *Tracer, pid int, tsOffsetUS float64, rootArgs map[string]any) []ChromeEvent {
-	spans := t.Spans()
+	spans := t.spanCopies()
 	events := []ChromeEvent{}
 
 	tids := map[string]int{}
@@ -110,7 +110,7 @@ func TraceEvents(t *Tracer, pid int, tsOffsetUS float64, rootArgs map[string]any
 		if sp.Aux {
 			args["aux"] = true
 		}
-		for _, a := range sp.Attrs() {
+		for _, a := range sp.attrs {
 			args[a.Key] = a.Value()
 		}
 		cat := "detail"

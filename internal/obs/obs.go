@@ -276,6 +276,23 @@ func (t *Tracer) Spans() []*Span {
 	return append([]*Span(nil), t.spans...)
 }
 
+// spanCopies returns a copy of every span in creation order, each taken
+// under the tracer's lock, so a caller can read Start, End, Aux and the
+// attributes while the run is still ending and marking the originals.
+func (t *Tracer) spanCopies() []Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Span, len(t.spans))
+	for i, sp := range t.spans {
+		out[i] = *sp
+		out[i].attrs = append([]Attr(nil), sp.attrs...)
+	}
+	return out
+}
+
 // LeafSeconds sums the durations of all non-auxiliary leaf spans. When
 // every modeled phase is mirrored by exactly one leaf span — which the
 // TimelineSink integration guarantees — this equals the run's total

@@ -106,8 +106,7 @@ func (s *Server) tracedEvent(typ, trace, detail string) {
 
 // observeTerminal is the single account-closing point for every job the
 // server watched to a terminal state: the end-to-end latency histogram,
-// the SLO sample, the lifecycle event, and the outcome log line all
-// originate here.
+// the lifecycle event, and the outcome log line all originate here.
 func (s *Server) observeTerminal(j *Job) {
 	st := j.Status()
 	now := time.Now()
@@ -125,7 +124,6 @@ func (s *Server) observeTerminal(j *Job) {
 		"cached", st.Cached, "coalesced", st.Coalesced, "device", st.Device)
 	switch st.State {
 	case StateDone:
-		s.slo.Record(time.Duration(total*float64(time.Second)), false)
 		s.tenantAdd(j.tenant, "tenant.completed", 1)
 		detail := ""
 		if st.Result != nil {
@@ -136,11 +134,9 @@ func (s *Server) observeTerminal(j *Job) {
 		s.event(obs.EvDone, j, st.Device, detail)
 		log.Info("job done")
 	case StateFailed:
-		s.slo.Record(time.Duration(total*float64(time.Second)), true)
 		s.event(obs.EvFailed, j, st.Device, st.Error)
 		log.Warn("job failed", "error", st.Error)
 	case StateCanceled:
-		// A client giving up is not a service failure: no SLO sample.
 		s.event(obs.EvCanceled, j, st.Device, st.Error)
 		log.Info("job canceled", "error", st.Error)
 	}

@@ -69,6 +69,58 @@ func fetchTrace(t *testing.T, base, id string) traceDoc {
 	return doc
 }
 
+// TestTraceOfRunningJob polls GET /jobs/{id}/trace while the job runs:
+// the handler renders the modeled spans that the run is still ending, so
+// under the race detector this checks that the read is synchronized.
+// mt-metis holds each coarsening level's span open across the level's
+// host work, so most fetches read a span the run ends afterwards.
+func TestTraceOfRunningJob(t *testing.T) {
+	s := New(Config{Devices: 1, QueueCap: 4, Logger: obs.DiscardLogger()})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g, err := gpmetis.Delaunay(30000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: graphText(t, g), K: 16, Algo: "mt", NoCache: true})
+	if apiErr != nil {
+		t.Fatalf("submit: %s", apiErr.Error)
+	}
+	job, ok := s.Job(st.ID)
+	if !ok {
+		t.Fatalf("job %s unknown", st.ID)
+	}
+	running := func() bool {
+		select {
+		case <-job.Done():
+			return false
+		default:
+			return true
+		}
+	}
+	midRun := 0
+	for deadline := time.Now().Add(60 * time.Second); running(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish", st.ID)
+		}
+		modeled := false
+		for _, ev := range fetchTrace(t, ts.URL, st.ID).TraceEvents {
+			modeled = modeled || ev.Pid == 2
+		}
+		if modeled && running() {
+			midRun++
+		}
+	}
+	if midRun == 0 {
+		t.Fatal("no trace fetch saw modeled spans while the job ran")
+	}
+	if st := job.Status(); st.State != StateDone {
+		t.Fatalf("job finished %s: %s", st.State, st.Error)
+	}
+}
+
 // TestMergedTraceEndToEnd is the tentpole acceptance test: one completed
 // job must serve a single valid Chrome trace containing both wall-clock
 // service lifecycle spans and the modeled-clock kernel spans, with the
@@ -356,7 +408,7 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 	}
 }
 
-// TestOpsEndpoints exercises /slo, /admin/status(.json), /admin/events,
+// TestOpsEndpoints exercises /admin/status.json, /admin/events,
 // and the healthz/metrics observability additions after real traffic.
 func TestOpsEndpoints(t *testing.T) {
 	s := New(Config{Devices: 2, QueueCap: 8, Logger: obs.DiscardLogger()})
@@ -378,26 +430,18 @@ func TestOpsEndpoints(t *testing.T) {
 		}
 	}
 
-	// /slo: three completed jobs, no failures, status ok. A job turns
-	// done before its watcher records the SLO sample, latency, and done
-	// event, so wait until the watcher has seen all three.
-	var slo obs.SLOSnapshot
+	// A job turns done before its watcher observes its total latency and
+	// records its done event, so wait until the watcher has seen all three.
+	var status StatusResponse
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		slo = obs.SLOSnapshot{}
-		getJSON(t, ts.URL+"/slo", &slo)
-		if slo.TotalJobs >= 3 || time.Now().After(deadline) {
+		status = StatusResponse{}
+		getJSON(t, ts.URL+"/admin/status.json", &status)
+		if status.TotalSeconds.Count >= 3 || time.Now().After(deadline) {
 			break
 		}
 	}
-	if slo.TotalJobs != 3 || slo.TotalFailed != 0 || slo.Status != obs.SLOOk {
-		t.Errorf("/slo = %d jobs, %d failed, %q; want 3, 0, ok", slo.TotalJobs, slo.TotalFailed, slo.Status)
-	}
-	if slo.Fast.Jobs != 3 {
-		t.Errorf("/slo fast window holds %d jobs, want 3", slo.Fast.Jobs)
-	}
 
 	// /admin/status.json: the ops view data.
-	var status StatusResponse
 	getJSON(t, ts.URL+"/admin/status.json", &status)
 	if status.Status != "ok" || status.JobsCompleted != 3 || len(status.Slots) != 2 {
 		t.Errorf("status = %q completed=%d slots=%d; want ok/3/2",
@@ -405,20 +449,6 @@ func TestOpsEndpoints(t *testing.T) {
 	}
 	if status.TotalSeconds.Count != 3 || status.TotalSeconds.P99 <= 0 {
 		t.Errorf("total-latency summary = %+v, want count 3 and positive p99", status.TotalSeconds)
-	}
-
-	// /admin/status: the HTML view renders.
-	resp, err := http.Get(ts.URL + "/admin/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("/admin/status Content-Type = %q", ct)
-	}
-	if !bytes.Contains(page, []byte("gpmetisd")) || !bytes.Contains(page, []byte("SLO")) {
-		t.Errorf("ops page lacks expected content:\n%s", page)
 	}
 
 	// /admin/events: every job left admit and done events with IDs.
@@ -437,24 +467,21 @@ func TestOpsEndpoints(t *testing.T) {
 		t.Errorf("flight recorder holds %d admit events, want 3", admits)
 	}
 
-	// /healthz: SLO posture and event staleness signal.
+	// /healthz: the event staleness signal.
 	var health HealthResponse
 	getJSON(t, ts.URL+"/healthz", &health)
-	if health.SLOStatus != obs.SLOOk || health.EventsTotal == 0 || health.LastEvent == "" {
+	if health.EventsTotal == 0 || health.LastEvent == "" {
 		t.Errorf("healthz observability fields = %+v", health)
 	}
 
-	// /metrics: the SLO series and the lifecycle histogram are exposed.
-	resp, err = http.Get(ts.URL + "/metrics")
+	// /metrics: the lifecycle histogram is exposed.
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, series := range []string{
-		"gpmetisd_slo_status", "gpmetisd_slo_latency_burn_fast",
-		"gpmetisd_slo_availability_burn_slow", "gpmetisd_job_total_seconds_bucket",
-	} {
+	for _, series := range []string{"gpmetisd_job_total_seconds_bucket"} {
 		if !bytes.Contains(prom, []byte(series)) {
 			t.Errorf("/metrics missing series %s", series)
 		}

@@ -69,11 +69,6 @@ type Config struct {
 	// carries job_id and trace_id attributes. Nil means a text handler on
 	// os.Stderr at info level; use obs.DiscardLogger to silence.
 	Logger *slog.Logger
-	// SLO configures the service-level objectives evaluated at GET /slo
-	// and exported as gpmetisd_slo_* metrics; zero fields take the
-	// obs.SLOConfig defaults (2s latency at 95%, 99% availability, 5m/1h
-	// burn windows).
-	SLO obs.SLOConfig
 	// EventBuffer sizes the lifecycle flight recorder: how many recent
 	// events GET /admin/events retains (default 256).
 	EventBuffer int
@@ -123,7 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.NewLogger(os.Stderr, obs.LogText, slog.LevelInfo)
 	}
-	c.SLO = c.SLO.WithDefaults()
 	if c.EventBuffer == 0 {
 		c.EventBuffer = 256
 	}
@@ -150,7 +144,6 @@ type Server struct {
 	journal *Journal
 
 	log      *slog.Logger
-	slo      *obs.SLO
 	events   *obs.EventRing
 	draining atomic.Bool
 
@@ -202,17 +195,12 @@ func New(cfg Config) *Server {
 		start:       time.Now(),
 	}
 	s.log = cfg.Logger
-	s.slo = obs.NewSLO(cfg.SLO)
 	s.events = obs.NewEventRing(cfg.EventBuffer)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.reg.Set("devices.total", float64(cfg.Devices))
 	s.reg.Set("queue.cap", float64(cfg.QueueCap))
 	s.reg.Set("draining", 0)
 	s.reg.Describe("build_info", "Build metadata; the value is always 1.")
-	s.reg.Describe("slo.latency_threshold_seconds", "Latency objective threshold in seconds.")
-	s.reg.Describe("slo.latency_burn_fast", "Latency burn rate over the fast window (>1 consumes budget).")
-	s.reg.Describe("slo.availability_burn_fast", "Availability burn rate over the fast window (>1 consumes budget).")
-	s.reg.Describe("slo.status", "Multi-window burn verdict: 0 ok, 1 warn, 2 breach.")
 	// Declare the lifecycle latency histograms eagerly so their series
 	// exist in /metrics from the first scrape, not the first job.
 	for _, h := range []string{
@@ -250,10 +238,6 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.journal.Close()
 }
-
-// SLO evaluates the service-level objectives now, the same snapshot
-// GET /slo serves.
-func (s *Server) SLO() obs.SLOSnapshot { return s.slo.Snapshot() }
 
 // journalAppend appends one record, degrading to non-durable operation
 // on the first failure: the error is logged once, the journal.degraded
@@ -355,8 +339,8 @@ func replicaRecordID(key string) string {
 
 // watch follows a job to its terminal state: it releases the job's
 // single-flight leadership, journals the outcome, and closes the job's
-// observability account (lifecycle spans, SLO sample, flight-recorder
-// event, outcome log line). Recovered jobs skip journaling of states
+// observability account (lifecycle spans, flight-recorder event,
+// outcome log line). Recovered jobs skip journaling of states
 // that replay already proved.
 func (s *Server) watch(j *Job) {
 	select {
@@ -863,9 +847,7 @@ func (s *Server) Job(id string) (*Job, bool) {
 //	GET    /jobs/{id}/trace Chrome trace_event JSON of the job's run
 //	GET    /jobs/{id}/profile kernel-level roofline profile (profiled jobs)
 //	GET    /metrics         Prometheus text exposition
-//	GET    /healthz         liveness + occupancy + SLO posture + build info
-//	GET    /slo             full SLO evaluation (burn rates, windows)
-//	GET    /admin/status    live ops view (self-refreshing HTML)
+//	GET    /healthz         liveness + occupancy + build info
 //	GET    /admin/status.json  the ops view's data, for gpmetis -top
 //	GET    /admin/events    flight recorder: recent lifecycle events
 //	GET    /admin/devices   device-pool quarantine states
@@ -880,8 +862,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/profile", s.handleProfile)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /slo", s.handleSLO)
-	mux.HandleFunc("GET /admin/status", s.handleStatusHTML)
 	mux.HandleFunc("GET /admin/status.json", s.handleStatusJSON)
 	mux.HandleFunc("GET /admin/events", s.handleEvents)
 	mux.HandleFunc("GET /admin/devices", s.handleDevices)
@@ -1016,24 +996,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition of the registry
 // under the gpmetisd_ prefix, after setting the values read at scrape
-// time: build info, uptime, cache occupancy and hit rate, and the SLO
-// evaluation.
+// time: build info, uptime, and cache occupancy and hit rate.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.SetWith("build_info", buildLabels(s.hooks().NodeID), 1)
 	s.reg.Set("uptime.seconds", time.Since(s.start).Seconds())
 	s.reg.Set("cache.entries", float64(s.cache.Len()))
 	s.reg.Set("cache.hit_rate", s.cacheHitRate())
-	slo := s.slo.Snapshot()
-	s.reg.Set("slo.latency_threshold_seconds", slo.LatencyThresholdSeconds)
-	s.reg.Set("slo.latency_target", slo.LatencyTarget)
-	s.reg.Set("slo.availability_target", slo.AvailabilityTarget)
-	s.reg.Set("slo.latency_burn_fast", slo.Fast.LatencyBurn)
-	s.reg.Set("slo.latency_burn_slow", slo.Slow.LatencyBurn)
-	s.reg.Set("slo.availability_burn_fast", slo.Fast.AvailabilityBurn)
-	s.reg.Set("slo.availability_burn_slow", slo.Slow.AvailabilityBurn)
-	s.reg.Set("slo.window_jobs_fast", float64(slo.Fast.Jobs))
-	s.reg.Set("slo.window_jobs_slow", float64(slo.Slow.Jobs))
-	s.reg.Set("slo.status", obs.StatusValue(slo.Status))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WritePrometheus(w, s.reg, "gpmetisd_")
 }
@@ -1102,7 +1070,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		GoVersion:      runtime.Version(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		ModeledSeconds: s.reg.Get("modeled.seconds"),
-		SLOStatus:      s.slo.Snapshot().Status,
 		EventsTotal:    s.events.Total(),
 	}
 	if lt := s.events.LastTime(); !lt.IsZero() {
@@ -1110,12 +1077,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	h.Cluster = s.clusterStatus()
 	writeJSON(w, http.StatusOK, h)
-}
-
-// handleSLO serves the full SLO evaluation: objectives, both burn
-// windows, and the multi-window verdict.
-func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.slo.Snapshot())
 }
 
 // handleEvents serves the flight recorder's retained tail, oldest first.

@@ -199,7 +199,7 @@ type DeviceStatus struct {
 }
 
 // HealthResponse is the wire form of GET /healthz: liveness, occupancy,
-// SLO posture, and build info.
+// and build info.
 type HealthResponse struct {
 	// Status is "ok" while serving, "draining" during graceful shutdown.
 	Status     string `json:"status"`
@@ -215,9 +215,6 @@ type HealthResponse struct {
 	// ModeledSeconds is the cumulative modeled time of every completed job.
 	UptimeSeconds  float64 `json:"uptime_seconds"`
 	ModeledSeconds float64 `json:"modeled_seconds"`
-	// SLOStatus is the current multi-window burn verdict ("ok", "warn",
-	// "breach"); the full evaluation lives at GET /slo.
-	SLOStatus string `json:"slo_status"`
 	// LastEvent is the RFC3339 wall time of the most recent lifecycle
 	// event (empty before the first), a staleness signal for probes.
 	LastEvent string `json:"last_event,omitempty"`
@@ -353,8 +350,6 @@ type StatusResponse struct {
 	QueueWait    LatencySummary `json:"queue_wait"`
 	RunSeconds   LatencySummary `json:"run_seconds"`
 	TotalSeconds LatencySummary `json:"total_seconds"`
-
-	SLO obs.SLOSnapshot `json:"slo"`
 
 	// Tenants lists every known tenant's admission state.
 	Tenants []TenantStatus `json:"tenants,omitempty"`

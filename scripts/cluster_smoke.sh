@@ -13,7 +13,8 @@
 # pulls its entries back, that job's included, so it serves them alone.
 #
 # The observability plane rides along: the federated fleet view
-# (/admin/cluster/status.json) must list every node up, a forwarded
+# (/admin/cluster/status.json) must list every node up, and
+# `gpmetis -top -cluster` must render it with the dead owner down; a forwarded
 # job's trace must come back STITCHED (entry + owner spans under
 # distinct pids in one document), every internode RPC class (forward,
 # replica_put, summary) must land in the per-peer histograms, and
@@ -227,6 +228,17 @@ while (( SECONDS < deadline )); do
 done
 [[ -n "$down" ]] || { echo "cluster-smoke: FAIL the dead owner was never marked down"; exit 1; }
 echo "cluster-smoke: dead owner quarantined by health probes"
+
+# gpmetis -top -cluster renders the fleet view: one row per node, the
+# answering entry as self, the survivor up and the dead owner down.
+"$workdir/gpmetis" -top -cluster "${addrs[$entry]},${addrs[$survivor]}" -top-iterations 1 >"$workdir/fleet.top"
+rows="$(grep -cE '^ *[0-9]+ +(self|up|down|left) ' "$workdir/fleet.top" || true)"
+[[ "$rows" -eq 3 ]] || { cat "$workdir/fleet.top"; echo "cluster-smoke: FAIL gpmetis -top -cluster shows $rows node rows, want 3"; exit 1; }
+for want in "$entry self" "$survivor up" "$owner down"; do
+    read -r id state <<<"$want"
+    grep -qE "^ *$id +$state +${addrs[$id]} " "$workdir/fleet.top" || { cat "$workdir/fleet.top"; echo "cluster-smoke: FAIL gpmetis -top -cluster shows node $id not $state"; exit 1; }
+done
+echo "cluster-smoke: gpmetis -top -cluster shows node $entry self, $survivor up, $owner down"
 
 # With the owner dead, hunt a job whose RF=2 replica set includes it:
 # the survivor that computes it skips the push to the dead node, so no

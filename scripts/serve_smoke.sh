@@ -69,18 +69,13 @@ curl -sf "$base/metrics" >"$workdir/metrics.prom"
 grep -q '^gpmetisd_cache_hits 1$' "$workdir/metrics.prom" || { cat "$workdir/metrics.prom"; echo "serve-smoke: FAIL expected gpmetisd_cache_hits 1"; exit 1; }
 
 echo "serve-smoke: checking observability surface"
-# The SLO burn-rate series and the job lifecycle histograms must be on
-# the scrape from the first completed job.
-for series in gpmetisd_slo_status gpmetisd_slo_latency_burn_fast \
-              gpmetisd_slo_availability_burn_slow \
-              gpmetisd_job_queue_seconds_bucket gpmetisd_job_run_seconds_bucket \
+# The job lifecycle histograms must be on the scrape from the first
+# completed job.
+for series in gpmetisd_job_queue_seconds_bucket gpmetisd_job_run_seconds_bucket \
               gpmetisd_job_total_seconds_bucket; do
     grep -q "^$series" "$workdir/metrics.prom" || { echo "serve-smoke: FAIL /metrics missing $series"; exit 1; }
 done
-curl -sf "$base/healthz" | grep -q '"slo_status"' || { echo "serve-smoke: FAIL healthz carries no SLO posture"; exit 1; }
-curl -sf "$base/slo" | grep -q '"fast":' || { echo "serve-smoke: FAIL /slo"; exit 1; }
 curl -sf "$base/admin/status.json" | grep -q '"slots"' || { echo "serve-smoke: FAIL /admin/status.json"; exit 1; }
-curl -sf "$base/admin/status" | grep -qi '<html' || { echo "serve-smoke: FAIL /admin/status is not HTML"; exit 1; }
 curl -sf "$base/admin/events" | grep -q '"type":"admit"' || { echo "serve-smoke: FAIL flight recorder holds no admit event"; exit 1; }
 
 echo "serve-smoke: checking the multi-tenant overload surface"
