@@ -31,7 +31,7 @@
 //	        — accepted work completes or is shed (never stuck), the
 //	        weight-3 tenant is never refused or shed because a full
 //	        queue pushes out over-share work of the weight-1 tenant,
-//	        and unmeetable deadlines are rejected up front.
+//	        and a 1ms deadline is admitted and ends done or expired.
 //	cluster: a 3-node consistent-hash ring absorbs a submission stream
 //	        while one random node dies mid-storm; every accepted job
 //	        must complete or be shed with a typed rejection — and every
@@ -378,8 +378,9 @@ func chaosDaemon(rng *rand.Rand) error {
 //     makes room for it by pushing out a queued job of the low-weight
 //     "free" tenant, which holds more than its share, and only "free"
 //     jobs are ever shed;
-//   - once the estimator has real service times, a 1ms deadline is
-//     rejected at admission with code "deadline_unmeetable";
+//   - a 1ms-deadline probe is admitted, not refused, and ends done or
+//     failed with "deadline exceeded": eager expiry, not admission,
+//     answers a deadline the queue cannot meet;
 //   - shed events match the shed jobs, and the server still completes
 //     work after the storm.
 func chaosOverload(rng *rand.Rand) error {
@@ -483,16 +484,24 @@ func chaosOverload(rng *rand.Rand) error {
 			completed["paid"], p50, pmax, completed["free"], freeRefused, shed)
 	}
 
-	// The burst fed the estimator real service times for this graph, so
-	// a 1ms deadline is now provably unmeetable at admission.
+	// A 1ms deadline is admitted; the run or eager expiry settles it.
 	probes := 1 + rng.Intn(3)
 	for i := 0; i < probes; i++ {
-		_, err := s.Submit(&server.SubmitRequest{
+		p, err := s.Submit(&server.SubmitRequest{
 			Graph: text, K: 2, Seed: 999, NoCache: true, Tenant: "free", DeadlineMs: 1,
 		})
-		if code := server.OverloadCode(err); code != server.CodeDeadlineUnmeetable {
-			return fmt.Errorf("1ms-deadline probe %d: err %v (code %q), want %q",
-				i, err, code, server.CodeDeadlineUnmeetable)
+		if err != nil {
+			return fmt.Errorf("1ms-deadline probe %d refused: %w", i, err)
+		}
+		select {
+		case <-p.Done():
+		case <-time.After(60 * time.Second):
+			return fmt.Errorf("1ms-deadline probe %d stuck", i)
+		}
+		if st := p.Status(); st.State != server.StateDone &&
+			(st.State != server.StateFailed || !strings.Contains(st.Error, "deadline exceeded")) {
+			return fmt.Errorf("1ms-deadline probe %d ended %s (%q), want done or deadline exceeded",
+				i, st.State, st.Error)
 		}
 	}
 

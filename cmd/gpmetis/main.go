@@ -128,7 +128,7 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "snapshot gp runs here and auto-resume an interrupted run (local only)")
 	retries := flag.Int("retries", 3, "with -server: re-submissions after a 429, honoring Retry-After with backoff")
 	tenant := flag.String("tenant", "", "with -server: tenant name for multi-tenant fair queueing (default: the daemon's default tenant)")
-	deadlineMs := flag.Int64("deadline-ms", 0, "with -server: job deadline in milliseconds (0 = daemon default); unmeetable deadlines are rejected up front")
+	deadlineMs := flag.Int64("deadline-ms", 0, "with -server: job deadline in milliseconds (0 = daemon default); a job still queued or running when it passes fails with deadline exceeded")
 	top := flag.Bool("top", false, "with -server: live terminal ops view of the daemon; with -cluster: the federated fleet view (no graph argument)")
 	topInterval := flag.Duration("top-interval", 2*time.Second, "refresh interval for -top")
 	topIterations := flag.Int("top-iterations", 0, "frames -top draws before exiting (0 = until interrupted)")

@@ -194,11 +194,8 @@ const retryBudget = 4
 // "draining" or "cluster_unreachable" — is retried up to retries times
 // with exponential backoff, honoring the daemon's Retry-After as the
 // floor and adding jitter so a herd of overloaded clients does not
-// re-stampede in lockstep. Other 503 codes are terminal. Two circuit
-// breakers cut the loop short: a deadline_unmeetable rejection is
-// terminal (re-submitting the same deadline cannot make it meetable),
-// and the retry budget ends the loop after retryBudget refusals in a
-// row.
+// re-stampede in lockstep. Other 503 codes are terminal. The retry
+// budget ends the loop after retryBudget refusals in a row.
 func submitJob(base string, body []byte, retries int) (server.JobStatus, error) {
 	for attempt := 0; ; attempt++ {
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
@@ -217,11 +214,6 @@ func submitJob(base string, body []byte, retries int) (server.JobStatus, error) 
 		if resp.StatusCode == http.StatusServiceUnavailable &&
 			e.Code != server.CodeDraining && e.Code != server.CodeClusterUnreachable {
 			return server.JobStatus{}, fmt.Errorf("daemon rejected the job (%s): %s", e.Code, e.Error)
-		}
-		if e.Code == server.CodeDeadlineUnmeetable {
-			return server.JobStatus{}, fmt.Errorf(
-				"daemon rejected the job (%s): %s (relax -deadline or retry after %v)",
-				e.Code, e.Error, floor)
 		}
 		if attempt+1 >= retryBudget {
 			return server.JobStatus{}, fmt.Errorf(

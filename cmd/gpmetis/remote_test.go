@@ -127,35 +127,6 @@ func TestSubmitRetryBudgetTrips(t *testing.T) {
 	}
 }
 
-// TestSubmitDeadlineUnmeetableIsTerminal: a deadline_unmeetable
-// rejection is not retryable — re-submitting the same deadline cannot
-// make it meetable, so the client must fail fast on the first response.
-func TestSubmitDeadlineUnmeetableIsTerminal(t *testing.T) {
-	posts := 0
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		posts++
-		w.Header().Set("Retry-After", "7")
-		w.WriteHeader(http.StatusTooManyRequests)
-		w.Write([]byte(`{"error":"deadline 10ms cannot be met","code":"deadline_unmeetable"}`))
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	retrySleep = func(time.Duration) { t.Error("slept on a non-retryable rejection") }
-	defer func() { retrySleep = time.Sleep }()
-
-	_, err := runRemote(remoteArgs{
-		bases: []string{ts.URL}, path: writeTempGraph(t), k: 2, algo: "gp", retries: 5, deadlineMs: 10,
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadline_unmeetable") {
-		t.Fatalf("err = %v, want the deadline_unmeetable error", err)
-	}
-	if posts != 1 {
-		t.Errorf("posted %d times, want 1 (no retries on an unmeetable deadline)", posts)
-	}
-}
-
 // TestSubmitRetriesOn503Draining: a draining daemon's 503 carries a
 // Retry-After just like an overload 429; the client must honor it and
 // re-submit instead of failing on the first response.

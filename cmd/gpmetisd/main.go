@@ -21,12 +21,12 @@
 //	POST   /jobs            submit a job (202 queued, 200 cache hit,
 //	                        429 + a typed code when admission refuses it:
 //	                        "overloaded" queue full, "tenant_quota" the
-//	                        tenant's queued quota is spent, "rate_limited"
-//	                        its token bucket is empty, and
-//	                        "deadline_unmeetable" the requested deadline
-//	                        cannot be met at the current queue depth; every
-//	                        429 and the draining 503 carry a Retry-After
-//	                        derived from queued work over device count)
+//	                        tenant's queued quota is spent, and
+//	                        "rate_limited" its token bucket is empty; every
+//	                        429 and the draining 503 carry a Retry-After:
+//	                        queue depth times mean run time over device
+//	                        count, or the time to the next token when
+//	                        rate limited)
 //	GET    /jobs            list jobs
 //	GET    /jobs/{id}       job status; the result once done
 //	DELETE /jobs/{id}       cancel a queued or running job
@@ -58,7 +58,7 @@
 //
 // -tenants points at a JSON object mapping tenant names to {"weight",
 // "max_queued", "rate_per_sec", "burst"}: the queue is served
-// weighted-fair over estimated modeled cost (start-time fair queueing),
+// weighted-fair over input size, |V|+|E| (start-time fair queueing),
 // so a weight-3 tenant gets 3x the service of a weight-1 tenant under
 // saturation while an idle queue serves everyone immediately. Unlisted
 // tenants (and jobs submitted without a tenant) run under "default".

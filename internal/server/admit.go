@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -25,13 +24,12 @@ const (
 // second time.
 //
 // A hit finishes the job from the cache. A live leader makes the job its
-// coalesced follower. A miss queues the job; deadline admission, the
-// tenant quota and push-out at a full queue apply only to fresh
-// submissions, since replay and takeover re-admit work that was
-// accepted once. A job pushed out to make room is shed here, outside
-// the queue lock. A rejected job gives its claim back and has its
-// context released. The caller indexes an admitted job and watches it
-// to its end.
+// coalesced follower. A miss queues the job; the tenant quota and
+// push-out at a full queue apply only to fresh submissions, since
+// replay and takeover re-admit work that was accepted once. A job
+// pushed out to make room is shed here, outside the queue lock. A
+// rejected job gives its claim back and has its context released. The
+// caller indexes an admitted job and watches it to its end.
 func (s *Server) admit(j *Job, fresh bool) (outcome string, leader *Job, err error) {
 	if j.key != "" {
 		t0 := time.Now()
@@ -62,26 +60,8 @@ func (s *Server) admit(j *Job, fresh bool) (outcome string, leader *Job, err err
 		}
 	}
 
-	// Deadline admission: once the estimator has evidence for this
-	// (algorithm, size-bucket) cell, a job whose deadline cannot cover
-	// the queued work ahead of it plus its own service time is rejected
-	// now, not failed after burning a queue slot. Cold cells admit
-	// optimistically.
-	est := s.est.costs(j.algo, j.g.NumVertices())
-	j.estWall, j.estModeled = est.wall, est.modeled
-	if fresh && j.deadline > 0 {
-		if known, ok := s.est.lookup(j.algo, j.g.NumVertices()); ok {
-			depth, queuedWall := s.fq.stats()
-			if need := queuedWall/float64(s.cfg.Devices) + known.wall; need > j.deadline.Seconds() {
-				err = &deadlineError{need: need, depth: depth, deadline: j.deadline}
-			}
-		}
-	}
-	var victim *Job
-	if err == nil {
-		j.queuedAt = time.Now()
-		victim, err = s.fq.Push(j, fresh)
-	}
+	j.queuedAt = time.Now()
+	victim, err := s.fq.Push(j, fresh)
 	if err != nil {
 		s.release(j)
 		j.cancel()
@@ -147,25 +127,13 @@ func (s *Server) follow(j, leader *Job) {
 // time, and charging crash downtime against the job would fail work the
 // previous process had already accepted.
 func (s *Server) startClock(j *Job) {
-	j.deadline = time.Duration(j.req.DeadlineMs) * time.Millisecond
-	if j.deadline == 0 {
-		j.deadline = s.cfg.DefaultDeadline
+	d := time.Duration(j.req.DeadlineMs) * time.Millisecond
+	if d == 0 {
+		d = s.cfg.DefaultDeadline
 	}
-	if j.deadline > 0 {
-		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, j.deadline)
+	if d > 0 {
+		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, d)
 	} else {
 		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
-}
-
-// deadlineError is deadline admission's refusal: the queued work ahead
-// of the job plus its own estimated service time exceed its deadline.
-type deadlineError struct {
-	need     float64
-	depth    int
-	deadline time.Duration
-}
-
-func (e *deadlineError) Error() string {
-	return fmt.Sprintf("deadline unmeetable: need ~%.3fs (queue depth %d), deadline %s", e.need, e.depth, e.deadline)
 }

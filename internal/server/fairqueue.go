@@ -10,13 +10,16 @@ import (
 
 // quotaError marks a submission rejected because its tenant already
 // holds MaxQueued slots; the HTTP layer maps it to 429 "tenant_quota".
+// queued is the tenant's live count, which replay and takeover can
+// leave above the limit.
 type quotaError struct {
 	tenant string
+	queued int
 	limit  int
 }
 
 func (e *quotaError) Error() string {
-	return fmt.Sprintf("tenant %q over quota: %d jobs already queued (max_queued %d)", e.tenant, e.limit, e.limit)
+	return fmt.Sprintf("tenant %q over quota: %d jobs already queued (max_queued %d)", e.tenant, e.queued, e.limit)
 }
 
 // fqItem is one queued job plus its start-time-fair-queueing tags.
@@ -24,25 +27,20 @@ type fqItem struct {
 	job *Job
 	// start and finish are the job's virtual-time tags: start is
 	// max(queue virtual time, tenant's last finish), finish is start +
-	// estimated modeled cost / tenant weight. Dequeue order is ascending
-	// finish tag, so a weight-3 tenant's finish tags advance a third as
-	// fast and it drains three units of modeled work per unit a weight-1
-	// tenant drains.
+	// input size / tenant weight. Dequeue order is ascending finish tag,
+	// so a weight-3 tenant's finish tags advance a third as fast and it
+	// drains three units of input per unit a weight-1 tenant drains.
 	start  float64
 	finish float64
 	// seq breaks finish-tag ties by arrival order, keeping the schedule
 	// deterministic under the seeded chaos harness.
-	seq uint64
-	// wallCost is the wall-second estimate captured at push time; the sum
-	// over the queue drives the dynamic Retry-After and deadline-aware
-	// admission.
-	wallCost float64
-	index    int // heap position, maintained by the heap interface
+	seq   uint64
+	index int // heap position, maintained by the heap interface
 }
 
 // fairQueue is a bounded start-time fair queue (SFQ) over per-tenant
 // virtual time: the replacement for the FIFO channel. Push computes the
-// job's tags from its tenant's weight and estimated modeled cost; Pop
+// job's tags from its tenant's weight and the job's input size; Pop
 // blocks for the minimum finish tag. All tenant scheduling state
 // (lastFinish, queued) is guarded by mu; each change of a tenant's
 // occupancy is mirrored into its tenant.queued series in reg.
@@ -54,7 +52,6 @@ type fairQueue struct {
 	heap   fqHeap
 	vtime  float64 // queue virtual time: max start tag ever dequeued
 	seq    uint64
-	wall   float64 // sum of wallCost over queued items
 	closed bool
 }
 
@@ -89,7 +86,7 @@ func (q *fairQueue) Push(j *Job, fresh bool) (victim *Job, err error) {
 			return nil, ErrQueueFull
 		}
 	} else if overQuota {
-		return nil, &quotaError{tenant: t.name, limit: t.cfg.MaxQueued}
+		return nil, &quotaError{tenant: t.name, queued: t.queued, limit: t.cfg.MaxQueued}
 	}
 	weight, last := 1.0, 0.0
 	if t != nil {
@@ -99,13 +96,7 @@ func (q *fairQueue) Push(j *Job, fresh bool) (victim *Job, err error) {
 	if last > start {
 		start = last
 	}
-	it := &fqItem{
-		job:      j,
-		start:    start,
-		finish:   start + j.estModeled/weight,
-		seq:      q.seq,
-		wallCost: j.estWall,
-	}
+	it := &fqItem{job: j, start: start, finish: start + j.cost/weight, seq: q.seq}
 	q.seq++
 	if t != nil {
 		t.lastFinish = it.finish
@@ -113,7 +104,6 @@ func (q *fairQueue) Push(j *Job, fresh bool) (victim *Job, err error) {
 		q.reg.SetWith("tenant.queued", t.labels, float64(t.queued))
 	}
 	heap.Push(&q.heap, it)
-	q.wall += it.wallCost
 	q.cond.Signal()
 	return victim, nil
 }
@@ -209,10 +199,8 @@ func (q *fairQueue) dequeuedLocked(it *fqItem) {
 	q.leftLocked(it)
 }
 
-// leftLocked takes a departed item off the books: the queued wall
-// estimate and its tenant's occupancy drop.
+// leftLocked takes a departed item off its tenant's occupancy.
 func (q *fairQueue) leftLocked(it *fqItem) {
-	q.wall -= it.wallCost
 	if t := it.job.tenant; t != nil {
 		t.queued--
 		q.reg.SetWith("tenant.queued", t.labels, float64(t.queued))
@@ -248,14 +236,6 @@ func (q *fairQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.heap)
-}
-
-// stats reports the depth and the summed wall-second estimate of the
-// queued work — the numerator of the dynamic Retry-After.
-func (q *fairQueue) stats() (depth int, wallSeconds float64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.heap), q.wall
 }
 
 // fqHeap is the min-heap over finish tags backing fairQueue.

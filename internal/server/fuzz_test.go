@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gpmetis/internal/graph/gio"
@@ -82,13 +83,15 @@ func FuzzSubmitRequest(f *testing.F) {
 // FuzzReplayJournal replays valid journal records followed by a torn
 // or garbage tail. Replay must not panic, every record it returns must
 // carry a type and an id, and every record before the first bad line
-// must come back, in order.
+// must come back, in order. One line is a legacy "estimator" record
+// with its cell table, as older daemons journaled it: it replays as a
+// bare type and id.
 func FuzzReplayJournal(f *testing.F) {
 	valid := []Record{
 		{Type: RecSubmit, ID: "j000001", Seq: 1, Req: &SubmitRequest{Graph: "3 3\n2 3\n1 3\n1 2\n", K: 2}},
 		{Type: RecRunning, ID: "j000001"},
 		{Type: RecDone, ID: "j000001", Key: "k1", Result: &JobResult{Part: []int{0, 1, 1}, EdgeCut: 2, ModeledSeconds: 0.25}},
-		{Type: RecEstimator, ID: "estimator", Est: []EstimatorCell{{Algo: 0, Bucket: 3, Wall: 0.5, Modeled: 0.1}}},
+		{Type: "estimator", ID: "estimator"},
 		{Type: RecReplica, ID: "replica-k2", Key: "k2", Result: &JobResult{Part: []int{1, 0}}},
 		{Type: RecFailed, ID: "j000002", Error: "boom"},
 	}
@@ -100,6 +103,8 @@ func FuzzReplayJournal(f *testing.F) {
 		}
 		lines[i] = append(b, '\n')
 	}
+	raw := slices.Clone(lines)
+	raw[3] = []byte(`{"type":"estimator","id":"estimator","est":[{"algo":0,"bucket":3,"wall":0.5,"modeled":0.1}]}` + "\n")
 	for _, tail := range []string{
 		"",
 		`{"type":"done","id":"j0000`,
@@ -118,7 +123,7 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, tail []byte) {
 		prefix := int(n) % (len(valid) + 1)
 		var buf bytes.Buffer
-		for _, l := range lines[:prefix] {
+		for _, l := range raw[:prefix] {
 			buf.Write(l)
 		}
 		buf.Write(tail)

@@ -26,6 +26,10 @@ type Job struct {
 	key     string          // content address; "" when NoCache
 	noCache bool
 	req     *SubmitRequest // original wire request, retained for the journal
+	// cost is the fair queue's service currency: the input size |V|+|E|,
+	// since each level of a multilevel partitioner does work linear in
+	// it. Replay and takeover therefore tag a job as its submit did.
+	cost float64
 
 	// resume, when non-nil, is a checkpoint loaded during crash recovery;
 	// the scheduler feeds it to the run so the job continues from the
@@ -36,19 +40,13 @@ type Job struct {
 	// must not append duplicates.
 	recovered bool
 
-	// tenant is the admission state the job was accepted under; estWall
-	// and estModeled are the cost estimates captured at push time (wall
-	// seconds for Retry-After and deadline math, modeled seconds as the
-	// fair queue's service currency).
-	tenant     *tenantState
-	estWall    float64
-	estModeled float64
+	// tenant is the admission state the job was accepted under.
+	tenant *tenantState
 
-	// ctx carries the job's cancellation and its deadline budget (0 is
-	// unbounded), both set by startClock.
-	ctx      context.Context
-	cancel   context.CancelFunc
-	deadline time.Duration
+	// ctx carries the job's cancellation and its deadline, if any, both
+	// set by startClock.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu          sync.Mutex
 	state       string
@@ -157,6 +155,7 @@ func resolveRequest(req *SubmitRequest) (*Job, error) {
 		k:       req.K,
 		algo:    algo,
 		opts:    o,
+		cost:    float64(g.NumVertices() + g.NumEdges()),
 		noCache: req.NoCache,
 		req:     req,
 		state:   StateQueued,

@@ -37,31 +37,31 @@ type Journal struct {
 //	done:      ID, Key (may be empty), Result
 //	failed:    ID, Error
 //	canceled:  ID, Error
-//	estimator: ID (always "estimator"), Est — the EWMA service-time
-//	           cells at append time; replay keeps the last one seen
 //	replica:   ID ("replica-" + key prefix), Key, Result — a cache
 //	           entry this node holds as a ring replica of a peer's
 //	           work; replay re-seeds it without re-replicating
+//
+// Replay passes other types through and recovery ignores them, so the
+// "estimator" lines older daemons wrote are skipped and vanish at the
+// next rotation.
 type Record struct {
-	Type   string          `json:"type"`
-	ID     string          `json:"id"`
-	Seq    int             `json:"seq,omitempty"`
-	Req    *SubmitRequest  `json:"req,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Result *JobResult      `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Est    []EstimatorCell `json:"est,omitempty"`
+	Type   string         `json:"type"`
+	ID     string         `json:"id"`
+	Seq    int            `json:"seq,omitempty"`
+	Req    *SubmitRequest `json:"req,omitempty"`
+	Key    string         `json:"key,omitempty"`
+	Result *JobResult     `json:"result,omitempty"`
+	Error  string         `json:"error,omitempty"`
 }
 
 // Journal record types.
 const (
-	RecSubmit    = "submit"
-	RecRunning   = "running"
-	RecDone      = "done"
-	RecFailed    = "failed"
-	RecCanceled  = "canceled"
-	RecEstimator = "estimator"
-	RecReplica   = "replica"
+	RecSubmit   = "submit"
+	RecRunning  = "running"
+	RecDone     = "done"
+	RecFailed   = "failed"
+	RecCanceled = "canceled"
+	RecReplica  = "replica"
 )
 
 // OpenJournal opens (creating if needed) the journal at path for

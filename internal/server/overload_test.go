@@ -63,7 +63,7 @@ func countEvents(s *Server, typ string) int {
 // TestWeightedFairDequeueOrder is the fairness property test: two
 // tenants weighted 3:1 submit identical-cost work into a saturated
 // queue, and the dequeue order must serve them in that proportion.
-// With equal per-job modeled cost the SFQ schedule is deterministic,
+// With equal per-job cost (one graph) the SFQ schedule is deterministic,
 // so of the first 20 dequeues exactly 15 should be the weight-3
 // tenant's — the ±1 tolerance keeps the assertion within the ±10%
 // fairness objective without pinning heap tie-breaking forever.
@@ -362,8 +362,8 @@ func TestQueuedDeadlineExpiresEagerly(t *testing.T) {
 }
 
 // TestDynamicRetryAfter: the 429 Retry-After must be derived from the
-// queued work's estimated wall seconds over the device count, and the
-// draining 503 must carry the same live hint.
+// queue depth times the mean measured run time over the device count,
+// and the draining 503 must carry the same live hint.
 func TestDynamicRetryAfter(t *testing.T) {
 	s := New(Config{Devices: 1, QueueCap: 2, CacheCap: 8})
 	defer s.Close()
@@ -378,9 +378,9 @@ func TestDynamicRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := graphText(t, g)
-	// Teach the estimator that this (algo, size) cell costs 3 wall
-	// seconds, so two queued jobs put 6s of work ahead of a rejection.
-	s.est.observe(gpmetis.GPMetis, g.NumVertices(), 3.0, 0.01)
+	// A measured 3s run makes two queued jobs 6s of work ahead of a
+	// rejection.
+	s.reg.Observe("job.run_seconds", 3.0)
 
 	if _, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: text, K: 4, Seed: 1, NoCache: true}); apiErr != nil {
 		t.Fatal(apiErr.Error)
@@ -421,64 +421,6 @@ func TestDynamicRetryAfter(t *testing.T) {
 	}
 
 	close(release)
-}
-
-// TestDeadlineUnmeetableRejection: once the estimator has evidence, a
-// deadline the queued work cannot meet is rejected up front with the
-// typed code instead of burning a queue slot and failing later.
-func TestDeadlineUnmeetableRejection(t *testing.T) {
-	s := New(Config{Devices: 1, QueueCap: 4, CacheCap: 8})
-	defer s.Close()
-	release := make(chan struct{})
-	var gate sync.Once
-	s.beforeRun = func(*Job) { gate.Do(func() { <-release }) }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	g, err := gpmetis.Grid2D(20, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := graphText(t, g)
-	s.est.observe(gpmetis.GPMetis, g.NumVertices(), 3.0, 0.01)
-
-	if _, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: text, K: 4, Seed: 1, NoCache: true}); apiErr != nil {
-		t.Fatal(apiErr.Error)
-	}
-	waitForDepthDrain(t, s, 0)
-	if _, apiErr, _ := httpSubmit(t, ts.URL, SubmitRequest{Graph: text, K: 4, Seed: 2, NoCache: true}); apiErr != nil {
-		t.Fatal(apiErr.Error)
-	}
-
-	// Need ~6s (3s queued + 3s own); a 1s deadline is unmeetable.
-	_, apiErr, code := httpSubmit(t, ts.URL, SubmitRequest{Graph: text, K: 4, Seed: 3, NoCache: true, DeadlineMs: 1000})
-	if apiErr == nil {
-		t.Fatal("unmeetable deadline accepted; want 429")
-	}
-	if code != http.StatusTooManyRequests || apiErr.Code != CodeDeadlineUnmeetable {
-		t.Errorf("got HTTP %d code %q, want 429 %q", code, apiErr.Code, CodeDeadlineUnmeetable)
-	}
-
-	// The direct API reports the same typed code.
-	_, err = s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 4, NoCache: true, DeadlineMs: 1000})
-	if OverloadCode(err) != CodeDeadlineUnmeetable {
-		t.Errorf("direct Submit: OverloadCode = %q (%v), want %q", OverloadCode(err), err, CodeDeadlineUnmeetable)
-	}
-
-	// A generous deadline clears admission with the same queue state.
-	meets, err := s.Submit(&SubmitRequest{Graph: text, K: 4, Seed: 5, NoCache: true, DeadlineMs: 60000})
-	if err != nil {
-		t.Fatalf("meetable deadline rejected: %v", err)
-	}
-
-	if m := s.reg.Get("jobs.rejected_deadline"); m != 2 {
-		t.Errorf("jobs.rejected_deadline = %v, want 2", m)
-	}
-	close(release)
-	<-meets.Done()
-	if st := meets.Status(); st.State != StateDone {
-		t.Errorf("meetable-deadline job %s: %s (%s), want done", st.ID, st.State, st.Error)
-	}
 }
 
 // TestTenantRateLimit: a tenant with a 1/s token bucket gets one job
@@ -570,47 +512,6 @@ func TestTenantQuota(t *testing.T) {
 	close(release)
 }
 
-// TestEstimatorEWMA pins the estimator's cell math: seeding, smoothing,
-// bucket sharing, and the cold-start priors.
-func TestEstimatorEWMA(t *testing.T) {
-	e := newEstimator()
-	if _, ok := e.lookup(gpmetis.GPMetis, 40000); ok {
-		t.Error("cold estimator claims evidence")
-	}
-	if c := e.costs(gpmetis.GPMetis, 40000); c.wall != defaultWallEstimate || c.modeled != defaultModeledEstimate {
-		t.Errorf("cold costs = %+v, want priors", c)
-	}
-
-	e.observe(gpmetis.GPMetis, 40000, 2.0, 0.5)
-	if c := e.costs(gpmetis.GPMetis, 40000); c.wall != 2.0 || c.modeled != 0.5 {
-		t.Errorf("first observation must seed the cell directly, got %+v", c)
-	}
-	// 40k and 60k vertices share the log2 bucket (2^15..2^16).
-	if _, ok := e.lookup(gpmetis.GPMetis, 60000); !ok {
-		t.Error("60k vertices should share the 40k bucket")
-	}
-	// 4k vertices and other algorithms do not.
-	if _, ok := e.lookup(gpmetis.GPMetis, 4000); ok {
-		t.Error("4k vertices must not share the 40k bucket")
-	}
-	if _, ok := e.lookup(gpmetis.Metis, 40000); ok {
-		t.Error("cells must be per-algorithm")
-	}
-
-	e.observe(gpmetis.GPMetis, 40000, 4.0, 1.5)
-	c := e.costs(gpmetis.GPMetis, 40000)
-	wantWall := 2.0 + estAlpha*(4.0-2.0)
-	wantModeled := 0.5 + estAlpha*(1.5-0.5)
-	if c.wall != wantWall || c.modeled != wantModeled {
-		t.Errorf("EWMA step = %+v, want wall %v modeled %v", c, wantWall, wantModeled)
-	}
-
-	e.observe(gpmetis.GPMetis, 40000, -1, 0.1) // negatives are dropped
-	if got := e.costs(gpmetis.GPMetis, 40000); got != c {
-		t.Errorf("negative observation mutated the cell: %+v", got)
-	}
-}
-
 // TestFairQueueOrdering pins the SFQ schedule at the queue level: a
 // weight-2 tenant's equal-cost jobs dequeue twice as often, ties break
 // by arrival, and Remove keeps the accounting straight.
@@ -620,7 +521,7 @@ func TestFairQueueOrdering(t *testing.T) {
 	tb := &tenantState{name: "b", cfg: TenantConfig{Weight: 1}.withDefaults()}
 
 	mk := func(ts *tenantState) *Job {
-		j := &Job{tenant: ts, estModeled: 1.0, estWall: 2.0}
+		j := &Job{tenant: ts, cost: 1.0}
 		if _, err := q.Push(j, true); err != nil {
 			t.Fatal(err)
 		}
@@ -631,8 +532,8 @@ func TestFairQueueOrdering(t *testing.T) {
 	a2, b2 := mk(ta), mk(tb)
 	a3, b3 := mk(ta), mk(tb)
 
-	if depth, wall := q.stats(); depth != 6 || wall != 12.0 {
-		t.Errorf("stats = (%d, %v), want (6, 12)", depth, wall)
+	if depth := q.Len(); depth != 6 {
+		t.Errorf("Len = %d, want 6", depth)
 	}
 
 	// Finish tags: a at 0.5, 1.0, 1.5; b at 1, 2, 3. The tie at 1.0
@@ -657,8 +558,8 @@ func TestFairQueueOrdering(t *testing.T) {
 	if q.Remove(x) {
 		t.Fatal("Remove(x) = true twice")
 	}
-	if depth, wall := q.stats(); depth != 1 || wall != 2.0 {
-		t.Errorf("stats after remove = (%d, %v), want (1, 2)", depth, wall)
+	if depth := q.Len(); depth != 1 {
+		t.Errorf("Len after remove = %d, want 1", depth)
 	}
 	if got := q.Pop(); got != y {
 		t.Error("Pop after Remove returned the removed job")
@@ -674,7 +575,7 @@ func TestFairQueuePushOut(t *testing.T) {
 	q := newFairQueue(4, nil)
 	paid := &tenantState{name: "paid", cfg: TenantConfig{Weight: 3}.withDefaults()}
 	free := &tenantState{name: "free", cfg: TenantConfig{Weight: 1}.withDefaults()}
-	mk := func(ts *tenantState) *Job { return &Job{tenant: ts, estModeled: 1.0, estWall: 1.0} }
+	mk := func(ts *tenantState) *Job { return &Job{tenant: ts, cost: 1.0} }
 
 	var frees []*Job
 	for i := 0; i < 4; i++ {
@@ -704,8 +605,8 @@ func TestFairQueuePushOut(t *testing.T) {
 	if free.queued != 3 || free.lastFinish != 3 {
 		t.Errorf("free after eviction: queued %d lastFinish %v, want 3 and 3", free.queued, free.lastFinish)
 	}
-	if depth, wall := q.stats(); depth != 4 || wall != 4.0 {
-		t.Errorf("stats = (%d, %v), want (4, 4)", depth, wall)
+	if depth := q.Len(); depth != 4 {
+		t.Errorf("Len = %d, want 4", depth)
 	}
 	// paid's finish tag is 1/3: it dequeues before every free job.
 	want := []*Job{p, frees[0], frees[1], frees[2]}
@@ -713,6 +614,27 @@ func TestFairQueuePushOut(t *testing.T) {
 		if got := q.Pop(); got != w {
 			t.Fatalf("pop %d: got tenant %s, want tenant %s", i, got.tenant.name, w.tenant.name)
 		}
+	}
+}
+
+// TestFairQueueQuotaCountsLiveQueue: replay and takeover re-admit past
+// the quota, so the next fresh push's refusal must report the tenant's
+// live queued count beside the limit.
+func TestFairQueueQuotaCountsLiveQueue(t *testing.T) {
+	q := newFairQueue(8, nil)
+	ts := &tenantState{name: "t", cfg: TenantConfig{MaxQueued: 2}.withDefaults()}
+	for i := 0; i < 3; i++ {
+		if _, err := q.Push(&Job{tenant: ts, cost: 1.0}, false); err != nil {
+			t.Fatalf("re-admission %d: %v", i, err)
+		}
+	}
+	_, err := q.Push(&Job{tenant: ts, cost: 1.0}, true)
+	var qe *quotaError
+	if !errors.As(err, &qe) {
+		t.Fatalf("fresh push over quota: err %v, want a quotaError", err)
+	}
+	if want := `tenant "t" over quota: 3 jobs already queued (max_queued 2)`; err.Error() != want {
+		t.Errorf("quota message %q, want %q", err.Error(), want)
 	}
 }
 
@@ -739,7 +661,7 @@ func TestFairQueuePushOutConcurrent(t *testing.T) {
 		go func(ts *tenantState) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				victim, err := q.Push(&Job{tenant: ts, estModeled: 1.0, estWall: 1.0}, true)
+				victim, err := q.Push(&Job{tenant: ts, cost: 1.0}, true)
 				switch {
 				case err == nil:
 					admitted.Add(1)
@@ -758,7 +680,7 @@ func TestFairQueuePushOutConcurrent(t *testing.T) {
 	if a, p, v := admitted.Load(), pops.Load(), shed.Load(); a != p+v {
 		t.Errorf("%d admitted, %d popped + %d pushed out, want equal", a, p, v)
 	}
-	if depth, wall := q.stats(); depth != 0 || wall != 0 || paid.queued != 0 || free.queued != 0 {
-		t.Errorf("after drain: depth %d wall %v queued paid %d free %d, want all 0", depth, wall, paid.queued, free.queued)
+	if depth := q.Len(); depth != 0 || paid.queued != 0 || free.queued != 0 {
+		t.Errorf("after drain: depth %d queued paid %d free %d, want all 0", depth, paid.queued, free.queued)
 	}
 }

@@ -47,7 +47,6 @@ func (s *Server) recover() {
 	}
 
 	var order []string
-	var estCells []EstimatorCell
 	var replicaOrder []string
 	replicaRecs := map[string]*JobResult{}
 	byID := map[string]*foldedJob{}
@@ -60,10 +59,6 @@ func (s *Server) recover() {
 				}
 				replicaRecs[rec.Key] = rec.Result
 			}
-		case RecEstimator:
-			// Last record wins: the estimator snapshots monotonically, so
-			// the newest cells subsume every earlier append.
-			estCells = rec.Est
 		case RecSubmit:
 			if f, ok := byID[rec.ID]; ok {
 				// A running record can beat its submit into the journal
@@ -101,13 +96,6 @@ func (s *Server) recover() {
 				f.errMsg = rec.Error
 			}
 		}
-	}
-
-	// Warm the estimator before re-admitting jobs: readmit captures cost
-	// tags from it, and deadline admission should not restart on priors.
-	if len(estCells) > 0 {
-		s.est.restore(estCells)
-		s.reg.Add("estimator.restored_cells", float64(len(estCells)))
 	}
 
 	var readmitted, resumed, results int

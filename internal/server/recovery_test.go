@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,14 +268,88 @@ func TestJournalRotation(t *testing.T) {
 	}
 	byID := map[string]bool{}
 	for _, rec := range recs {
-		if rec.Type == RecEstimator {
-			continue // the service-time snapshot rides along; it is not a job
-		}
 		byID[rec.ID] = true
 	}
 	if len(byID) != 4 {
 		t.Errorf("journal retains %d jobs after rotation, want 4", len(byID))
 	}
+}
+
+// TestLegacyEstimatorJournalRecovers: a journal written by a daemon
+// that still had the service-time estimator carries "estimator" lines
+// with their cell tables between job records. Replay must skip them
+// without tearing the journal, recover every job in order, drop the
+// lines at the first rotation, and replay again after it.
+func TestLegacyEstimatorJournalRecovers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	g, err := gpmetis.Grid2D(10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := graphText(t, g)
+	est := `{"type":"estimator","id":"estimator","est":[{"algo":0,"bucket":7,"wall":0.004,"modeled":0.0002}]}`
+	var buf strings.Builder
+	for _, line := range []any{
+		Record{Type: RecSubmit, ID: "j000001", Seq: 1, Req: &SubmitRequest{Graph: text, K: 2, Seed: 1}},
+		Record{Type: RecRunning, ID: "j000001"},
+		Record{Type: RecDone, ID: "j000001", Key: "k1", Result: &JobResult{Part: make([]int, 100), EdgeCut: 0}},
+		est,
+		Record{Type: RecSubmit, ID: "j000002", Seq: 2, Req: &SubmitRequest{Graph: text, K: 2, Seed: 2}},
+		Record{Type: RecFailed, ID: "j000002", Error: "boom"},
+		est,
+		Record{Type: RecSubmit, ID: "j000003", Seq: 3, Req: &SubmitRequest{Graph: text, K: 2, Seed: 3}},
+		est,
+	} {
+		if raw, ok := line.(string); ok {
+			buf.WriteString(raw + "\n")
+			continue
+		}
+		b, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(b, '\n'))
+	}
+	if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	wantStates := []string{StateDone, StateFailed, StateDone}
+	recoverAll := func() {
+		t.Helper()
+		s := New(Config{Devices: 1, QueueCap: 8, JournalPath: path})
+		defer s.Close()
+		if d := s.reg.Get("journal.replay_dropped"); d != 0 {
+			t.Errorf("journal.replay_dropped = %v, want 0", d)
+		}
+		s.mu.Lock()
+		order := append([]string(nil), s.order...)
+		s.mu.Unlock()
+		if want := []string{"j000001", "j000002", "j000003"}; fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("recovered jobs %v, want %v", order, want)
+		}
+		for i, id := range order {
+			j, _ := s.Job(id)
+			select {
+			case <-j.Done():
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s stuck after recovery", id)
+			}
+			if st := j.Status(); st.State != wantStates[i] {
+				t.Errorf("%s recovered %s (%s), want %s", id, st.State, st.Error, wantStates[i])
+			}
+		}
+	}
+	recoverAll()
+	// Opening the journal rotated it: the legacy lines are gone.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"estimator"`) {
+		t.Errorf("rotated journal still holds an estimator line:\n%s", b)
+	}
+	recoverAll()
 }
 
 // TestCanceledResultNotCached is the cache-poisoning regression test: a

@@ -261,14 +261,10 @@ func (p *pool) runJob(job *Job, slot int) {
 		if job.key != "" {
 			p.s.cache.Put(job.key, &CachedResult{Result: *jr, Tracer: tracer, Profile: res.Profile})
 		}
-		// Feed the service-time estimator and the tenant's served-cost
-		// account before the job turns done, so whoever sees it done also
-		// sees its evidence. Only genuine runs feed them: cache hits and
-		// coalesced followers cost nothing and would drag the EWMA to 0.
-		_, _, runStart := job.LifeSpans()
-		p.s.est.observe(job.algo, job.g.NumVertices(), time.Since(runStart).Seconds(), res.ModeledSeconds)
+		// Charge the tenant's served-cost account before the job turns
+		// done, so whoever sees it done also sees the charge. Only genuine
+		// runs are charged: cache hits and coalesced followers cost nothing.
 		p.s.tenantAdd(job.tenant, "tenant.served_modeled_seconds", res.ModeledSeconds)
-		p.s.journalEstimator()
 		job.finish(StateDone, jr, "")
 	case errors.Is(err, gpmetis.ErrCanceled):
 		if errors.Is(job.ctx.Err(), context.DeadlineExceeded) {

@@ -139,7 +139,6 @@ type Server struct {
 	cache   *Cache
 	fq      *fairQueue
 	tenants *tenantTable
-	est     *estimator
 	pool    *pool
 	journal *Journal
 
@@ -188,7 +187,6 @@ func New(cfg Config) *Server {
 		cache:       NewCache(cfg.CacheCap, reg),
 		fq:          newFairQueue(cfg.QueueCap, reg),
 		tenants:     newTenantTable(cfg.Tenants, reg),
-		est:         newEstimator(),
 		jobs:        map[string]*Job{},
 		inflight:    map[string]*Job{},
 		replicaKeys: map[string]bool{},
@@ -320,11 +318,6 @@ func (s *Server) compactRecords() []Record {
 		res := c.Result
 		recs = append(recs, Record{Type: RecReplica, ID: replicaRecordID(k), Key: k, Result: &res})
 	}
-	// The estimator state rides every compaction so a restart after
-	// rotation still replays warm service-time estimates.
-	if cells := s.est.snapshot(); len(cells) > 0 {
-		recs = append(recs, Record{Type: RecEstimator, ID: "estimator", Est: cells})
-	}
 	return recs
 }
 
@@ -382,20 +375,6 @@ func (s *Server) watch(j *Job) {
 
 // Metrics returns the server's counter registry.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// journalEstimator appends the estimator's current cells so a restarted
-// daemon replays them and deadline admission restarts warm. The last
-// estimator record in the journal wins at replay.
-func (s *Server) journalEstimator() {
-	if s.journal == nil {
-		return
-	}
-	cells := s.est.snapshot()
-	if len(cells) == 0 {
-		return
-	}
-	s.journalAppend(Record{Type: RecEstimator, ID: "estimator", Est: cells})
-}
 
 // RingHooks attaches the ring tier to a server. The server only calls
 // plain functions and reads plain data, so internal/cluster can depend
@@ -550,11 +529,10 @@ func (s *Server) JobByTrace(traceID string) (*Job, bool) {
 // in-flight job (single-flight coalescing), completes it instantly
 // (hit), or admits it to the weighted-fair queue. It rejects with
 // ErrQueueFull (wrapped in an *overloadError carrying a dynamic
-// Retry-After) at capacity, with
-// overload errors coded tenant_quota / rate_limited /
-// deadline_unmeetable when admission control refuses the tenant or the
-// deadline, with ErrDraining during graceful shutdown, and with a
-// *requestError for invalid submissions.
+// Retry-After) at capacity, with overload errors coded tenant_quota /
+// rate_limited when admission control refuses the tenant, with
+// ErrDraining during graceful shutdown, and with a *requestError for
+// invalid submissions.
 func (s *Server) Submit(req *SubmitRequest) (*Job, error) { return s.submit(req, nil) }
 
 // errRouted reports a submission the ring's route answered itself:
@@ -661,20 +639,13 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 }
 
 // reject accounts for a fresh submission that admission control refused
-// (unmeetable deadline, tenant quota, full queue) and returns its wire
+// (tenant quota, full queue) and returns its wire
 // error, carrying a Retry-After derived from live load.
 func (s *Server) reject(j *Job, err error) error {
 	s.tenantAdd(j.tenant, "tenant.rejected", 1)
 	oe := &overloadError{msg: err.Error(), retryAfter: s.retryAfterSeconds(), wrapped: err}
-	var de *deadlineError
 	var qe *quotaError
 	switch {
-	case errors.As(err, &de):
-		oe.code = CodeDeadlineUnmeetable
-		s.reg.Add("jobs.rejected_deadline", 1)
-		s.event(obs.EvRejected, j, -1, oe.msg)
-		s.jlog(j).Warn("job rejected: deadline unmeetable",
-			"estimated_seconds", de.need, "deadline", de.deadline.String(), "queue_depth", de.depth)
 	case errors.As(err, &qe):
 		oe.code = CodeTenantQuota
 		s.reg.Add("jobs.rejected_quota", 1)
@@ -692,11 +663,15 @@ func (s *Server) reject(j *Job, err error) error {
 }
 
 // retryAfterSeconds derives the Retry-After hint from live load: the
-// wall-second estimate of all queued work divided across the device
-// pool, floored at 1s and capped at 10 minutes.
+// queue depth times the mean measured run time (the job.run_seconds
+// histogram), divided across the device pool, floored at 1s and capped
+// at 10 minutes.
 func (s *Server) retryAfterSeconds() int {
-	_, queuedWall := s.fq.stats()
-	secs := int(math.Ceil(queuedWall / float64(s.cfg.Devices)))
+	var mean float64
+	if h, ok := s.reg.Histogram("job.run_seconds"); ok && h.Count > 0 {
+		mean = h.Sum / float64(h.Count)
+	}
+	secs := int(math.Ceil(float64(s.fq.Len()) * mean / float64(s.cfg.Devices)))
 	if secs < 1 {
 		secs = 1
 	}
@@ -721,7 +696,7 @@ func (e *overloadError) Error() string { return e.msg }
 func (e *overloadError) Unwrap() error { return e.wrapped }
 
 // OverloadCode returns the wire code of an admission-control rejection
-// ("overloaded", "tenant_quota", "rate_limited", "deadline_unmeetable"),
+// ("overloaded", "tenant_quota", "rate_limited"),
 // or "" when err is not an overload rejection.
 func OverloadCode(err error) string {
 	var oe *overloadError
@@ -919,8 +894,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, st)
 	case errors.As(err, &oe):
 		// Every overload-class rejection (queue full, tenant quota, rate
-		// limit, unmeetable deadline) carries a Retry-After derived from
-		// live queue depth × estimated service time, not a constant.
+		// limit) carries a Retry-After derived from live queue depth ×
+		// measured run time, not a constant.
 		w.Header().Set("Retry-After", strconv.Itoa(oe.retryAfter))
 		writeError(w, http.StatusTooManyRequests, oe.code, oe.msg)
 	case errors.Is(err, ErrDraining):

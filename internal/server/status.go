@@ -22,8 +22,7 @@ func (s *Server) statusSnapshot() StatusResponse {
 		JobsFailed:     int64(s.reg.Get("jobs.failed")),
 		JobsCanceled:   int64(s.reg.Get("jobs.canceled")),
 		JobsRejected: int64(s.reg.Get("jobs.rejected") + s.reg.Get("jobs.rejected_draining") +
-			s.reg.Get("jobs.rejected_quota") + s.reg.Get("jobs.rejected_ratelimit") +
-			s.reg.Get("jobs.rejected_deadline")),
+			s.reg.Get("jobs.rejected_quota") + s.reg.Get("jobs.rejected_ratelimit")),
 		JobsShed:      int64(s.reg.Get("jobs.shed")),
 		JobsCoalesced: int64(s.reg.Get("jobs.coalesced")),
 		JobsDegraded:  int64(s.reg.Get("jobs.degraded")),

@@ -26,8 +26,8 @@ const maxTenants = 256
 // documented defaults, so `{"weight": 3}` is a complete entry.
 type TenantConfig struct {
 	// Weight is the tenant's share of service under contention: the fair
-	// queue schedules so tenants receive modeled-cost service in
-	// proportion to their weights (default 1).
+	// queue schedules so tenants receive service, counted in input
+	// size, in proportion to their weights (default 1).
 	Weight float64 `json:"weight,omitempty"`
 	// MaxQueued caps how many of this tenant's jobs may sit in the queue
 	// at once; submissions beyond it get 429 {"code":"tenant_quota"}.
@@ -133,7 +133,7 @@ var tenantSeries = []struct{ name, help string }{
 	{"tenant.completed", "Jobs that reached done."},
 	{"tenant.shed", "Queued jobs pushed out of the full queue by another tenant's submission."},
 	{"tenant.rejected", "Submissions refused by admission control."},
-	{"tenant.served_modeled_seconds", "Modeled GPU seconds served — the weighted-fairness currency."},
+	{"tenant.served_modeled_seconds", "Modeled GPU seconds of the runs served for the tenant."},
 }
 
 // tenantTable resolves tenant names to live states, minting states

@@ -166,11 +166,6 @@ const (
 	// CodeRateLimited marks submissions rejected by the tenant's token
 	// bucket (HTTP 429, retryable after Retry-After).
 	CodeRateLimited = "rate_limited"
-	// CodeDeadlineUnmeetable marks submissions rejected at admission
-	// because the estimated queue wait plus service time already exceeds
-	// the requested deadline (HTTP 429). Retrying immediately cannot
-	// help; retry after Retry-After or relax the deadline.
-	CodeDeadlineUnmeetable = "deadline_unmeetable"
 	// CodeClusterUnreachable marks a submission a cluster entry node
 	// could not place anywhere: every live ring candidate failed (HTTP
 	// 503, retryable once nodes recover).
@@ -304,7 +299,7 @@ type TenantStatus struct {
 	Shed      int64   `json:"shed"`
 	Rejected  int64   `json:"rejected"`
 	// ServedModeledSeconds is the modeled GPU time actually served to
-	// this tenant — the currency weighted fairness is measured in.
+	// this tenant.
 	ServedModeledSeconds float64 `json:"served_modeled_seconds"`
 }
 

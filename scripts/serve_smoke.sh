@@ -5,7 +5,7 @@
 # job through the gpmetis client, asserts it completes, resubmits the
 # identical job, and asserts the second run is a cache hit with the same
 # result. Then it walks the overload-control surface: the per-tenant
-# metric series, and a forced 429 carrying a dynamic Retry-After. Run
+# metric series, and a rate-limit 429 carrying a Retry-After. Run
 # via `make serve-smoke` or directly from the repo root.
 set -euo pipefail
 
@@ -29,7 +29,8 @@ go run ./cmd/graphgen -family delaunay -n 20000 -seed 1 -o "$workdir/smoke.metis
 cat >"$workdir/tenants.json" <<'EOF'
 {
   "default": {"weight": 1},
-  "paid":    {"weight": 3, "max_queued": 16}
+  "paid":    {"weight": 3, "max_queued": 16},
+  "probe":   {"rate_per_sec": 0.001, "burst": 1}
 }
 EOF
 
@@ -94,24 +95,29 @@ for series in 'gpmetisd_tenant_weight{tenant="default"}' \
     grep -qF "$series" "$workdir/metrics.prom" || { echo "serve-smoke: FAIL /metrics missing $series"; exit 1; }
 done
 
-echo "serve-smoke: forcing a 429 and checking its dynamic Retry-After"
-# The completed runs warmed the service-time estimator for this graph's
-# size bucket, so a 1ms deadline is provably unmeetable at admission.
+echo "serve-smoke: forcing a 429 and checking its Retry-After"
+# The probe tenant's token bucket holds one token that refills after
+# 1000s: its first submission spends it, and its second is rate limited.
 {
     printf '{"graph":"'
     awk '{printf "%s\\n", $0}' "$workdir/smoke.metis"
-    printf '","k":16,"deadline_ms":1}'
+    printf '","k":16,"tenant":"probe"}'
 } >"$workdir/probe.json"
-code="$(curl -s -D "$workdir/probe.headers" -o "$workdir/probe.resp" \
-    -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-    --data-binary @"$workdir/probe.json" "$base/jobs")"
-[[ "$code" == "429" ]] || { cat "$workdir/probe.resp"; echo "serve-smoke: FAIL 1ms-deadline probe returned HTTP $code, want 429"; exit 1; }
-grep -q '"code":"deadline_unmeetable"' "$workdir/probe.resp" || { cat "$workdir/probe.resp"; echo "serve-smoke: FAIL probe rejection is not deadline_unmeetable"; exit 1; }
+post_probe() {
+    curl -s -D "$workdir/probe.headers" -o "$workdir/probe.resp" \
+        -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+        --data-binary @"$workdir/probe.json" "$base/jobs"
+}
+code="$(post_probe)"
+[[ "$code" == "200" || "$code" == "202" ]] || { cat "$workdir/probe.resp"; echo "serve-smoke: FAIL first probe submission returned HTTP $code, want 200 or 202"; exit 1; }
+code="$(post_probe)"
+[[ "$code" == "429" ]] || { cat "$workdir/probe.resp"; echo "serve-smoke: FAIL second probe submission returned HTTP $code, want 429"; exit 1; }
+grep -q '"code":"rate_limited"' "$workdir/probe.resp" || { cat "$workdir/probe.resp"; echo "serve-smoke: FAIL probe rejection is not rate_limited"; exit 1; }
 retry_after="$(sed -n 's/^[Rr]etry-[Aa]fter: *\([0-9][0-9]*\).*/\1/p' "$workdir/probe.headers")"
 [[ -n "$retry_after" && "$retry_after" -ge 1 ]] || { cat "$workdir/probe.headers"; echo "serve-smoke: FAIL 429 carries no positive integer Retry-After"; exit 1; }
 echo "serve-smoke: 429 advised Retry-After: $retry_after"
 curl -sf "$base/metrics" >"$workdir/metrics2.prom"
-grep -q '^gpmetisd_jobs_rejected_deadline 1' "$workdir/metrics2.prom" || { echo "serve-smoke: FAIL gpmetisd_jobs_rejected_deadline did not count the probe"; exit 1; }
+grep -q '^gpmetisd_jobs_rejected_ratelimit 1$' "$workdir/metrics2.prom" || { echo "serve-smoke: FAIL gpmetisd_jobs_rejected_ratelimit did not count the probe"; exit 1; }
 
 echo "serve-smoke: rendering the terminal ops view"
 "$workdir/gpmetis" -server "$base" -top -top-iterations 1 >"$workdir/top.out"
