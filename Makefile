@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 CHAOS_RUNS ?= 25
 CHAOS_SEED ?= 1
 
-.PHONY: build test check fmt-check vet staticcheck race determinism bench bench-build bench-hot bench-snapshot perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
+.PHONY: build test check fmt-check vet staticcheck race determinism bench bench-build bench-hot bench-snapshot loc perf-gate serve-smoke restart-smoke cluster-smoke chaos fuzz metrics-lint
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,13 @@ bench:
 # the Go benchmark harness and reports its bytes and allocations per call.
 bench-hot:
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkGPMetisLdoor40$$' -benchmem -count 5
+
+# loc prints the non-test Go lines of each package under internal/ and
+# cmd/, then their total: the size a simplification reports per package.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done | awk '{ print; n += $$1 } END { printf "%7d  total\n", n }'
 
 # bench-snapshot regenerates the committed perf trajectory record. The
 # modeled clock is deterministic, so a diff in BENCH_baseline.json means

@@ -86,7 +86,7 @@ func fetchFleet(client *http.Client, bases []string) (*server.FleetStatus, strin
 }
 
 // renderFleet draws one row per ring member — state, ring share and the
-// node's own queue, outcomes, quarantined slots and cache size, or the
+// node's own queue, outcomes and cache size, or the
 // reason it has no status — then each reachable node's cluster traffic.
 func renderFleet(w io.Writer, from string, fs *server.FleetStatus) {
 	fmt.Fprintf(w, "gpmetisd fleet via %s — seen from node %d", from, fs.Node)
@@ -95,7 +95,7 @@ func renderFleet(w io.Writer, from string, fs *server.FleetStatus) {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "\nNODE  STATE  ADDR                  RTT      SHARE   QUEUE      DONE  FAIL  QUAR  CACHE")
+	fmt.Fprintln(w, "\nNODE  STATE  ADDR                  RTT      SHARE   QUEUE      DONE  FAIL  CACHE")
 	for _, node := range fs.Nodes {
 		state := "down"
 		switch {
@@ -120,16 +120,10 @@ func renderFleet(w io.Writer, from string, fs *server.FleetStatus) {
 			continue
 		}
 		st := node.Status
-		quar := 0
-		for _, sl := range st.Slots {
-			if sl.State == server.DeviceQuarantined {
-				quar++
-			}
-		}
-		fmt.Fprintf(w, "%4d  %-5s  %-20s  %-7s  %5.1f%%  %4d/%-4d  %5d  %4d  %4d  %5d\n",
+		fmt.Fprintf(w, "%4d  %-5s  %-20s  %-7s  %5.1f%%  %4d/%-4d  %5d  %4d  %5d\n",
 			node.ID, state, node.Addr, rtt, node.OwnershipPct,
 			st.QueueDepth, st.QueueCap, st.JobsCompleted, st.JobsFailed,
-			quar, st.CacheEntries)
+			st.CacheEntries)
 	}
 
 	fmt.Fprintln(w, "\nNODE  FWDS  PEEK-HIT  PEEK-MISS  FAILOVER  REPL-PUSH  REPAIR+  REPAIR-  NET-MODELED")
@@ -169,14 +163,14 @@ func renderTop(w io.Writer, base string, st *server.StatusResponse) {
 		}
 	}
 
-	fmt.Fprintln(w, "\nSLOT  STATE        RUNNING    JOBS   BUSY")
+	fmt.Fprintln(w, "\nSLOT  RUNNING    JOBS   BUSY")
 	for _, sl := range st.Slots {
 		running := sl.RunningJob
 		if running == "" {
 			running = "-"
 		}
-		fmt.Fprintf(w, "%4d  %-11s  %-9s %5d  %6.2fs\n",
-			sl.Slot, sl.State, running, sl.Jobs, sl.BusySeconds)
+		fmt.Fprintf(w, "%4d  %-9s %5d  %6.2fs\n",
+			sl.Slot, running, sl.Jobs, sl.BusySeconds)
 	}
 
 	fmt.Fprintln(w, "\nLATENCY        COUNT      P50       P90       P99")

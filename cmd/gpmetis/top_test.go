@@ -26,8 +26,8 @@ func TestRenderTop(t *testing.T) {
 		JobsSubmitted: 10, JobsCompleted: 6, JobsFailed: 1, JobsShed: 2,
 		CacheHits: 4, CacheMisses: 6, CacheHitRate: 0.4, CacheEntries: 5,
 		Slots: []server.SlotStatus{
-			{Slot: 0, State: server.DeviceHealthy, RunningJob: "j7", Jobs: 4, BusySeconds: 1.5},
-			{Slot: 1, State: server.DeviceQuarantined, Jobs: 2},
+			{Slot: 0, RunningJob: "j7", Jobs: 4, BusySeconds: 1.5},
+			{Slot: 1, Jobs: 2},
 		},
 		Tenants: []server.TenantStatus{
 			{Name: "paid", Weight: 3, Queued: 1, MaxQueued: 4, Submitted: 7, Completed: 5, ServedModeledSeconds: 0.25},
@@ -60,8 +60,8 @@ func TestRenderTop(t *testing.T) {
 		prefix []string
 		want   string
 	}{
-		{[]string{"0", "healthy", "j7", "4"}, "1.50s"},
-		{[]string{"1", "quarantined", "-", "2"}, "0.00s"},
+		{[]string{"0", "j7", "4"}, "1.50s"},
+		{[]string{"1", "-", "2"}, "0.00s"},
 		{[]string{"paid", "3", "1/4", "7", "5"}, "0.250s"},
 		{[]string{"total", "7"}, "0.300s"},
 		{[]string{"0", "down", "127.0.0.1:9000", "2", "1"}, ""},
@@ -78,7 +78,6 @@ func TestRenderTop(t *testing.T) {
 func TestRenderFleet(t *testing.T) {
 	self := &server.StatusResponse{
 		QueueDepth: 2, QueueCap: 64, JobsCompleted: 9, JobsFailed: 1, CacheEntries: 4,
-		Slots: []server.SlotStatus{{State: server.DeviceHealthy}, {State: server.DeviceQuarantined}},
 		Cluster: &server.ClusterStatus{
 			NodeID: 0, Forwards: 5, PeekHits: 2, ReplicaPushes: 7, NetModeledSeconds: 0.0125,
 		},
@@ -100,7 +99,7 @@ func TestRenderFleet(t *testing.T) {
 		prefix []string
 		want   string
 	}{
-		{[]string{"0", "self", "127.0.0.1:9000", "-", "40.0%", "2/64", "9", "1", "1", "4"}, ""},
+		{[]string{"0", "self", "127.0.0.1:9000", "-", "40.0%", "2/64", "9", "1", "4"}, ""},
 		{[]string{"1", "down", "127.0.0.1:9001", "-", "35.0%"}, "connection refused"},
 		{[]string{"2", "left", "127.0.0.1:9002", "-", "25.0%"}, "decommissioned"},
 		{[]string{"0", "5", "2", "0", "0", "7"}, "0.013s"},

@@ -9,7 +9,6 @@
 //	gpmetisd [-addr 127.0.0.1:8080] [-devices 2] [-queue 64] \
 //	         [-cache 128] [-deadline 0] [-maxjobs 4096] \
 //	         [-journal jobs.jsonl] [-checkpoint-dir ckpt/] \
-//	         [-quarantine-threshold 3] [-quarantine-backoff 0.002] \
 //	         [-log-level info] [-log-format text] [-drain-timeout 15s] \
 //	         [-events 256] [-tenants tenants.json] \
 //	         [-debug-addr 127.0.0.1:6060] \
@@ -41,8 +40,6 @@
 //	                        outcome, tenants, cache, slots, latency
 //	                        quantiles, ring state; gpmetis -top renders it
 //	GET    /admin/events    flight recorder: recent lifecycle events
-//	GET    /admin/devices   device-pool quarantine states
-//	POST   /admin/devices/{slot}/reinstate  force a slot back into service
 //	POST   /admin/decommission  (ring members) retire this node: push its
 //	                        cache to the shrunk ring, announce departure,
 //	                        then drain and exit as on SIGTERM
@@ -158,8 +155,6 @@ func main() {
 	maxJobs := flag.Int("maxjobs", 4096, "retained job statuses before the oldest terminal jobs are forgotten")
 	journal := flag.String("journal", "", "durable job journal (JSONL); replayed on restart")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for per-job crash-recovery checkpoints")
-	qThreshold := flag.Int("quarantine-threshold", 3, "consecutive device faults before a slot is quarantined")
-	qBackoff := flag.Float64("quarantine-backoff", 0.002, "base modeled-seconds probation budget; doubles per quarantine")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	logFormat := flag.String("log-format", obs.LogText, "log encoding: text or json")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight jobs on SIGTERM")
@@ -202,19 +197,17 @@ func main() {
 	}
 
 	s := server.New(server.Config{
-		JobIDPrefix:         idPrefix,
-		Devices:             *devices,
-		QueueCap:            *queueCap,
-		CacheCap:            *cacheCap,
-		DefaultDeadline:     *deadline,
-		MaxJobs:             *maxJobs,
-		JournalPath:         *journal,
-		CheckpointDir:       *ckptDir,
-		QuarantineThreshold: *qThreshold,
-		QuarantineBackoff:   *qBackoff,
-		Logger:              logger,
-		EventBuffer:         *eventBuf,
-		Tenants:             tenants,
+		JobIDPrefix:     idPrefix,
+		Devices:         *devices,
+		QueueCap:        *queueCap,
+		CacheCap:        *cacheCap,
+		DefaultDeadline: *deadline,
+		MaxJobs:         *maxJobs,
+		JournalPath:     *journal,
+		CheckpointDir:   *ckptDir,
+		Logger:          logger,
+		EventBuffer:     *eventBuf,
+		Tenants:         tenants,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -7,19 +7,19 @@ import (
 	"gpmetis/internal/obs"
 )
 
-// Node health states, mirroring the device-slot quarantine vocabulary.
+// Node health states.
 const (
 	NodeUp   = "up"
 	NodeDown = "down"
 )
 
-// nodeHealth is one peer's strike-based quarantine state machine, the
-// cluster-tier reuse of the device-slot pattern (server/quarantine.go):
-// consecutive failures — failed health probes or connection errors on
-// the request path — cross a threshold and mark the node down; a down
-// node must then answer a backoff-scaled number of consecutive probes
-// before it is trusted again, and the backoff doubles with every
-// quarantine so a flapping node spends exponentially longer distrusted.
+// nodeHealth is one peer's strike-based quarantine state machine. Only
+// real transport failures count against a peer: consecutive failures —
+// failed health probes or connection errors on the request path — cross
+// a threshold and mark the node down; a down node must then answer a
+// backoff-scaled number of consecutive probes before it is trusted
+// again, and the backoff doubles with every quarantine so a flapping
+// node spends exponentially longer distrusted.
 // Every transition sets the peer's cluster.node_up series (1 up, 0 down).
 type nodeHealth struct {
 	mu     sync.Mutex

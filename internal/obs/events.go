@@ -10,7 +10,7 @@ import (
 // Lifecycle event types recorded by the serving subsystem. They mirror
 // the admission → queue → schedule → run → journal path of one job plus
 // the server-scoped transitions an operator reconstructs an incident
-// from (drain, quarantine, journal degradation).
+// from (drain, recovery, journal degradation).
 const (
 	EvAdmit         = "admit"
 	EvCacheHit      = "cache_hit"
@@ -24,8 +24,6 @@ const (
 	EvRejected      = "rejected"
 	EvDrainBegin    = "drain_begin"
 	EvDrainEnd      = "drain_end"
-	EvQuarantine    = "quarantine"
-	EvReinstate     = "reinstate"
 	EvRecovered     = "recovered"
 	// Overload-control events: a queued job pushed out of the full queue
 	// by another tenant's submission, and a queued job whose deadline

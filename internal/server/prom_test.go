@@ -138,8 +138,8 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 	}
 	for _, want := range []string{
 		"gpmetisd_uptime_seconds",
-		`gpmetisd_slot_quarantined{slot="0"}`,
-		`gpmetisd_slot_quarantined{slot="1"}`,
+		`gpmetisd_slot_jobs{slot="0"}`,
+		`gpmetisd_slot_jobs{slot="1"}`,
 		"gpmetisd_cache_hits", "gpmetisd_cache_misses",
 	} {
 		if _, ok := fresh[want]; !ok {

@@ -24,18 +24,14 @@ var ErrQueueFull = errors.New("server: job queue full")
 // GPU slot, each owning a private clone of the machine model. A slot
 // runs one job at a time, so jobs never share a modeled device — the
 // modeled-clock isolation invariant — while up to len(machines) jobs
-// progress concurrently in wall-clock time. Slots additionally carry
-// quarantine state (see quarantine.go): a slot that keeps dying with
-// modeled device faults is pulled from the queue and runs health probes
-// until its probation backoff is served.
+// progress concurrently in wall-clock time.
 type pool struct {
 	s        *Server
 	machines []*gpmetis.Machine
-	health   []*slotHealth
 
 	// slotRunning is the job each slot is running right now ("" idle),
 	// for the ops view. Per-slot utilization lives in the registry as
-	// slot_busy_seconds, slot_jobs and slot_quarantined, labeled {slot}.
+	// slot_busy_seconds and slot_jobs, labeled {slot}.
 	statMu      sync.Mutex
 	slotRunning []string
 }
@@ -45,8 +41,7 @@ func newPool(s *Server, devices int, base *gpmetis.Machine) *pool {
 	for i := 0; i < devices; i++ {
 		m := *base // private clone per slot: no cross-job model sharing
 		p.machines = append(p.machines, &m)
-		p.health = append(p.health, newSlotHealth())
-		for _, name := range []string{"slot_busy_seconds", "slot_jobs", "slot_quarantined"} {
+		for _, name := range []string{"slot_busy_seconds", "slot_jobs"} {
 			s.reg.AddWith(name, slotLabels(i), 0)
 		}
 	}
@@ -80,7 +75,7 @@ func (p *pool) start(ctx context.Context) {
 		p.s.wg.Add(1)
 		go func(slot int) {
 			defer p.s.wg.Done()
-			p.worker(ctx, slot)
+			p.worker(slot)
 		}(i)
 	}
 }
@@ -89,19 +84,9 @@ func (p *pool) start(ctx context.Context) {
 // otherwise run it on this slot's private machine. The slot is freed —
 // by returning to the top of the loop — on every outcome, including
 // cancellation and failure, so one misbehaving job can never leak a
-// device. A quarantined slot takes no jobs; it runs health probes until
-// reinstated.
-func (p *pool) worker(ctx context.Context, slot int) {
+// device.
+func (p *pool) worker(slot int) {
 	for {
-		if p.health[slot].quarantined() {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
-			p.probe(slot)
-			continue
-		}
 		job := p.s.fq.Pop()
 		if job == nil {
 			return // queue closed: shutdown
@@ -256,7 +241,6 @@ func (p *pool) runJob(job *Job, slot int) {
 		if job.Status().Resumed {
 			p.s.reg.Add("jobs.resumed_completed", 1)
 		}
-		p.health[slot].clearStrikes()
 		job.setProfile(res.Profile)
 		if job.key != "" {
 			p.s.cache.Put(job.key, &CachedResult{Result: *jr, Tracer: tracer, Profile: res.Profile})
@@ -275,18 +259,12 @@ func (p *pool) runJob(job *Job, slot int) {
 		p.s.reg.Add("jobs.canceled", 1)
 		job.finish(StateCanceled, nil, err.Error())
 	default:
+		// A device loss comes from the request's own fault scenario. The
+		// slot's machine model keeps no device state between runs, so the
+		// loss fails only this job and the slot takes the next one.
 		var lost *fault.DeviceLost
 		if errors.As(err, &lost) {
 			p.s.reg.Add("devices.faults", 1)
-			if p.health[slot].strike(p.s.cfg.QuarantineThreshold, p.s.cfg.QuarantineBackoff) {
-				p.s.reg.Add("devices.quarantined", 1)
-				p.s.reg.SetWith("slot_quarantined", slotLabels(slot), 1)
-				p.s.reg.Add("quarantine.entered", 1)
-				p.s.event(obs.EvQuarantine, nil, slot,
-					fmt.Sprintf("%d consecutive device faults", p.s.cfg.QuarantineThreshold))
-				p.s.log.Warn("device slot quarantined",
-					"slot", slot, "consecutive_faults", p.s.cfg.QuarantineThreshold)
-			}
 		}
 		p.s.reg.Add("jobs.failed", 1)
 		job.finish(StateFailed, nil, err.Error())

@@ -58,13 +58,6 @@ type Config struct {
 	// (default 4096): terminal jobs collapse to submit+outcome pairs and
 	// forgotten jobs drop out.
 	JournalRotateEvery int
-	// QuarantineThreshold is how many consecutive modeled device faults
-	// put a pool slot into probation (default 3).
-	QuarantineThreshold int
-	// QuarantineBackoff is the base modeled-seconds probation budget a
-	// quarantined slot must spend on health probes before reinstatement;
-	// it doubles with every quarantine of the same slot (default 0.002).
-	QuarantineBackoff float64
 	// Logger receives structured operational logs. Every job-scoped line
 	// carries job_id and trace_id attributes. Nil means a text handler on
 	// os.Stderr at info level; use obs.DiscardLogger to silence.
@@ -108,12 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalRotateEvery == 0 {
 		c.JournalRotateEvery = 4096
-	}
-	if c.QuarantineThreshold == 0 {
-		c.QuarantineThreshold = 3
-	}
-	if c.QuarantineBackoff == 0 {
-		c.QuarantineBackoff = 0.002
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NewLogger(os.Stderr, obs.LogText, slog.LevelInfo)
@@ -825,8 +812,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 //	GET    /healthz         liveness + occupancy + build info
 //	GET    /admin/status.json  the ops view's data, for gpmetis -top
 //	GET    /admin/events    flight recorder: recent lifecycle events
-//	GET    /admin/devices   device-pool quarantine states
-//	POST   /admin/devices/{slot}/reinstate  force a slot back into service
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -839,33 +824,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /admin/status.json", s.handleStatusJSON)
 	mux.HandleFunc("GET /admin/events", s.handleEvents)
-	mux.HandleFunc("GET /admin/devices", s.handleDevices)
-	mux.HandleFunc("POST /admin/devices/{slot}/reinstate", s.handleReinstate)
 	return mux
-}
-
-func (s *Server) handleDevices(w http.ResponseWriter, _ *http.Request) {
-	out := make([]DeviceStatus, len(s.pool.health))
-	for i, h := range s.pool.health {
-		out[i] = h.status(i)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleReinstate(w http.ResponseWriter, r *http.Request) {
-	slot, err := strconv.Atoi(r.PathValue("slot"))
-	if err != nil || slot < 0 || slot >= len(s.pool.health) {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such device slot")
-		return
-	}
-	if s.pool.health[slot].reinstate() {
-		s.reg.Add("devices.quarantined", -1)
-		s.reg.SetWith("slot_quarantined", slotLabels(slot), 0)
-		s.reg.Add("quarantine.reinstated", 1)
-		s.event(obs.EvReinstate, nil, slot, "forced via admin API")
-		s.log.Info("device slot force-reinstated via admin API", "slot", slot)
-	}
-	writeJSON(w, http.StatusOK, s.pool.health[slot].status(slot))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -42,17 +42,12 @@ func (s *Server) statusSnapshot() StatusResponse {
 	st.CacheHitRate = s.cacheHitRate()
 
 	for slot, running := range s.pool.slotOccupancy() {
-		row := SlotStatus{
+		st.Slots = append(st.Slots, SlotStatus{
 			Slot:        slot,
-			State:       DeviceHealthy,
 			RunningJob:  running,
 			Jobs:        int64(s.reg.GetWith("slot_jobs", slotLabels(slot))),
 			BusySeconds: s.reg.GetWith("slot_busy_seconds", slotLabels(slot)),
-		}
-		if s.pool.health[slot].quarantined() {
-			row.State = DeviceQuarantined
-		}
-		st.Slots = append(st.Slots, row)
+		})
 	}
 
 	st.QueueWait = s.latencySummary("job.queue_seconds")

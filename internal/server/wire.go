@@ -176,23 +176,6 @@ const (
 	CodeNodeUnreachable = "node_unreachable"
 )
 
-// DeviceStatus is the wire form of one device-pool slot in GET
-// /admin/devices: its quarantine state and the probe progress toward
-// reinstatement.
-type DeviceStatus struct {
-	Slot    int    `json:"slot"`
-	State   string `json:"state"` // "healthy" or "quarantined"
-	Strikes int    `json:"strikes"`
-	// Quarantines counts how many times this slot has been quarantined;
-	// the reinstatement backoff doubles with each.
-	Quarantines int `json:"quarantines"`
-	// Probes counts successful health probes in the current quarantine;
-	// ProbeSeconds/RequiredSeconds show the modeled-clock backoff budget.
-	Probes          int     `json:"probes,omitempty"`
-	ProbeSeconds    float64 `json:"probe_seconds,omitempty"`
-	RequiredSeconds float64 `json:"required_seconds,omitempty"`
-}
-
 // HealthResponse is the wire form of GET /healthz: liveness, occupancy,
 // and build info.
 type HealthResponse struct {
@@ -277,10 +260,9 @@ type ClusterStatus struct {
 }
 
 // SlotStatus is one device slot row of the ops view: identity, live
-// occupancy, quarantine state, and cumulative utilization.
+// occupancy and cumulative utilization.
 type SlotStatus struct {
 	Slot        int     `json:"slot"`
-	State       string  `json:"state"` // "healthy" or "quarantined"
 	RunningJob  string  `json:"running_job,omitempty"`
 	Jobs        int64   `json:"jobs"`
 	BusySeconds float64 `json:"busy_seconds"`

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"gpmetis/internal/graph"
 )
 
 func TestPublicAPIAllAlgorithms(t *testing.T) {
@@ -78,15 +80,52 @@ func oracleGraphs(t *testing.T) map[string]*Graph {
 	}
 }
 
+// familyGraphs returns the generator families at oracle scale: the
+// ldoor, Delaunay, hugebubble and road stand-ins at 3,000 vertices and
+// an RMAT graph of 2^11 vertices.
+func familyGraphs(t *testing.T) map[string]*Graph {
+	t.Helper()
+	out := map[string]*Graph{}
+	for name, mk := range map[string]func() (*Graph, error){
+		"ldoor":      func() (*Graph, error) { return LDoor(3000, 1) },
+		"delaunay":   func() (*Graph, error) { return Delaunay(3000, 1) },
+		"hugebubble": func() (*Graph, error) { return HugeBubble(3000, 1) },
+		"road":       func() (*Graph, error) { return RoadNetwork(3000, 1) },
+		"rmat":       func() (*Graph, error) { return RMAT(11, 8, 1) },
+	} {
+		g, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = g
+	}
+	return out
+}
+
 // TestPartitionOracle checks the partitioner's contract for all eight
-// algorithms on adversarial graphs at k=1 and k=n: a run either fails
-// with one of the exported typed errors or returns a part id in [0,k)
-// for every vertex, an EdgeCut equal to the recomputed cut, and a Part
-// that a repeat run with the same seed reproduces exactly.
+// algorithms, on adversarial 12-vertex graphs at k=1 and k=n and on the
+// generator families at k=2, 16 and 64: a run either fails with one of
+// the exported typed errors or returns a part id in [0,k) for every
+// vertex, no empty part, imbalance within the default 3%, and an
+// EdgeCut equal to the recomputed cut. On the 12-vertex graphs a repeat
+// run with the same seed must reproduce the Part exactly.
 func TestPartitionOracle(t *testing.T) {
-	typed := []error{ErrBadK, ErrBadImbalance, ErrEmptyGraph, ErrBadOption, ErrGraphTooLarge}
+	type oracleCase struct {
+		g      *Graph
+		ks     []int
+		repeat bool
+	}
+	cases := map[string]oracleCase{}
 	for name, g := range oracleGraphs(t) {
-		for _, k := range []int{1, g.NumVertices()} {
+		cases[name] = oracleCase{g, []int{1, g.NumVertices()}, true}
+	}
+	for name, g := range familyGraphs(t) {
+		cases[name] = oracleCase{g, []int{2, 16, 64}, false}
+	}
+	typed := []error{ErrBadK, ErrBadImbalance, ErrEmptyGraph, ErrBadOption, ErrGraphTooLarge}
+	for name, c := range cases {
+		g := c.g
+		for _, k := range c.ks {
 			for _, algo := range []Algorithm{GPMetis, Metis, MtMetis, ParMetis, PTScotch, Gmetis, Jostle, Spectral} {
 				t.Run(fmt.Sprintf("%s/k=%d/%s", name, k, algo), func(t *testing.T) {
 					o := Options{Algorithm: algo, Seed: 3}
@@ -100,13 +139,14 @@ func TestPartitionOracle(t *testing.T) {
 					if len(res.Part) != g.NumVertices() {
 						t.Fatalf("partition vector has %d entries, want %d", len(res.Part), g.NumVertices())
 					}
-					for v, p := range res.Part {
-						if p < 0 || p >= k {
-							t.Fatalf("vertex %d in part %d, want [0,%d)", v, p, k)
-						}
+					if err := graph.VerifyPartition(g, res.Part, k, 1.03); err != nil {
+						t.Fatal(err)
 					}
 					if cut := EdgeCut(g, res.Part); res.EdgeCut != cut {
 						t.Errorf("EdgeCut %d, recomputed %d", res.EdgeCut, cut)
+					}
+					if !c.repeat {
+						return
 					}
 					again, err := Partition(g, k, o)
 					if err != nil {
