@@ -105,11 +105,13 @@ restart-smoke: build
 chaos:
 	$(GO) run ./cmd/chaos -runs $(CHAOS_RUNS) -seed $(CHAOS_SEED)
 
-# fuzz exercises the hardened graph readers, the POST /jobs wire
-# decoder, journal replay, the checkpoint decoder, and the peers.json
-# loader for FUZZTIME per target.
+# fuzz exercises the hardened graph readers (and holds the Metis reader
+# to the map-based reader it replaced), the POST /jobs wire decoder,
+# journal replay, the checkpoint decoder, and the peers.json loader for
+# FUZZTIME per target.
 fuzz:
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzRead$$ -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzReadDifferential$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/gio -run '^$$' -fuzz FuzzReadGR$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzSubmitRequest$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzReplayJournal$$ -fuzztime $(FUZZTIME)

@@ -26,8 +26,9 @@
 //	        faults, cancels), is shut down mid-stream, and is restarted
 //	        on the same journal; every job must come back, reach a
 //	        terminal state, and completed results must survive.
-//	overload: a two-tenant open-loop burst overfills a one-device
-//	        server's queue; admission control must hold its contracts
+//	overload: a two-tenant open-loop burst, paced at a third of a job's
+//	        run time, overfills a one-device server's queue; admission
+//	        control must hold its contracts
 //	        — accepted work completes or is shed (never stuck), the
 //	        weight-3 tenant is never refused or shed because a full
 //	        queue pushes out over-share work of the weight-1 tenant,
@@ -412,11 +413,32 @@ func chaosOverload(rng *rand.Rand) error {
 		job    *server.Job
 		tenant string
 	}
+	// The burst is open loop, paced at a third of a job's run time,
+	// measured here: the paid third or quarter of the mix then arrives no
+	// faster than the device serves it, while the free rest overfills the
+	// queue. The pace must not hang on the submit path's own cost: a
+	// burst much faster than the device puts more paid jobs in the queue
+	// than the paid tenant's share, and the server rightly refuses them.
+	warm := time.Now()
+	w, err := s.Submit(&server.SubmitRequest{Graph: text, K: 12, NoCache: true})
+	if err != nil {
+		return fmt.Errorf("pacing job: %w", err)
+	}
+	select {
+	case <-w.Done():
+	case <-time.After(60 * time.Second):
+		return errors.New("pacing job stuck")
+	}
+	gap := time.Since(warm) / 3
+
 	var accepted []tracked
 	freeRefused := 0
 	total := 30 + rng.Intn(21)
 	paidEvery := 3 + rng.Intn(2) // paid is 1/3 or 1/4 of the mix
 	for i := 0; i < total; i++ {
+		if i > 0 {
+			time.Sleep(gap)
+		}
 		tenant := "free"
 		if i%paidEvery == 0 {
 			tenant = "paid"

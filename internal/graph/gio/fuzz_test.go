@@ -3,10 +3,13 @@ package gio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gpmetis/internal/graph"
 )
@@ -68,6 +71,74 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
+// FuzzReadDifferential holds Read to readReference, the map-based
+// reader it replaced: on every input both accept or both reject, an
+// accepted graph is the same graph, and a rejection is the same error.
+// Only the symmetry violation reported may differ, since the reference
+// picks one in map order.
+func FuzzReadDifferential(f *testing.F) {
+	limitSizes(f)
+	for _, seed := range []string{
+		"7 11\n5 3 2\n1 3 4\n5 4 2 1\n2 3 6 7\n1 3 6\n5 4 7\n6 4\n",
+		"3 2 011\n4 2 7\n6 1 7 3 2\n9 2 2\n",
+		"3 2 011\n4 2 7\n6 3 2 1 7\n9 2 2\n", // a row out of order
+		"2 1 010\n5 2\n3 1\n",
+		"3 1\n2\n1\n\n",
+		"0 0\n",
+		"2 1\n3\n1\n",
+		"2 5\n2\n1\n",
+		"2 1 001\n2 5\n1 7\n",
+		"2 1\n2\n\n",
+		"2 1\n\n1\n",
+		"3 2\n2 2\n1 1\n\n",
+		"1 0\n1\n",
+		"2 1 100\n2\n1\n",
+		"% c\n\n2 1\n02\n01\n",
+		"2 1 001\n2 -3\n1 -3\n",
+		"2 1 001\n2 3\n1 -3\n",
+		"2 1\n+2\n+1\n",                  // strconv.Atoi takes a sign
+		"2 1\r\n2\r\n1\r\n",              // CRLF line ends
+		"2 1\n\u00852\u00a0\n1\u3000\n",  // Unicode spaces separate
+		"2 1\n\u2028% c\n2\n1",           // a comment after Unicode space
+		"2 1\n2\xc2\n1\n",                // invalid UTF-8 is no space
+		"3 1\n16777216\n",                // neighbor past the rows
+		"3 1\n3 3\n",                     // duplicate past the rows
+		"2 1\n9223372036854775808\n1\n",  // overflows int64
+		"2 1\n20000000000000000000\n1\n", // wraps uint64 at the last digit
+		"2 1 001\n2 -9223372036854775808\n1 1\n",
+		"2 1 010 -5\n1 2\n1 1\n",
+		"2 1 x1y\n2 1\n1 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		want, werr := readReference(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Read error %v, reference error %v", err, werr)
+		}
+		if err != nil {
+			if errClass(err) != errClass(werr) {
+				t.Fatalf("Read error %q, reference error %q", err, werr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("Read built %+v, reference built %+v", g, want)
+		}
+	})
+}
+
+// errClass is an error's message, except that every symmetry violation
+// (a one-sided listing or asymmetric weights) is one class.
+func errClass(err error) string {
+	msg := err.Error()
+	if strings.Contains(msg, "listed by vertex") || strings.Contains(msg, "asymmetric weights") {
+		return "symmetry"
+	}
+	return msg
+}
+
 // FuzzReadGR does the same for the DIMACS9 .gr reader.
 func FuzzReadGR(f *testing.F) {
 	limitSizes(f)
@@ -116,6 +187,68 @@ func TestHugeHeaderAllocatesLittle(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Errorf("%s: rejecting a %d-byte input allocated %d bytes, want < 1 MiB",
 				tc.name, len(tc.in), got)
+		}
+	}
+}
+
+// TestHugeNeighborAllocatesLittle: a row naming neighbor 2^24 of a
+// 2^24-vertex header, with nothing behind it, is rejected as truncated
+// having allocated for the bytes seen, not for the neighbor id: the
+// reader's per-row marker spans the rows the input can hold.
+func TestHugeNeighborAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"16777216 1\n16777216\n", "gio: vertex 2: unexpected EOF"},
+		{"16777216 1\n16777216 16777216\n", "gio: vertex 1: duplicate neighbor 16777216"},
+		{"16777216 1 001\n16777216 5 9 1\n", "gio: vertex 2: unexpected EOF"},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Read(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.in, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%q: rejecting a %d-byte input allocated %d bytes, want < 1 MiB",
+				tc.in, len(tc.in), got)
+		}
+	}
+}
+
+// TestReadLineLimit: Read refuses a line of 2^24 bytes or more, as the
+// bufio.Scanner of the reference reader does, and accepts one shorter.
+func TestReadLineLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 16 MiB inputs")
+	}
+	pad := func(n int) string { return strings.Repeat(" ", n) }
+	for _, in := range []string{
+		"2 1\n2" + pad(maxLine-1) + "\n1\n",
+		"2 1\n2" + pad(maxLine) + "\n1\n",
+		"2 1\n2\n1" + pad(maxLine-1),
+		"2 1\n2\n1" + pad(maxLine),
+		"% " + pad(maxLine) + "\n0 0\n",
+	} {
+		_, err := Read(strings.NewReader(in))
+		_, werr := readReference(strings.NewReader(in))
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%d-byte input: Read error %v, reference error %v", len(in), err, werr)
+		}
+	}
+}
+
+// TestReadErrorStandsInForEOF: a reader that fails part way is read as
+// far as it got, as the reference reader scans it: the error is reported
+// where more input was needed, and not at all when every row came first.
+func TestReadErrorStandsInForEOF(t *testing.T) {
+	boom := errors.New("boom")
+	for _, in := range []string{"3 2\n2\n1 3", "3 2\n2\n1 3\n2\n", "3 2\n2\n1 3\n2", "", "3 2"} {
+		r := func() io.Reader { return io.MultiReader(strings.NewReader(in), iotest.ErrReader(boom)) }
+		_, err := Read(r())
+		_, werr := readReference(r())
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%q then an error: Read error %v, reference error %v", in, err, werr)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,31 @@ func TestParsersNeverPanicProperty(t *testing.T) {
 	} {
 		_, _ = Read(strings.NewReader(s))
 		_, _ = ReadGR(strings.NewReader(s))
+	}
+}
+
+// BenchmarkRead times Read on Delaunay triangulations in Metis text, the
+// shape of the serving tier's requests. MB/s is input bytes parsed per
+// second; B/op over the input size is the bytes allocated per input byte.
+func BenchmarkRead(b *testing.B) {
+	for _, n := range []int{5000, 50000} {
+		g, err := gen.Delaunay(n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			b.Fatal(err)
+		}
+		text := buf.Bytes()
+		b.Run(fmt.Sprintf("delaunay-%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Read(bytes.NewReader(text)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -127,7 +127,7 @@ func (s *Server) follow(j, leader *Job) {
 // time, and charging crash downtime against the job would fail work the
 // previous process had already accepted.
 func (s *Server) startClock(j *Job) {
-	d := time.Duration(j.req.DeadlineMs) * time.Millisecond
+	d := time.Duration(j.Request().DeadlineMs) * time.Millisecond
 	if d == 0 {
 		d = s.cfg.DefaultDeadline
 	}

@@ -19,13 +19,14 @@ type Job struct {
 	ID string
 
 	// Immutable after resolve.
-	g       *graph.Graph
 	k       int
 	algo    gpmetis.Algorithm
 	opts    gpmetis.Options // resolved: defaults applied, no Tracer/Machine yet
 	key     string          // content address; "" when NoCache
 	noCache bool
-	req     *SubmitRequest // original wire request, retained for the journal
+	// vertices is the input's |V|, kept for the admit span and the
+	// queued log line, which may run after the job dropped its graph.
+	vertices int
 	// cost is the fair queue's service currency: the input size |V|+|E|,
 	// since each level of a multilevel partitioner does work linear in
 	// it. Replay and takeover therefore tag a job as its submit did.
@@ -48,7 +49,17 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu          sync.Mutex
+	// outcomeJournaled is set, before the watcher starts, when the
+	// submit record went down together with the outcome (see
+	// journalSubmit); the watcher then appends nothing.
+	outcomeJournaled bool
+
+	mu sync.Mutex
+	// g is the parsed input and req the wire request the job was
+	// resolved from. finish drops g and the request's graph text: a
+	// finished job keeps its answer, not its input.
+	g           *graph.Graph
+	req         *SubmitRequest
 	state       string
 	cached      bool
 	coalesced   bool
@@ -151,16 +162,17 @@ func resolveRequest(req *SubmitRequest) (*Job, error) {
 	}
 
 	j := &Job{
-		g:       g,
-		k:       req.K,
-		algo:    algo,
-		opts:    o,
-		cost:    float64(g.NumVertices() + g.NumEdges()),
-		noCache: req.NoCache,
-		req:     req,
-		state:   StateQueued,
-		device:  -1,
-		done:    make(chan struct{}),
+		g:        g,
+		k:        req.K,
+		algo:     algo,
+		opts:     o,
+		vertices: g.NumVertices(),
+		cost:     float64(g.NumVertices() + g.NumEdges()),
+		noCache:  req.NoCache,
+		req:      req,
+		state:    StateQueued,
+		device:   -1,
+		done:     make(chan struct{}),
 	}
 	if !req.NoCache {
 		j.key = CacheKey(GraphDigest(g), canonicalOptions(algo, req.K, o, req.Faults, faultSeed))
@@ -219,9 +231,21 @@ func (j *Job) Status() JobStatus {
 // Key returns the job's content address, "" for NoCache submissions.
 func (j *Job) Key() string { return j.key }
 
-// Request returns the wire request the job was resolved from. Callers
-// must treat it as read-only: the journal records it.
-func (j *Job) Request() *SubmitRequest { return j.req }
+// Request returns the wire request the job was resolved from; once the
+// job is terminal, without its graph text. Callers must treat it as
+// read-only: the journal records it.
+func (j *Job) Request() *SubmitRequest {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.req
+}
+
+// graph returns the job's parsed input, nil once the job is terminal.
+func (j *Job) graph() *graph.Graph {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.g
+}
 
 // TraceID returns the job's trace id — empty until the job was
 // registered (or adopted a forwarded trace).
@@ -308,13 +332,53 @@ func (j *Job) finish(state string, res *JobResult, errMsg string) {
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
+	// Drop the input. The request is copied, not cleared: the HTTP
+	// handler and the ring's forward may still read the original.
+	j.g = nil
+	if j.req != nil && j.req.Graph != "" {
+		r := *j.req
+		r.Graph = ""
+		j.req = &r
+	}
 	j.mu.Unlock()
 	j.cancel() // release the context's timer
 	close(j.done)
 }
 
+// outcomeLocked returns a terminal job's outcome record; false while the
+// job is live. Callers hold j.mu.
+func (j *Job) outcomeLocked() (Record, bool) {
+	switch j.state {
+	case StateDone:
+		return Record{Type: RecDone, ID: j.ID, Key: j.key, Result: j.result}, true
+	case StateFailed:
+		return Record{Type: RecFailed, ID: j.ID, Error: j.errMsg}, true
+	case StateCanceled:
+		return Record{Type: RecCanceled, ID: j.ID, Error: j.errMsg}, true
+	}
+	return Record{}, false
+}
+
+// appendImage appends the job's part of the rotation image: its
+// submit record, then its outcome, or its running record while it runs.
+// One lock hold reads both, so a terminal job's submit carries no graph
+// text.
+func (j *Job) appendImage(recs []Record) []Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	recs = append(recs, Record{Type: RecSubmit, ID: j.ID, Seq: seqOf(j.ID), Req: j.req})
+	if rec, ok := j.outcomeLocked(); ok {
+		return append(recs, rec)
+	}
+	if j.state == StateRunning {
+		recs = append(recs, Record{Type: RecRunning, ID: j.ID})
+	}
+	return recs
+}
+
 // finishCached completes a job straight from the cache: born done, zero
-// modeled cost charged, the original run's tracer attached.
+// modeled cost charged, the original run's tracer attached. Like every
+// finish it drops the input, so an indexed hit never holds it.
 func (j *Job) finishCached(c *CachedResult) {
 	j.mu.Lock()
 	j.cached = true

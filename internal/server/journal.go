@@ -32,7 +32,7 @@ type Journal struct {
 
 // Record is one journal line. Type decides which fields are meaningful:
 //
-//	submit:    ID, Seq, Req
+//	submit:    ID, Seq, Req (no graph text once the job is terminal)
 //	running:   ID
 //	done:      ID, Key (may be empty), Result
 //	failed:    ID, Error
@@ -74,11 +74,12 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, nil
 }
 
-// Append durably writes one record: marshal, write, flush, fsync. The
-// first failure wraps checkpoint.ErrDurability and permanently disables
-// the journal (subsequent appends are silent no-ops returning nil), so
-// the caller logs the degradation once and keeps serving.
-func (j *Journal) Append(rec Record) error {
+// Append durably writes records, one line each, in one write: marshal,
+// write, flush, one fsync. The first failure wraps
+// checkpoint.ErrDurability and permanently disables the journal
+// (subsequent appends are silent no-ops returning nil), so the caller
+// logs the degradation once and keeps serving.
+func (j *Journal) Append(recs ...Record) error {
 	if j == nil {
 		return nil
 	}
@@ -87,23 +88,24 @@ func (j *Journal) Append(rec Record) error {
 	if j.disabled {
 		return nil
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
+	var buf []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("journal: marshal: %w", err)
+		}
+		buf = append(append(buf, line...), '\n')
 	}
-	if err := j.appendLocked(line); err != nil {
+	if err := j.appendLocked(buf); err != nil {
 		j.disabled = true
 		return fmt.Errorf("%w: journal append: %v", checkpoint.ErrDurability, err)
 	}
-	j.appends++
+	j.appends += int64(len(recs))
 	return nil
 }
 
-func (j *Journal) appendLocked(line []byte) error {
-	if _, err := j.w.Write(line); err != nil {
-		return err
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
+func (j *Journal) appendLocked(lines []byte) error {
+	if _, err := j.w.Write(lines); err != nil {
 		return err
 	}
 	if err := j.w.Flush(); err != nil {

@@ -167,6 +167,7 @@ func (p *pool) runJob(job *Job, slot int) {
 			os.Remove(path)
 		}
 	}()
+	g := job.graph()
 	tracer := gpmetis.NewTracer()
 	job.setTracer(tracer)
 	o := job.opts
@@ -200,7 +201,7 @@ func (p *pool) runJob(job *Job, slot int) {
 		}
 	}
 
-	res, err := gpmetis.Partition(job.g, job.k, o)
+	res, err := gpmetis.Partition(g, job.k, o)
 	if err != nil && o.Resume != nil &&
 		(errors.Is(err, gpmetis.ErrCheckpointMismatch) || errors.Is(err, gpmetis.ErrCheckpointCorrupt)) {
 		// A stale or damaged snapshot must never lose the job: drop it
@@ -210,7 +211,7 @@ func (p *pool) runJob(job *Job, slot int) {
 		job.mu.Lock()
 		job.resumed = false
 		job.mu.Unlock()
-		res, err = gpmetis.Partition(job.g, job.k, o)
+		res, err = gpmetis.Partition(g, job.k, o)
 	}
 	switch {
 	case err == nil:
@@ -226,7 +227,7 @@ func (p *pool) runJob(job *Job, slot int) {
 		jr := &JobResult{
 			Part:           res.Part,
 			EdgeCut:        res.EdgeCut,
-			Imbalance:      gpmetis.Imbalance(job.g, res.Part, job.k),
+			Imbalance:      gpmetis.Imbalance(g, res.Part, job.k),
 			ModeledSeconds: res.ModeledSeconds,
 			Degraded:       res.Degraded,
 			DegradedReason: res.DegradedReason,

@@ -54,9 +54,9 @@ type Config struct {
 	// snapshot at every level boundary; after a crash the replayed jobs
 	// resume from their last snapshot instead of starting over.
 	CheckpointDir string
-	// JournalRotateEvery compacts the journal after this many appends
-	// (default 4096): terminal jobs collapse to submit+outcome pairs and
-	// forgotten jobs drop out.
+	// JournalRotateEvery compacts the journal after this many records
+	// (default 4096): terminal jobs collapse to submit+outcome pairs, the
+	// submit without graph text, and forgotten jobs drop out.
 	JournalRotateEvery int
 	// Logger receives structured operational logs. Every job-scoped line
 	// carries job_id and trace_id attributes. Nil means a text handler on
@@ -224,14 +224,14 @@ func (s *Server) Close() {
 	s.journal.Close()
 }
 
-// journalAppend appends one record, degrading to non-durable operation
-// on the first failure: the error is logged once, the journal.degraded
-// gauge flips, and the server keeps serving.
-func (s *Server) journalAppend(rec Record) {
+// journalAppend appends records in one durable write, degrading to
+// non-durable operation on the first failure: the error is logged once,
+// the journal.degraded gauge flips, and the server keeps serving.
+func (s *Server) journalAppend(recs ...Record) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil {
+	if err := s.journal.Append(recs...); err != nil {
 		s.journalDegraded(err)
 		return
 	}
@@ -258,7 +258,8 @@ func (s *Server) journalDegraded(err error) {
 
 // compactRecords rewrites the live job index as a minimal record
 // sequence: submit(+running) for live jobs, submit+outcome for terminal
-// ones. It is the rotation image of the journal.
+// ones, whose submit carries no graph text. It is the rotation image of
+// the journal.
 func (s *Server) compactRecords() []Record {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.order))
@@ -270,18 +271,7 @@ func (s *Server) compactRecords() []Record {
 	s.mu.Unlock()
 	var recs []Record
 	for _, j := range jobs {
-		st := j.Status()
-		recs = append(recs, Record{Type: RecSubmit, ID: j.ID, Seq: seqOf(j.ID), Req: j.req})
-		switch st.State {
-		case StateDone:
-			recs = append(recs, Record{Type: RecDone, ID: j.ID, Key: j.key, Result: st.Result})
-		case StateFailed:
-			recs = append(recs, Record{Type: RecFailed, ID: j.ID, Error: st.Error})
-		case StateCanceled:
-			recs = append(recs, Record{Type: RecCanceled, ID: j.ID, Error: st.Error})
-		case StateRunning:
-			recs = append(recs, Record{Type: RecRunning, ID: j.ID})
-		}
+		recs = j.appendImage(recs)
 	}
 	// Replica-held entries rotate with the journal too: they are a
 	// peer's completed work, so losing them on compaction would silently
@@ -318,9 +308,9 @@ func replicaRecordID(key string) string {
 }
 
 // watch follows a job to its terminal state: it releases the job's
-// single-flight leadership, journals the outcome, and closes the job's
-// observability account (lifecycle spans, flight-recorder event,
-// outcome log line). Recovered jobs skip journaling of states
+// single-flight leadership, journals the outcome unless journalSubmit
+// already did, and closes the job's observability account (lifecycle
+// spans, flight-recorder event, outcome log line). Recovered jobs skip journaling of states
 // that replay already proved.
 func (s *Server) watch(j *Job) {
 	select {
@@ -331,22 +321,10 @@ func (s *Server) watch(j *Job) {
 		return
 	}
 	s.release(j)
+	if !j.outcomeJournaled {
+		s.journalOutcome(j)
+	}
 	st := j.Status()
-	var rec Record
-	switch st.State {
-	case StateDone:
-		rec = Record{Type: RecDone, ID: j.ID, Key: j.key, Result: st.Result}
-	case StateFailed:
-		rec = Record{Type: RecFailed, ID: j.ID, Error: st.Error}
-	case StateCanceled:
-		rec = Record{Type: RecCanceled, ID: j.ID, Error: st.Error}
-	}
-	if rec.Type != "" && s.journal != nil {
-		jt0 := time.Now()
-		s.journalAppend(rec)
-		j.addLifeSpan(lifeJournal, jt0, time.Now(), map[string]any{"record": rec.Type})
-		s.event(obs.EvJournalAppend, j, -1, rec.Type)
-	}
 	// Freshly computed results fan out to the replication hook. Cache
 	// hits, coalesced followers, and journal replays never fire it:
 	// their results either already replicated when first computed or
@@ -617,9 +595,9 @@ func (s *Server) submit(req *SubmitRequest, route func(*Job) bool) (*Job, error)
 	default:
 		s.event(obs.EvAdmit, job, -1, "queued")
 		s.jlog(job).Info("job admitted", "outcome", outcome, "k", job.k,
-			"vertices", job.g.NumVertices(), "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
+			"vertices", job.vertices, "queue_depth", s.fq.Len(), "tenant", job.tenant.name)
 	}
-	// The submit record precedes the outcome record the watcher appends.
+	// The submit record precedes the outcome record, or shares its append.
 	s.journalSubmit(job)
 	s.spawnWatch(job)
 	return job, nil
@@ -740,7 +718,7 @@ func (s *Server) shed(j *Job, by *tenantState) {
 
 // admitAttrs builds the admit span's trace args.
 func admitAttrs(j *Job, outcome string) map[string]any {
-	return map[string]any{"outcome": outcome, "k": j.k, "vertices": j.g.NumVertices()}
+	return map[string]any{"outcome": outcome, "k": j.k, "vertices": j.vertices}
 }
 
 // spawnWatch runs watch under the server WaitGroup so Close drains it
@@ -750,9 +728,40 @@ func (s *Server) spawnWatch(j *Job) {
 	go func() { defer s.wg.Done(); s.watch(j) }()
 }
 
-// journalSubmit appends a job's admission record.
+// journalSubmit appends a job's admission record. A job already
+// terminal here — a cache hit, born done, or a run that ended first —
+// has dropped its graph text, and replay cannot rerun a submit without
+// one: its submit goes down in one append with its outcome, and the
+// watcher appends nothing more.
 func (s *Server) journalSubmit(j *Job) {
-	s.journalAppend(Record{Type: RecSubmit, ID: j.ID, Seq: seqOf(j.ID), Req: j.req})
+	if s.journal == nil {
+		return
+	}
+	j.mu.Lock()
+	sub := Record{Type: RecSubmit, ID: j.ID, Seq: seqOf(j.ID), Req: j.req}
+	_, terminal := j.outcomeLocked()
+	j.mu.Unlock()
+	if !terminal {
+		s.journalAppend(sub)
+		return
+	}
+	j.outcomeJournaled = true
+	s.journalOutcome(j, sub)
+}
+
+// journalOutcome appends a terminal job's outcome record, in one append
+// after the records in pre, and traces the append.
+func (s *Server) journalOutcome(j *Job, pre ...Record) {
+	if s.journal == nil {
+		return
+	}
+	j.mu.Lock()
+	rec, _ := j.outcomeLocked()
+	j.mu.Unlock()
+	jt0 := time.Now()
+	s.journalAppend(append(pre, rec)...)
+	j.addLifeSpan(lifeJournal, jt0, time.Now(), map[string]any{"record": rec.Type})
+	s.event(obs.EvJournalAppend, j, -1, rec.Type)
 }
 
 // seqOf extracts the numeric sequence from a job ID: the trailing run
@@ -778,17 +787,24 @@ func (s *Server) index(j *Job) {
 	defer s.mu.Unlock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	for len(s.order) > s.cfg.MaxJobs {
-		old := s.jobs[s.order[0]]
-		if old != nil {
-			st := old.Status().State
-			if st == StateQueued || st == StateRunning {
-				break // never forget a live job
-			}
-			delete(s.jobs, s.order[0])
+	// Forget the oldest terminal jobs beyond the cap. A live job is never
+	// forgotten, but it holds back none of the terminal jobs behind it.
+	excess := len(s.order) - s.cfg.MaxJobs
+	var live []string
+	i := 0
+	for ; i < len(s.order) && excess > 0; i++ {
+		id := s.order[i]
+		if old := s.jobs[id]; old != nil && !old.terminal() {
+			live = append(live, id)
+			continue
 		}
-		s.order = s.order[1:]
+		delete(s.jobs, id)
+		excess--
 	}
+	// The live jobs passed over keep their order, just before the
+	// oldest job kept.
+	s.order = s.order[i-len(live):]
+	copy(s.order, live)
 }
 
 // Job looks up a job by ID.

@@ -166,7 +166,11 @@ func WriteCheckpointFile(path string, c *Checkpoint) error { return checkpoint.W
 func ReadCheckpointFile(path string) (*Checkpoint, error) { return checkpoint.ReadFile(path) }
 
 // ReadGraph parses a graph in the Chaco/Metis text format used by the
-// DIMACS challenges.
+// DIMACS challenges. It reads r to the end, then parses in one linear
+// pass, rejecting out-of-range, duplicate or self-loop neighbors, edges
+// listed from one end only or with unequal weights, and a header whose
+// edge count disagrees with the file. Allocation is bounded by the
+// input's size.
 func ReadGraph(r io.Reader) (*Graph, error) { return gio.Read(r) }
 
 // WriteGraph serializes a graph in Chaco/Metis format.
